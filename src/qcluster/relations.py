@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .qarith import QLaurent, q_binom
@@ -31,8 +31,11 @@ class VerificationCertificate:
     """Outcome of one exact relation check.
 
     `residue` is the canonical string of the element that must vanish
-    ("0" on a pass); `terms` counts summand terms accumulated while
-    expanding, `seconds` is wall time.
+    ("0" on a pass).  For the alternating sums (serre, serre-opposite,
+    higher, lemma-sum) `terms` is the summed term counts of the scaled
+    summands; the commutator check reports the term count of
+    y_i y_j - y_j y_i, and the power-product check the summed term counts
+    of its three expansions.  `seconds` is wall time.
     """
 
     check: str
@@ -146,19 +149,11 @@ def _ordered_power_product(seed: QuantumSeed, exponent_of: Callable[[int], int],
     return acc
 
 
-def _powers(base: TorusElem, top: int) -> list[TorusElem]:
-    """[base^0, base^1, ..., base^top] by one multiplication per step."""
-    out = [TorusElem.unit(base.form)]
-    for _ in range(top):
-        out.append(out[-1] * base)
-    return out
-
-
-def _signed_binom_prefixes(limit: int, base: int, extra_half: Callable[[int], int]) -> list[QLaurent]:
-    """Coefficients (-1)^r q^(extra_half(r)/2) [limit, r] at base q^base, r = 0..limit."""
+def _alternating_coeffs(top: int, d: int, shift: int) -> list[QLaurent]:
+    """(-1)^r q^(d*r*(r-1)/2 - d*r*shift) [top, r] at base q^d, r = 0..top."""
     out = []
-    for r in range(limit + 1):
-        coeff = q_binom(limit, r, base) * QLaurent.q_power(extra_half(r))
+    for r in range(top + 1):
+        coeff = q_binom(top, r, d) * QLaurent.q_power(d * r * (r - 1) - 2 * d * r * shift)
         out.append(-coeff if r % 2 else coeff)
     return out
 
@@ -182,6 +177,35 @@ def _certify(check: str, params: Sequence[tuple[str, object]], residue: TorusEle
         seconds=time.perf_counter() - started,
         exploratory=exploratory,
     )
+
+
+def _sandwich(outer: TorusElem, middle: TorusElem, coeffs: Sequence[QLaurent]) -> tuple[TorusElem, int]:
+    """sum_r coeffs[r] * outer^(L-r) * middle * outer^r with L = len(coeffs) - 1.
+
+    Every relation check is one such sum.  Returns it together with the
+    summed term counts of the scaled summands.
+    """
+    top = len(coeffs) - 1
+    powers = [TorusElem.unit(outer.form)]
+    for _ in range(top):
+        powers.append(powers[-1] * outer)
+    acc = TorusElem.zero(outer.form)
+    terms = 0
+    for r, coeff in enumerate(coeffs):
+        summand = (powers[top - r] * middle * powers[r]).scale(coeff)
+        terms += summand.term_count()
+        acc = acc + summand
+    return acc, terms
+
+
+def _order_sum(seed: QuantumSeed, i: int, j: int, l: int, m_exp: int) -> tuple[TorusElem, int]:
+    """sum_r +/- [m+1, r] y_i^(m+1-r) y_j^l y_i^r at base q^(d_i).
+
+    The twist is q^(d_i * r(r-1)/2), times q^(-d_i * r * m) when b_ij > 0.
+    """
+    shift = m_exp if seed.b_entry(i, j) > 0 else 0
+    coeffs = _alternating_coeffs(m_exp + 1, seed.d[i - 1], shift)
+    return _sandwich(mutated_variable(seed, i), mutated_variable(seed, j) ** l, coeffs)
 
 
 # -- one-step variables ------------------------------------------------------
@@ -321,28 +345,6 @@ def power_product_check(seed: QuantumSeed, i: int, t: int, side: str = "left") -
 # -- vanishing-sum lemmas ----------------------------------------------------
 
 
-def _alternating_sandwich_sum(
-    seed: QuantumSeed,
-    y_i: TorusElem,
-    bound: int,
-    outer_power: Callable[[int], int],
-    middle: Callable[[int], TorusElem],
-    prefix_half: Callable[[int], int],
-    coeff_sums: Sequence[QLaurent],
-) -> tuple[TorusElem, int]:
-    """sum_t q^(prefix_half(t)/2) * coeff_sums[t] * y_i^outer_power(t) * middle(t) * y_i^t."""
-    top = max(outer_power(0), bound)
-    powers = _powers(y_i, top)
-    acc = TorusElem.zero(seed.form)
-    work = 0
-    for t in range(bound + 1):
-        coeff = coeff_sums[t] * QLaurent.q_power(prefix_half(t))
-        summand = (powers[outer_power(t)] * middle(t) * powers[t]).scale(coeff)
-        work += summand.term_count()
-        acc = acc + summand
-    return acc, work
-
-
 def lemma_sum_check(
     seed: QuantumSeed,
     i: int,
@@ -355,7 +357,8 @@ def lemma_sum_check(
 
     L32 is the one-step version (parameters m_exp and t_shift ignored);
     L41 generalizes it: t_shift >= 0 plays the inner-decomposition role
-    and the sum runs to m_exp.  Requires b_ij != 0.
+    and the sum runs to m_exp.  L32 is L41 at t_shift = 0, m_exp = |b_ij|.
+    Requires b_ij != 0.
     """
     started = time.perf_counter()
     _require_principal(seed)
@@ -365,12 +368,9 @@ def lemma_sum_check(
     b = seed.b_entry(i, j)
     if b == 0:
         raise ValueError("lemma sums need b_ij != 0")
-    d_i = seed.d[i - 1]
     size = abs(b)
     if variant == "L32":
-        bound = size
-        x_power = size - 1
-        binom_top = size + 1
+        m_exp, t_shift = size, 0
         params: tuple[tuple[str, object], ...] = (("i", i), ("j", j), ("variant", "L32"))
     else:
         if t_shift is None:
@@ -385,33 +385,16 @@ def lemma_sum_check(
             raise ValueError(
                 f"L41 needs m_exp >= (t_shift+1)*|b_ij| = {(t_shift + 1) * size}, got m_exp={m_exp}"
             )
-        bound = m_exp
-        x_power = size * (1 + t_shift) - 1
-        binom_top = m_exp + 1
         params = (("i", i), ("j", j), ("variant", "L41"), ("m", m_exp), ("t", t_shift))
-    if b < 0:
-        coeffs = _signed_binom_prefixes(binom_top, d_i, lambda r: d_i * r * (r - 1))
-        prefix_half = lambda t: -2 * d_i * t
-    else:
-        shift = b if variant == "L32" else bound
-        coeffs = _signed_binom_prefixes(
-            binom_top, d_i, lambda r: d_i * r * (r - 1) - 2 * d_i * r * shift
-        )
-        step = b if variant == "L32" else b * (1 + t_shift)
-        prefix_half = lambda t: 2 * d_i * t * step
-    coeff_sums = _partial_sums(coeffs)
-    y_i = mutated_variable(seed, i)
-    x_word = _gen_power(seed, i, x_power)
-    total, work = _alternating_sandwich_sum(
-        seed,
-        y_i,
-        bound,
-        outer_power=lambda t: bound - t,
-        middle=lambda t: x_word,
-        prefix_half=prefix_half,
-        coeff_sums=coeff_sums,
-    )
-    return _certify("lemma-sum", params, total, work, started)
+    d_i = seed.d[i - 1]
+    step = size * (1 + t_shift)
+    # summand t carries the partial sum of coefficients 0..t, twisted by
+    # q^(-d_i*t) when b_ij < 0 and by q^(d_i*t*step) when b_ij > 0
+    slope = step if b > 0 else -1
+    sums = _partial_sums(_alternating_coeffs(m_exp + 1, d_i, m_exp if b > 0 else 0))
+    coeffs = [sums[t] * QLaurent.q_power(2 * d_i * t * slope) for t in range(m_exp + 1)]
+    total, terms = _sandwich(mutated_variable(seed, i), _gen_power(seed, i, step - 1), coeffs)
+    return _certify("lemma-sum", params, total, terms, started)
 
 
 # -- fundamental (quantum Serre-type) relations ------------------------------
@@ -420,30 +403,15 @@ def lemma_sum_check(
 def serre_verify(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
     """The degree-(|b_ij|+1) alternating relation between y_i and y_j.
 
-    For b_ij <= 0 the twist is q^(d_i * r(r-1)/2); for b_ij > 0 it picks
-    up the extra factor q^(-d_i * r * b_ij).
+    This is the order-1 relation at outer exponent |b_ij|: for b_ij <= 0
+    the twist is q^(d_i * r(r-1)/2); for b_ij > 0 it picks up the extra
+    factor q^(-d_i * r * b_ij).
     """
     started = time.perf_counter()
     _require_principal(seed)
     _require_pair(seed, i, j)
-    b = seed.b_entry(i, j)
-    d_i = seed.d[i - 1]
-    limit = abs(b) + 1
-    if b <= 0:
-        extra = lambda r: d_i * r * (r - 1)
-    else:
-        extra = lambda r: d_i * r * (r - 1) - 2 * d_i * r * b
-    coeffs = _signed_binom_prefixes(limit, d_i, extra)
-    y_i = mutated_variable(seed, i)
-    y_j = mutated_variable(seed, j)
-    powers = _powers(y_i, limit)
-    acc = TorusElem.zero(seed.form)
-    work = 0
-    for r in range(limit + 1):
-        summand = (powers[limit - r] * y_j * powers[r]).scale(coeffs[r])
-        work += summand.term_count()
-        acc = acc + summand
-    return _certify("serre", (("i", i), ("j", j)), acc, work, started)
+    total, terms = _order_sum(seed, i, j, 1, abs(seed.b_entry(i, j)))
+    return _certify("serre", (("i", i), ("j", j)), total, terms, started)
 
 
 def serre_verify_opposite(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
@@ -458,20 +426,9 @@ def serre_verify_opposite(seed: QuantumSeed, i: int, j: int) -> VerificationCert
     b_ij = seed.b_entry(i, j)
     if b_ij > 0:
         raise ValueError(f"reversed-side relation needs b_ij <= 0, got b_ij={b_ij}")
-    b_ji = seed.b_entry(j, i)
-    d_j = seed.d[j - 1]
-    limit = b_ji + 1
-    coeffs = _signed_binom_prefixes(limit, d_j, lambda r: d_j * r * (r - 1))
-    y_i = mutated_variable(seed, i)
-    y_j = mutated_variable(seed, j)
-    powers = _powers(y_j, limit)
-    acc = TorusElem.zero(seed.form)
-    work = 0
-    for r in range(limit + 1):
-        summand = (powers[r] * y_i * powers[limit - r]).scale(coeffs[r])
-        work += summand.term_count()
-        acc = acc + summand
-    return _certify("serre-opposite", (("i", i), ("j", j)), acc, work, started)
+    coeffs = _alternating_coeffs(seed.b_entry(j, i) + 1, seed.d[j - 1], 0)
+    total, terms = _sandwich(mutated_variable(seed, j), mutated_variable(seed, i), coeffs[::-1])
+    return _certify("serre-opposite", (("i", i), ("j", j)), total, terms, started)
 
 
 def higher_verify(
@@ -496,25 +453,9 @@ def higher_verify(
             raise ValueError("even exploratory instances need l >= 1 and m_exp >= 0")
     else:
         RelationInstance(seed, i, j, l, m_exp)
-    b = seed.b_entry(i, j)
-    d_i = seed.d[i - 1]
-    limit = m_exp + 1
-    if b <= 0:
-        extra = lambda r: d_i * r * (r - 1)
-    else:
-        extra = lambda r: d_i * r * (r - 1) - 2 * d_i * r * m_exp
-    coeffs = _signed_binom_prefixes(limit, d_i, extra)
-    y_i = mutated_variable(seed, i)
-    middle = mutated_variable(seed, j) ** l
-    powers = _powers(y_i, limit)
-    acc = TorusElem.zero(seed.form)
-    work = 0
-    for r in range(limit + 1):
-        summand = (powers[limit - r] * middle * powers[r]).scale(coeffs[r])
-        work += summand.term_count()
-        acc = acc + summand
+    total, terms = _order_sum(seed, i, j, l, m_exp)
     params = (("i", i), ("j", j), ("l", l), ("m", m_exp))
-    return _certify("higher", params, acc, work, started, exploratory=exploratory)
+    return _certify("higher", params, total, terms, started, exploratory=exploratory)
 
 
 # -- Cartan matrix and the full relation suite -------------------------------
@@ -576,10 +517,21 @@ def default_higher_instances(seed: QuantumSeed) -> list[RelationInstance]:
 
 def full_suite(seed: QuantumSeed) -> list[VerificationCertificate]:
     """The relation suite: all direct and reversed-side relations plus the
-    higher-order instances at their minimal admissible outer exponents."""
+    higher-order instances at their minimal admissible outer exponents.
+
+    The l = 1 instance at m = |b_ij| is the Serre sum itself, so its
+    certificate is the pair's `serre` certificate relabelled, not a second
+    expansion; its `seconds` is the time of that shared expansion.
+    """
     certificates = quantum_group_suite(seed)
+    serre = {c.params: c for c in certificates if c.check == "serre"}
     for instance in default_higher_instances(seed):
-        certificates.append(
-            higher_verify(seed, instance.i, instance.j, instance.l, instance.m_exp)
-        )
+        pair = (("i", instance.i), ("j", instance.j))
+        if instance.l == 1:
+            params = pair + (("l", 1), ("m", instance.m_exp))
+            certificates.append(replace(serre[pair], check="higher", params=params))
+        else:
+            certificates.append(
+                higher_verify(seed, instance.i, instance.j, instance.l, instance.m_exp)
+            )
     return certificates

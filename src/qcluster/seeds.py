@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -181,9 +181,6 @@ class QuantumSeed:
             for i in range(self.n)
             for j in range(self.n)
         )
-
-    def with_order(self, order: Sequence[int]) -> "QuantumSeed":
-        return replace(self, order=tuple(order))
 
     def generator(self, index: int) -> TorusElem:
         """x_index as a torus element over this seed's form (1-based)."""

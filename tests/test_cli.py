@@ -8,6 +8,42 @@ EXAM1 = "fixtures/exam1.json"
 EXAM3 = "fixtures/exam3.json"
 CORRUPTED = "fixtures/corrupted.json"
 
+# `suite --format json` on the fixtures, every terms and residue pinned.
+EXAM1_SUITE_JSON = [
+    '{"check": "validate", "ok": true}',
+    '{"check": "serre", "i": 1, "j": 2, "ok": true, "residue": "0", "terms": 18}',
+    '{"check": "serre", "i": 2, "j": 1, "ok": true, "residue": "0", "terms": 32}',
+    '{"check": "serre-opposite", "i": 2, "j": 1, "ok": true, "residue": "0", "terms": 18}',
+    '{"check": "higher", "i": 1, "j": 2, "l": 1, "m": 1, "ok": true, "residue": "0", "terms": 18}',
+    '{"check": "higher", "i": 2, "j": 1, "l": 1, "m": 2, "ok": true, "residue": "0", "terms": 32}',
+    '{"check": "higher", "i": 2, "j": 1, "l": 2, "m": 4, "ok": true, "residue": "0", "terms": 108}',
+]
+
+EXAM3_SUITE_JSON = [
+    '{"check": "validate", "ok": true}',
+    '{"check": "serre", "i": 1, "j": 2, "ok": true, "residue": "0", "terms": 32}',
+    '{"check": "serre", "i": 1, "j": 3, "ok": true, "residue": "0", "terms": 32}',
+    '{"check": "serre-opposite", "i": 1, "j": 3, "ok": true, "residue": "0", "terms": 32}',
+    '{"check": "serre", "i": 2, "j": 1, "ok": true, "residue": "0", "terms": 32}',
+    '{"check": "serre-opposite", "i": 2, "j": 1, "ok": true, "residue": "0", "terms": 32}',
+    '{"check": "serre", "i": 2, "j": 3, "ok": true, "residue": "0", "terms": 32}',
+    '{"check": "serre", "i": 3, "j": 1, "ok": true, "residue": "0", "terms": 32}',
+    '{"check": "serre", "i": 3, "j": 2, "ok": true, "residue": "0", "terms": 32}',
+    '{"check": "serre-opposite", "i": 3, "j": 2, "ok": true, "residue": "0", "terms": 32}',
+    '{"check": "higher", "i": 1, "j": 2, "l": 1, "m": 2, "ok": true, "residue": "0", "terms": 32}',
+    '{"check": "higher", "i": 1, "j": 2, "l": 2, "m": 4, "ok": true, "residue": "0", "terms": 108}',
+    '{"check": "higher", "i": 1, "j": 3, "l": 1, "m": 2, "ok": true, "residue": "0", "terms": 32}',
+    '{"check": "higher", "i": 1, "j": 3, "l": 2, "m": 4, "ok": true, "residue": "0", "terms": 108}',
+    '{"check": "higher", "i": 2, "j": 1, "l": 1, "m": 2, "ok": true, "residue": "0", "terms": 32}',
+    '{"check": "higher", "i": 2, "j": 1, "l": 2, "m": 4, "ok": true, "residue": "0", "terms": 108}',
+    '{"check": "higher", "i": 2, "j": 3, "l": 1, "m": 2, "ok": true, "residue": "0", "terms": 32}',
+    '{"check": "higher", "i": 2, "j": 3, "l": 2, "m": 4, "ok": true, "residue": "0", "terms": 108}',
+    '{"check": "higher", "i": 3, "j": 1, "l": 1, "m": 2, "ok": true, "residue": "0", "terms": 32}',
+    '{"check": "higher", "i": 3, "j": 1, "l": 2, "m": 4, "ok": true, "residue": "0", "terms": 108}',
+    '{"check": "higher", "i": 3, "j": 2, "l": 1, "m": 2, "ok": true, "residue": "0", "terms": 32}',
+    '{"check": "higher", "i": 3, "j": 2, "l": 2, "m": 4, "ok": true, "residue": "0", "terms": 108}',
+]
+
 
 def run(capsys, *argv):
     status = main(list(argv))
@@ -186,6 +222,12 @@ class TestSuite:
     def test_corrupted(self, capsys):
         status, _, err = run(capsys, "suite", "--seed", CORRUPTED)
         assert status == 2
+
+    @pytest.mark.parametrize("path, golden", [(EXAM1, EXAM1_SUITE_JSON), (EXAM3, EXAM3_SUITE_JSON)])
+    def test_json_golden(self, capsys, path, golden):
+        status, out, _ = run(capsys, "suite", "--seed", path, "--format", "json")
+        assert status == 0
+        assert out.splitlines() == golden
 
 
 class TestDeterminism:

@@ -255,7 +255,8 @@ class TestHigher:
         cert = higher_verify(ex1, 2, 1, 2, 3, exploratory=True)
         assert cert.exploratory
         assert not cert.ok
-        assert cert.residue != "0"
+        assert cert.residue == "(q^-2 - q^-1 - 1 + 2*q^3 - q^6 - q^7 + q^8) * X^[2,0,0,4]"
+        assert cert.terms == 75
 
     def test_exploratory_in_range_still_passes(self, ex1):
         assert higher_verify(ex1, 2, 1, 2, 4, exploratory=True).ok
@@ -318,6 +319,13 @@ class TestSuites:
         certs = full_suite(ex1)
         assert len(certs) == 6
         assert all(c.ok for c in certs)
+        # the l = 1 instance at m = |b_ij| is the Serre sum of its pair
+        serre = {c.params: c for c in certs if c.check == "serre"}
+        order_one = [c for c in certs if c.check == "higher" and dict(c.params)["l"] == 1]
+        assert len(order_one) == 2
+        for cert in order_one:
+            pair = serre[cert.params[:2]]
+            assert (cert.ok, cert.residue, cert.terms) == (pair.ok, pair.residue, pair.terms)
 
     def test_certificate_rendering(self, ex1):
         cert = serre_verify(ex1, 2, 1)
