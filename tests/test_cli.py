@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,10 @@ from qcluster.cli import main
 EXAM1 = "fixtures/exam1.json"
 EXAM3 = "fixtures/exam3.json"
 CORRUPTED = "fixtures/corrupted.json"
+
+# sha256 of the whole `identities` sweep output, json and text.
+SWEEP_JSON_SHA256 = "33fb6b30e38a7ef9e70d1fb9a1ebadb754107986bde809fbeceee70ff2af28cc"
+SWEEP_TEXT_SHA256 = "f6112b65fba9d9850e33eb887f2bc377f9aa90a30d88f807887e7cf17d71c93b"
 
 # `suite --format json` on the fixtures, every terms and residue pinned.
 EXAM1_SUITE_JSON = [
@@ -203,6 +208,10 @@ class TestIdentities:
         records = [json.loads(line) for line in out.splitlines()]
         assert len(records) > 900
         assert all(r["ok"] for r in records)
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_JSON_SHA256
+        status, out, _ = run(capsys, "identities")
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_TEXT_SHA256
 
 
 class TestSuite:
