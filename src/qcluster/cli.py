@@ -173,10 +173,10 @@ def _cmd_identities(args) -> int:
     if args.family and args.params is not None:
         params = tuple(int(v) for v in args.params.split(",")) if args.params else ()
         reports = [check_identity(args.family, params)]
-    elif args.family:
-        reports = sweep_reports([args.family])
+    elif args.params is not None:
+        raise ValueError("--params needs --family: parameters belong to one family")
     else:
-        reports = sweep_reports()
+        reports = sweep_reports([args.family] if args.family else None)
     for report in reports:
         if args.format == "json":
             print(json.dumps({

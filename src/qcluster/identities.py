@@ -1,126 +1,31 @@
 """Executable oracle suite for the standalone q-identities.
 
-Each identity family expands both sides fully symbolically and compares
-canonical forms; vanishing families compare against the zero polynomial.
-Families carry their precondition ranges as data, so a single sweep can
-enumerate and report every instance uniformly.
+Each identity family expands both sides exactly and compares canonical
+forms; vanishing families compare against the zero polynomial.  Scalar
+families expand in QLaurent.  The product expansions are polynomials in
+commuting indeterminates, expanded as TorusElem values over the zero skew
+form (one variable x, or x and y for the bivariate family).  Families
+carry their precondition ranges as data, so a single sweep can enumerate
+and report every instance uniformly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from .qarith import QLaurent, q_binom, q_int
-
-
-class UniPoly:
-    """A polynomial in one central indeterminate with ring coefficients.
-
-    Coefficients are QLaurent values, or UniPoly values again for the
-    homogenized two-variable expansion (a polynomial in x whose
-    coefficients are polynomials in y).  The indeterminate commutes with
-    everything, so multiplication is the plain convolution.
-    """
-
-    __slots__ = ("_coeffs", "var")
-
-    def __init__(self, coeffs: Union[Mapping[int, object], Iterable[Tuple[int, object]], None] = None, var: str = "x"):
-        data: dict[int, object] = {}
-        if coeffs is not None:
-            items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-            for degree, coeff in items:
-                if not isinstance(degree, int) or degree < 0:
-                    raise ValueError("degrees must be nonnegative integers")
-                if degree in data:
-                    coeff = data[degree] + coeff
-                if coeff:
-                    data[degree] = coeff
-                else:
-                    data.pop(degree, None)
-        self._coeffs = data
-        self.var = var
-
-    def items(self) -> list[tuple[int, object]]:
-        return sorted(self._coeffs.items())
-
-    def coefficient(self, degree: int):
-        return self._coeffs.get(degree, QLaurent.zero())
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly) or other.var != self.var:
-            return NotImplemented
-        data = dict(self._coeffs)
-        for degree, coeff in other._coeffs.items():
-            merged = data[degree] + coeff if degree in data else coeff
-            if merged:
-                data[degree] = merged
-            else:
-                data.pop(degree, None)
-        return self._raw(data, self.var)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly) or other.var != self.var:
-            return NotImplemented
-        data: dict[int, object] = {}
-        for da, ca in self._coeffs.items():
-            for db, cb in other._coeffs.items():
-                degree = da + db
-                contrib = ca * cb
-                merged = data[degree] + contrib if degree in data else contrib
-                if merged:
-                    data[degree] = merged
-                else:
-                    data.pop(degree, None)
-        return self._raw(data, self.var)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.var == other.var and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.var, frozenset((d, hash(c)) for d, c in self._coeffs.items())))
-
-    @classmethod
-    def _raw(cls, data: dict[int, object], var: str) -> "UniPoly":
-        out = cls.__new__(cls)
-        out._coeffs = data
-        out.var = var
-        return out
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        pieces = []
-        for degree, coeff in self.items():
-            coeff_text = str(coeff)
-            if isinstance(coeff, QLaurent) and coeff.term_count() > 1:
-                coeff_text = f"({coeff_text})"
-            elif isinstance(coeff, UniPoly) and len(coeff._coeffs) > 1:
-                coeff_text = f"({coeff_text})"
-            if degree == 0:
-                pieces.append(coeff_text)
-            else:
-                power = self.var if degree == 1 else f"{self.var}^{degree}"
-                pieces.append(f"{coeff_text}*{power}")
-        return " + ".join(pieces)
-
-    __repr__ = __str__
+from .qtorus import SkewForm, TorusElem
 
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """One identity check: the family tag, its parameters, both rendered
-    sides, and the verdict (pass iff the sides canonicalize equal)."""
+    """One identity check: the family tag, its parameters, and the verdict
+    (pass iff both sides expand to the same canonical form)."""
 
     family: str
     params: tuple[int, ...]
-    lhs: str
-    rhs: str
     verdict: bool
 
     def render(self) -> str:
@@ -132,48 +37,49 @@ class IdentityReport:
 # -- the expansions ----------------------------------------------------------
 
 
-def _alternating_binom_sum(top: int, shift: int) -> QLaurent:
-    """sum_r (-1)^r q^(r(r-1)/2 - shift*r) [top, r]."""
-    total = QLaurent.zero()
+def _alternating_terms(top: int, shift: int) -> Iterator[QLaurent]:
+    """(-1)^r q^(r(r-1)/2 - shift*r) [top, r] for r = 0..top, one at a time."""
     for r in range(top + 1):
-        term = QLaurent.q_power(r * (r - 1) - 2 * shift * r) * q_binom(top, r)
-        total = total + (-term if r % 2 else term)
-    return total
+        term = q_binom(top, r).shift(r * (r - 1) - 2 * shift * r)
+        yield -term if r % 2 else term
 
 
 def _vanishing(d: int) -> tuple[QLaurent, QLaurent]:
-    return _alternating_binom_sum(d, 0), QLaurent.zero()
+    return sum(_alternating_terms(d, 0), QLaurent.zero()), QLaurent.zero()
 
 
 def _shifted_vanishing(d: int, c: int) -> tuple[QLaurent, QLaurent]:
-    return _alternating_binom_sum(d, c), QLaurent.zero()
+    return sum(_alternating_terms(d, c), QLaurent.zero()), QLaurent.zero()
 
 
-def _product_expansion(n: int) -> tuple[UniPoly, UniPoly]:
-    one = QLaurent.one()
-    lhs = UniPoly({0: one})
+def _double_sum(n: int, shift: int, slope: int) -> tuple[QLaurent, QLaurent]:
+    """sum_{t=0}^{n} q^(slope*t) sum_{r=0}^{t} (-1)^r q^(r(r-1)/2 - shift*r) [n+1, r]."""
+    total = inner = QLaurent.zero()
+    for t, term in enumerate(islice(_alternating_terms(n + 1, shift), n + 1)):
+        inner = inner + term
+        total = total + inner.shift(2 * slope * t)
+    return total, QLaurent.zero()
+
+
+_LINE = SkewForm([[0]])
+_PLANE = SkewForm([[0, 0], [0, 0]])
+
+
+def _product_expansion(n: int) -> tuple[TorusElem, TorusElem]:
+    # prod_{r=1}^{n} (1 + q^r x) in the commuting variable x = X^[1].
+    lhs = TorusElem.unit(_LINE)
     for r in range(1, n + 1):
-        lhs = lhs * UniPoly({0: one, 1: QLaurent.q_power(2 * r)})
-    rhs = UniPoly(
-        {k: q_binom(n, k) * QLaurent.q_power(k * (k + 1)) for k in range(n + 1)}
-    )
+        lhs = lhs * TorusElem(_LINE, {(0,): 1, (1,): QLaurent.q_power(2 * r)})
+    rhs = TorusElem(_LINE, {(k,): q_binom(n, k).shift(k * (k + 1)) for k in range(n + 1)})
     return lhs, rhs
 
 
-def _product_expansion_bivar(n: int) -> tuple[UniPoly, UniPoly]:
-    # x-polynomial with y-polynomial coefficients; x and y commute.
-    one = QLaurent.one()
-    y_unit = UniPoly({1: one}, var="y")
-    lhs = UniPoly({0: UniPoly({0: one}, var="y")})
+def _product_expansion_bivar(n: int) -> tuple[TorusElem, TorusElem]:
+    # Homogenized: prod_{r=1}^{n} (y + q^r x) with x = X^[1,0], y = X^[0,1].
+    lhs = TorusElem.unit(_PLANE)
     for r in range(1, n + 1):
-        factor = UniPoly({0: y_unit, 1: UniPoly({0: QLaurent.q_power(2 * r)}, var="y")})
-        lhs = lhs * factor
-    rhs = UniPoly(
-        {
-            k: UniPoly({n - k: q_binom(n, k) * QLaurent.q_power(k * (k + 1))}, var="y")
-            for k in range(n + 1)
-        }
-    )
+        lhs = lhs * TorusElem(_PLANE, {(0, 1): 1, (1, 0): QLaurent.q_power(2 * r)})
+    rhs = TorusElem(_PLANE, {(k, n - k): q_binom(n, k).shift(k * (k + 1)) for k in range(n + 1)})
     return lhs, rhs
 
 
@@ -185,32 +91,12 @@ def _vandermonde(n: int, d: int, k: int) -> tuple[QLaurent, QLaurent]:
     return lhs, rhs
 
 
-def _double_sum_neg(n: int, k: int) -> tuple[QLaurent, QLaurent]:
-    total = QLaurent.zero()
-    inner = QLaurent.zero()
-    for t in range(n + 1):
-        r_term = QLaurent.q_power(t * (t - 1)) * q_binom(n + 1, t)
-        inner = inner + (-r_term if t % 2 else r_term)
-        total = total + QLaurent.q_power(-2 * t * k) * inner
-    return total, QLaurent.zero()
-
-
-def _double_sum_pos(n: int, v: int, k: int) -> tuple[QLaurent, QLaurent]:
-    total = QLaurent.zero()
-    inner = QLaurent.zero()
-    for t in range(n + 1):
-        r_term = QLaurent.q_power(t * (t - 1) - 2 * n * t) * q_binom(n + 1, t)
-        inner = inner + (-r_term if t % 2 else r_term)
-        total = total + QLaurent.q_power(2 * t * (v - k)) * inner
-    return total, QLaurent.zero()
-
-
 def _pascal(n: int, r: int, d: int) -> tuple[QLaurent, QLaurent]:
     lhs = q_binom(n + 1, r, d)
     first = q_binom(n, r, d) + QLaurent.q_power(2 * d * (n + 1 - r)) * q_binom(n, r - 1, d)
     second = QLaurent.q_power(2 * d * r) * q_binom(n, r, d) + q_binom(n, r - 1, d)
     if first != second:
-        # Render an unequal pair so the report shows the broken recurrence.
+        # Return an unequal pair so a broken recurrence fails the check.
         return first, second
     return lhs, first
 
@@ -361,7 +247,7 @@ FAMILIES: dict[str, IdentityFamily] = {
             ("n", "k"),
             "1 <= k <= n",
             lambda n, k: 1 <= k <= n,
-            _double_sum_neg,
+            lambda n, k: _double_sum(n, 0, -k),
             _sweep_double_neg,
         ),
         IdentityFamily(
@@ -369,7 +255,7 @@ FAMILIES: dict[str, IdentityFamily] = {
             ("n", "v", "k"),
             "v <= n and 0 <= k <= v-1",
             lambda n, v, k: v <= n and 0 <= k <= v - 1,
-            _double_sum_pos,
+            lambda n, v, k: _double_sum(n, n, v - k),
             _sweep_double_pos,
         ),
         IdentityFamily(
@@ -426,13 +312,7 @@ def check_identity(family: str, params: Sequence[int]) -> IdentityReport:
         shown = ", ".join(f"{n}={v}" for n, v in zip(spec.param_names, params))
         raise ValueError(f"{family} requires {spec.precondition}; got {shown}")
     lhs, rhs = spec.expand(*params)
-    return IdentityReport(
-        family=family,
-        params=params,
-        lhs=str(lhs),
-        rhs=str(rhs),
-        verdict=lhs == rhs,
-    )
+    return IdentityReport(family=family, params=params, verdict=lhs == rhs)
 
 
 def sweep_reports(families: Sequence[str] | None = None) -> list[IdentityReport]:

@@ -133,6 +133,14 @@ class QLaurent:
 
     __rmul__ = __mul__
 
+    def shift(self, half: int) -> "QLaurent":
+        """self * q^(half/2): every half-exponent moves by `half`."""
+        if not half:
+            return self
+        out = QLaurent.__new__(QLaurent)
+        out._terms = {h + half: coeff for h, coeff in self._terms.items()}
+        return out
+
     def __pow__(self, exponent: int) -> "QLaurent":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")

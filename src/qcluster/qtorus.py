@@ -203,14 +203,13 @@ class TorusElem:
         data: dict[ExpVec, QLaurent] = {}
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
-                twist = QLaurent.q_power(form.pairing(ea, eb))
                 expo = vec_add(ea, eb)
-                contrib = ca * cb * twist
-                merged = data.get(expo, QLaurent.zero()) + contrib
+                contrib = (ca * cb).shift(form.pairing(ea, eb))
+                merged = data[expo] + contrib if expo in data else contrib
                 if merged:
                     data[expo] = merged
                 else:
-                    data.pop(expo, None)
+                    del data[expo]
         return self._raw(form, data)
 
     def __rmul__(self, other: CoeffLike) -> "TorusElem":

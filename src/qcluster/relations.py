@@ -355,7 +355,7 @@ def lemma_sum_check(
 ) -> VerificationCertificate:
     """The alternating vanishing sums feeding the relation proofs.
 
-    L32 is the one-step version (parameters m_exp and t_shift ignored);
+    L32 is the one-step version and takes neither m_exp nor t_shift;
     L41 generalizes it: t_shift >= 0 plays the inner-decomposition role
     and the sum runs to m_exp.  L32 is L41 at t_shift = 0, m_exp = |b_ij|.
     Requires b_ij != 0.
@@ -365,6 +365,11 @@ def lemma_sum_check(
     _require_pair(seed, i, j)
     if variant not in ("L32", "L41"):
         raise ValueError(f"variant must be 'L32' or 'L41', got {variant!r}")
+    if variant == "L32" and (m_exp is not None or t_shift is not None):
+        raise ValueError(
+            f"L32 fixes m_exp = |b_ij| and t_shift = 0 and takes neither; "
+            f"got m_exp={m_exp}, t_shift={t_shift}"
+        )
     b = seed.b_entry(i, j)
     if b == 0:
         raise ValueError("lemma sums need b_ij != 0")
@@ -480,7 +485,8 @@ def cartan_matrix(b: Sequence[Sequence[int]], d: Sequence[int] | None = None) ->
     )
     for i in range(n):
         for j in range(n):
-            assert d[i] * cartan[i][j] == d[j] * cartan[j][i], "Cartan symmetrization failed"
+            if d[i] * cartan[i][j] != d[j] * cartan[j][i]:
+                raise ArithmeticError(f"Cartan symmetrization failed at ({i + 1}, {j + 1})")
     return cartan
 
 

@@ -263,7 +263,8 @@ def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
             else:
                 bump = abs(old_b[i][kk]) * old_b[kk][j] + old_b[i][kk] * abs(old_b[kk][j])
                 quotient, parity = divmod(bump, 2)
-                assert parity == 0, "mutation bump must be even"
+                if parity:
+                    raise ArithmeticError(f"mutation bump {bump} at ({i + 1}, {j + 1}) is odd")
                 new_b[i][j] = old_b[i][j] + quotient
 
     lam = seed.form.rows()
@@ -348,6 +349,25 @@ def seed_to_dict(seed: QuantumSeed) -> dict:
     return payload
 
 
+def _json_int(value, field: str) -> int:
+    # JSON booleans are Python ints; a seed file must spell out integers.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SeedFormatError(f"field {field!r} must hold integers, got {value!r}")
+    return value
+
+
+def _json_ints(values, field: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise SeedFormatError(f"field {field!r} must be a list of integers")
+    return tuple(_json_int(v, field) for v in values)
+
+
+def _json_matrix(rows, field: str) -> Matrix:
+    if not isinstance(rows, list):
+        raise SeedFormatError(f"field {field!r} must be a list of integer rows")
+    return tuple(_json_ints(row, field) for row in rows)
+
+
 def seed_from_dict(payload: dict) -> QuantumSeed:
     """Build and fully validate a seed from parsed JSON data.
 
@@ -357,29 +377,26 @@ def seed_from_dict(payload: dict) -> QuantumSeed:
     for key in ("n", "m", "lambda", "btilde", "d"):
         if key not in payload:
             raise SeedFormatError(f"seed file is missing required field {key!r}")
-    n, m = payload["n"], payload["m"]
-    if not isinstance(n, int) or not isinstance(m, int):
-        raise SeedFormatError("fields n and m must be integers")
-    try:
-        lam_rows = _freeze_matrix(payload["lambda"])
-        btilde = _freeze_matrix(payload["btilde"])
-        d = tuple(int(v) for v in payload["d"])
-    except (TypeError, ValueError) as exc:
-        raise SeedFormatError(f"seed file holds non-integer matrix data: {exc}") from exc
+    n, m = _json_int(payload["n"], "n"), _json_int(payload["m"], "m")
+    lam_rows = _json_matrix(payload["lambda"], "lambda")
+    btilde = _json_matrix(payload["btilde"], "btilde")
+    d = _json_ints(payload["d"], "d")
     if len(lam_rows) != m or any(len(row) != m for row in lam_rows):
         raise SeedFormatError(f"lambda must be {m}x{m}")
     try:
         form = SkewForm(lam_rows)
     except ValueError as exc:
         raise SeedFormatError(str(exc)) from exc
-    labels = tuple(payload.get("labels", ()))
-    if labels and (len(labels) != m or not all(isinstance(v, str) for v in labels)):
-        raise SeedFormatError(f"labels must be {m} strings")
+    labels = payload.get("labels", [])
+    if not isinstance(labels, list) or (
+        labels and (len(labels) != m or not all(isinstance(v, str) for v in labels))
+    ):
+        raise SeedFormatError(f"labels must be {m} strings in a JSON list")
     seed = QuantumSeed(
         form=form,
         exchange=ExchangeMatrix(btilde, n=n, m=m),
         d=d,
-        labels=labels,
+        labels=tuple(labels),
     )
     verdict = validate_compatibility(seed)
     if not verdict:

@@ -184,6 +184,14 @@ class TestVerify:
         )
         assert status == 0 and "variant=L41" in out
 
+    def test_l32_refuses_m_and_t(self, capsys):
+        status, out, err = run(
+            capsys, "verify-lemmas", "--seed", EXAM1, "--i", "2", "--j", "1",
+            "--variant", "L32", "--m", "99", "--t", "7",
+        )
+        assert status == 2 and out == ""
+        assert "L32 fixes m_exp = |b_ij| and t_shift = 0" in err
+
 
 class TestIdentities:
     def test_single_instance(self, capsys):
@@ -201,6 +209,11 @@ class TestIdentities:
     def test_bad_params(self, capsys):
         status, _, err = run(capsys, "identities", "--family", "VANISHING", "--params", "0")
         assert status == 2 and "requires d >= 1" in err
+
+    def test_params_without_family(self, capsys):
+        status, out, err = run(capsys, "identities", "--params", "5")
+        assert status == 2 and out == ""
+        assert "--params needs --family" in err
 
     def test_full_sweep_json(self, capsys):
         status, out, _ = run(capsys, "identities", "--format", "json")

@@ -53,14 +53,15 @@ class TestRingBasics:
         assert 2 * QLaurent.one() + 1 == QLaurent({0: 3})
         assert (QLaurent({2: 1}) - 1).at_one() == 0
 
-    @given(qlaurents, qlaurents, qlaurents)
+    @given(qlaurents, qlaurents, qlaurents, st.integers(min_value=-8, max_value=8))
     @settings(max_examples=80)
-    def test_ring_axioms(self, a, b, c):
+    def test_ring_axioms(self, a, b, c, h):
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
+        assert a.shift(h) == a * QLaurent.q_power(h)
 
 
 class TestBarInvolution:

@@ -193,6 +193,8 @@ class TestLemmaSums:
             lemma_sum_check(ex1, 2, 1, "L41", m_exp=3, t_shift=1)  # m too small
         with pytest.raises(ValueError):
             lemma_sum_check(ex1, 2, 1, "L41", m_exp=9, t_shift=2)  # t too large
+        with pytest.raises(ValueError, match="L32 fixes"):
+            lemma_sum_check(ex1, 2, 1, "L32", m_exp=2)
         zero_seed = principal_seed([[0, 0], [0, 0]], (1, 1))
         with pytest.raises(ValueError):
             lemma_sum_check(zero_seed, 1, 2, "L32")

@@ -261,6 +261,11 @@ class TestSeedFiles:
             (lambda p: p.__setitem__("d", [1, 1]), "does not skew-symmetrize"),
             (lambda p: p.__setitem__("labels", ["a"]), "labels must be 4 strings"),
             (lambda p: p.__setitem__("btilde", [[0, 1], [-2, 0]]), "btilde must be 4x2"),
+            (lambda p: p.__setitem__("d", [2.9, 1.2]), "field 'd' must hold integers"),
+            (lambda p: p["lambda"][0].__setitem__(1, "-2"), "field 'lambda' must hold integers"),
+            (lambda p: p["btilde"][0].__setitem__(1, 1.7), "field 'btilde' must hold integers"),
+            (lambda p: p.__setitem__("n", True), "field 'n' must hold integers"),
+            (lambda p: p.__setitem__("labels", "abcd"), "labels must be 4 strings in a JSON list"),
         ],
     )
     def test_first_violation_reported(self, ex1, mutator, needle):
