@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcluster.qarith import QLaurent, q_binom
-from qcluster.qtorus import TorusElem, ordered_product
+from qcluster.qtorus import SkewForm, TorusElem, ordered_product
 from qcluster.relations import (
+    _sandwich,
     RelationInstance,
     commutator_check,
     commutator_witness,
@@ -39,6 +42,57 @@ def ex3():
 def xword(seed, half, exponents):
     """q^(half/2) times the natural-order generator word x1^a1 ... xm^am."""
     return ordered_product(seed.form, exponents).scale(QLaurent.q_power(half))
+
+
+@st.composite
+def sandwich_operands(draw):
+    # a random skew form of dimension 2-3, outer and middle with nonnegative
+    # coefficients (1-3 terms each), and 1-5 signed coefficients, some zero
+    dim = draw(st.integers(min_value=2, max_value=3))
+    rows = [[0] * dim for _ in range(dim)]
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            rows[a][b] = draw(st.integers(min_value=-3, max_value=3))
+            rows[b][a] = -rows[a][b]
+    form = SkewForm(rows)
+    expo = st.tuples(*[st.integers(min_value=-2, max_value=2)] * dim)
+    positive = st.dictionaries(
+        st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3),
+        min_size=1, max_size=3,
+    ).map(QLaurent)
+    signed = st.one_of(
+        st.just(QLaurent.zero()),
+        st.dictionaries(
+            st.integers(min_value=-6, max_value=6), st.integers(min_value=-3, max_value=3),
+            max_size=3,
+        ).map(QLaurent),
+    )
+
+    def element():
+        return TorusElem(form, draw(st.dictionaries(expo, positive, min_size=1, max_size=3)))
+
+    coeffs = draw(st.lists(signed, min_size=1, max_size=5))
+    return element(), element(), coeffs
+
+
+class TestSandwichKernel:
+    @given(sandwich_operands())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_direct_definition(self, operands):
+        outer, middle, coeffs = operands
+        top = len(coeffs) - 1
+        direct = TorusElem.zero(outer.form)
+        terms = 0
+        for r, coeff in enumerate(coeffs):
+            summand = ((outer ** (top - r)) * middle * (outer ** r)).scale(coeff)
+            terms += summand.term_count()
+            direct = direct + summand
+        assert _sandwich(outer, middle, coeffs) == (direct, terms)
+
+    def test_heavy_instance(self):
+        seed = principal_seed([[0, 4], [-4, 0]], (1, 1))
+        cert = higher_verify(seed, 1, 2, 4, 16)
+        assert (cert.ok, cert.residue, cert.terms) == (True, "0", 1620)
 
 
 class TestOneStepVariables:
