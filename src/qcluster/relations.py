@@ -182,20 +182,30 @@ def _certify(check: str, params: Sequence[tuple[str, object]], residue: TorusEle
 def _sandwich(outer: TorusElem, middle: TorusElem, coeffs: Sequence[QLaurent]) -> tuple[TorusElem, int]:
     """sum_r coeffs[r] * outer^(L-r) * middle * outer^r with L = len(coeffs) - 1.
 
-    Every relation check is one such sum.  Returns it together with the
-    summed term counts of the scaled summands.
+    Every relation check is one such sum.  It is evaluated by Horner's
+    scheme: with R_r = middle * outer^r, T_0 = c_0 R_0 and
+    T_r = outer * T_(r-1) + c_r R_r, the sum is T_L, so every product is
+    by the two-term `outer`.
+
+    Returns the sum together with `terms`, the summed term counts of the
+    scaled summands c_r * outer^(L-r) * middle * outer^r.  No summand is
+    built: `outer` and `middle` must have coefficients with nonnegative
+    integer coefficients (ArithmeticError otherwise).  Then no product
+    cancels, the support of every summand with c_r != 0 is the sumset
+    L*supp(outer) + supp(middle), which is the support of R_L, and
+    scaling by c_r != 0 keeps it, since Z[q^(1/2), q^(-1/2)] has no zero
+    divisors.  So `terms` is |supp(R_L)| times the number of nonzero c_r.
     """
-    top = len(coeffs) - 1
-    powers = [TorusElem.unit(outer.form)]
-    for _ in range(top):
-        powers.append(powers[-1] * outer)
-    acc = TorusElem.zero(outer.form)
-    terms = 0
-    for r, coeff in enumerate(coeffs):
-        summand = (powers[top - r] * middle * powers[r]).scale(coeff)
-        terms += summand.term_count()
-        acc = acc + summand
-    return acc, terms
+    for elem in (outer, middle):
+        for _, coeff in elem.items():
+            if any(value < 0 for _, value in coeff.items()):
+                raise ArithmeticError("sandwich operands need nonnegative coefficients")
+    right = middle
+    acc = middle.scale(coeffs[0])
+    for coeff in coeffs[1:]:
+        right = right * outer
+        acc = outer * acc + right.scale(coeff)
+    return acc, right.term_count() * sum(1 for coeff in coeffs if coeff)
 
 
 def _order_sum(seed: QuantumSeed, i: int, j: int, l: int, m_exp: int) -> tuple[TorusElem, int]:

@@ -89,6 +89,14 @@ class TestSandwichKernel:
             direct = direct + summand
         assert _sandwich(outer, middle, coeffs) == (direct, terms)
 
+    def test_negative_coefficient_refused(self, ex1):
+        y1, y2 = one_step_variables(ex1)
+        coeffs = [QLaurent.one()] * 3
+        with pytest.raises(ArithmeticError, match="nonnegative"):
+            _sandwich(-y1, y2, coeffs)
+        with pytest.raises(ArithmeticError, match="nonnegative"):
+            _sandwich(y1, y2.scale(QLaurent({0: 2, 1: -1})), coeffs)
+
     def test_heavy_instance(self):
         seed = principal_seed([[0, 4], [-4, 0]], (1, 1))
         cert = higher_verify(seed, 1, 2, 4, 16)
