@@ -333,14 +333,32 @@ def q_factorial(n: int, d: int = 1) -> QLaurent:
     return _q_factorial_base(n).scale_exponents(d)
 
 
-@lru_cache(maxsize=None)
+_Q_BINOM_TABLE: dict[tuple[int, int], QLaurent] = {}
+
+
 def _q_binom_base(n: int, r: int) -> QLaurent:
-    # Pascal recurrence [n, r] = [n-1, r] + q^(n-r) [n-1, r-1]; no division.
-    if r < 0 or r > n:
-        return QLaurent.zero()
+    # Pascal recurrence [k, s] = [k-1, s] + q^(k-s) [k-1, s-1]; no division.
+    # The table is filled row by row, bottom-up, over exactly the entries a
+    # memoized recursion from (n, r) would compute, so no call recurses.
+    def entry(k: int, s: int) -> QLaurent:
+        return _ONE if s == 0 or s == k else table[k, s]
+
+    table = _Q_BINOM_TABLE
     if r == 0 or r == n:
-        return QLaurent.one()
-    return _q_binom_base(n - 1, r) + QLaurent.q_power(2 * (n - r)) * _q_binom_base(n - 1, r - 1)
+        return _ONE
+    if (n, r) in table:
+        return table[n, r]
+    rows = []
+    missing = {r}
+    k = n
+    while missing:
+        rows.append((k, missing))
+        missing = {t for s in missing for t in (s, s - 1) if 0 < t < k - 1 and (k - 1, t) not in table}
+        k -= 1
+    for k, columns in reversed(rows):
+        for s in columns:
+            table[k, s] = entry(k - 1, s) + entry(k - 1, s - 1).shift(2 * (k - s))
+    return table[n, r]
 
 
 def q_binom(n: int, r: int, d: int = 1) -> QLaurent:
@@ -353,53 +371,3 @@ def q_binom(n: int, r: int, d: int = 1) -> QLaurent:
     if r < 0 or r > n:
         return QLaurent.zero()
     return _q_binom_base(n, r).scale_exponents(d)
-
-
-def q_binom_factorial(n: int, r: int, d: int = 1) -> QLaurent:
-    """[n choose r] at base q^d by the factorial-quotient definition.
-
-    Retained as an independent cross-check of the Pascal-recurrence path;
-    raises ArithmeticError if the quotient fails to divide exactly, which
-    would signal an arithmetic bug.
-    """
-    _check_base(d)
-    if r < 0 or r > n:
-        return QLaurent.zero()
-    numerator = q_factorial(n)
-    denominator = q_factorial(r) * q_factorial(n - r)
-    quotient = exact_div(numerator, denominator)
-    return quotient.scale_exponents(d)
-
-
-def exact_div(numerator: QLaurent, denominator: QLaurent) -> QLaurent:
-    """Divide exactly in Z[q^(1/2), q^(-1/2)].
-
-    Raises ZeroDivisionError on a zero denominator and ArithmeticError
-    when the division leaves a remainder.
-    """
-    if denominator.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if numerator.is_zero():
-        return QLaurent.zero()
-    remainder = dict(numerator._terms)
-    den_items = sorted(denominator._terms.items())
-    den_lead_half, den_lead_coeff = den_items[-1]
-    # An exact quotient cannot reach below the difference of valuations.
-    shift_floor = min(remainder) - den_items[0][0]
-    quotient: dict[int, int] = {}
-    while remainder:
-        lead_half = max(remainder)
-        lead_coeff = remainder[lead_half]
-        factor, leftover = divmod(lead_coeff, den_lead_coeff)
-        shift = lead_half - den_lead_half
-        if leftover or shift < shift_floor:
-            raise ArithmeticError("factorial quotient does not divide exactly")
-        quotient[shift] = factor
-        for half, coeff in den_items:
-            target = half + shift
-            merged = remainder.get(target, 0) - factor * coeff
-            if merged:
-                remainder[target] = merged
-            else:
-                remainder.pop(target, None)
-    return QLaurent(quotient)

@@ -4,10 +4,8 @@ from hypothesis import strategies as st
 
 from qcluster.qarith import (
     QLaurent,
-    exact_div,
     parse_qlaurent,
     q_binom,
-    q_binom_factorial,
     q_factorial,
     q_int,
     render_qlaurent,
@@ -16,6 +14,52 @@ from qcluster.qarith import (
 
 def qp(half):
     return QLaurent.q_power(half)
+
+
+def exact_div(numerator, denominator):
+    """Divide exactly in Z[q^(1/2), q^(-1/2)].
+
+    Raises ZeroDivisionError on a zero denominator and ArithmeticError
+    when the division leaves a remainder.
+    """
+    if denominator.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if numerator.is_zero():
+        return QLaurent.zero()
+    remainder = dict(numerator.items())
+    den_items = denominator.items()
+    den_lead_half, den_lead_coeff = den_items[-1]
+    # An exact quotient cannot reach below the difference of valuations.
+    shift_floor = min(remainder) - den_items[0][0]
+    quotient = {}
+    while remainder:
+        lead_half = max(remainder)
+        lead_coeff = remainder[lead_half]
+        factor, leftover = divmod(lead_coeff, den_lead_coeff)
+        shift = lead_half - den_lead_half
+        if leftover or shift < shift_floor:
+            raise ArithmeticError("factorial quotient does not divide exactly")
+        quotient[shift] = factor
+        for half, coeff in den_items:
+            target = half + shift
+            merged = remainder.get(target, 0) - factor * coeff
+            if merged:
+                remainder[target] = merged
+            else:
+                remainder.pop(target, None)
+    return QLaurent(quotient)
+
+
+def q_binom_factorial(n, r, d=1):
+    """[n choose r] at base q^d as the quotient [n]! / ([r]! [n-r]!).
+
+    An independent cross-check of the Pascal-table path of q_binom.
+    """
+    if r < 0 or r > n:
+        return QLaurent.zero()
+    numerator = q_factorial(n)
+    denominator = q_factorial(r) * q_factorial(n - r)
+    return exact_div(numerator, denominator).scale_exponents(d)
 
 
 qlaurents = st.dictionaries(
@@ -143,6 +187,14 @@ class TestQBinom:
         assert q_binom(4, -1, 1) == 0
         assert q_binom(4, 5, 1) == 0
         assert q_binom(-2, 0, 1) == 0
+
+    def test_large_n_does_not_recurse(self):
+        # n exceeds every other q_binom argument in the suite, so the table
+        # is cold here; a recursive fill would pass the recursion limit
+        assert q_binom(1200, 1) == q_int(1200)
+        pair = q_binom(1200, 2)
+        assert pair.at_one() == 1200 * 1199 // 2
+        assert pair.term_count() == 2 * 1198 + 1
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_factorial_oracle_agrees(self, d):
