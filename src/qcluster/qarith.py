@@ -336,18 +336,15 @@ def q_factorial(n: int, d: int = 1) -> QLaurent:
 _Q_BINOM_TABLE: dict[tuple[int, int], QLaurent] = {}
 
 
-def _q_binom_base(n: int, r: int) -> QLaurent:
+def _fill_q_binom_table(n: int, r: int) -> QLaurent:
     # Pascal recurrence [k, s] = [k-1, s] + q^(k-s) [k-1, s-1]; no division.
     # The table is filled row by row, bottom-up, over exactly the entries a
     # memoized recursion from (n, r) would compute, so no call recurses.
+    table = _Q_BINOM_TABLE
+
     def entry(k: int, s: int) -> QLaurent:
         return _ONE if s == 0 or s == k else table[k, s]
 
-    table = _Q_BINOM_TABLE
-    if r == 0 or r == n:
-        return _ONE
-    if (n, r) in table:
-        return table[n, r]
     rows = []
     missing = {r}
     k = n
@@ -370,4 +367,9 @@ def q_binom(n: int, r: int, d: int = 1) -> QLaurent:
     _check_base(d)
     if r < 0 or r > n:
         return QLaurent.zero()
-    return _q_binom_base(n, r).scale_exponents(d)
+    if r == 0 or r == n:
+        return _ONE
+    base = _Q_BINOM_TABLE.get((n, r))
+    if base is None:
+        base = _fill_q_binom_table(n, r)
+    return base.scale_exponents(d)

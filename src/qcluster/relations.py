@@ -33,7 +33,10 @@ class VerificationCertificate:
     `residue` is the canonical string of the element that must vanish
     ("0" on a pass).  For the alternating sums (serre, serre-opposite,
     higher, lemma-sum) `terms` is the summed term counts of the scaled
-    summands; the commutator check reports the term count of
+    summands c_r A^(L-r) M A^r.  The Horner kernel never builds them: it
+    counts the support of M A^L once per nonzero c_r, which is exact
+    because A and M have nonnegative coefficients, so no product cancels
+    (see `_sandwich`).  The commutator check reports the term count of
     y_i y_j - y_j y_i, and the power-product check the summed term counts
     of its three expansions.  `seconds` is wall time.
     """
@@ -183,9 +186,9 @@ def _sandwich(outer: TorusElem, middle: TorusElem, coeffs: Sequence[QLaurent]) -
     """sum_r coeffs[r] * outer^(L-r) * middle * outer^r with L = len(coeffs) - 1.
 
     Every relation check is one such sum.  It is evaluated by Horner's
-    scheme: with R_r = middle * outer^r, T_0 = c_0 R_0 and
-    T_r = outer * T_(r-1) + c_r R_r, the sum is T_L, so every product is
-    by the two-term `outer`.
+    scheme: with c_r = coeffs[r], R_r = middle * outer^r, T_0 = c_0 R_0
+    and T_r = outer * T_(r-1) + c_r R_r, the sum is T_L, so every product
+    is by `outer` (a two-term y_k in every caller).
 
     Returns the sum together with `terms`, the summed term counts of the
     scaled summands c_r * outer^(L-r) * middle * outer^r.  No summand is
