@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -48,6 +49,34 @@ EXAM3_SUITE_JSON = [
     '{"check": "higher", "i": 3, "j": 2, "l": 1, "m": 2, "ok": true, "residue": "0", "terms": 32}',
     '{"check": "higher", "i": 3, "j": 2, "l": 2, "m": 4, "ok": true, "residue": "0", "terms": 108}',
 ]
+
+# sha256 of `qcluster [command] --help` at COLUMNS=80.  argparse wraps usage
+# lines differently from Python 3.13 on, so that version has its own pins.
+# Regenerate one with `COLUMNS=80 qcluster verify-serre --help | sha256sum`.
+HELP_SHA256 = {
+    "": "73215f2d27644cdc5aa4c94a21d89cfbb83d21cd98262289fe0799bcc0113c9f",
+    "validate": "30195fca757032db8b222f72792c528009bd424420480f0f0f46c4d453a254a5",
+    "mutate": "eac8d0708357e338309affc3624af839db1488f40dd7f359672cb3452c5a90f0",
+    "vars": "6afe56bcf1cdc9fb26ecb500e27bd8972055d86f08acebeffedccf5c661904bb",
+    "verify-serre": "c6d47803dbe1dddc706990e3991bd0d5cea914cd17b2c6cf94990c0c870fa78b",
+    "verify-higher": "231a74d400c1cbb56260a90e7339a4e120aa5ef86ac87590f1337d9d1e7dd972",
+    "verify-lemmas": "8f3b857cae1a84e2b3a4588cf4f28ac2ce95b4f98820322ec830e9f42e4ad80c",
+    "identities": "a81360e5042f7afc0feead28331d4aebed29e5b9c2481beae86f047b61032576",
+    "suite": "7a7ccca2481cf15cf74f468eb8121b732742400e72883796e0d06ef945ef7e5a",
+}
+HELP_SHA256_BY_VERSION = {
+    (3, 10): HELP_SHA256,
+    (3, 11): HELP_SHA256,
+    (3, 12): HELP_SHA256,
+    (3, 13): {
+        **HELP_SHA256,
+        "": "6cc8b7d772fb11b7400c937cfaf94db6eee08a97c33762f7360eaa8c0b719556",
+        "mutate": "6b3d2b5ea5ab20331df78132e0e12d8a4932abe7716f9e8a7a689f497c687e3b",
+        "verify-serre": "81970285b3eefc8b62854a36fa1d1a6390b9ba7d83b7bb2f69d13a55968fdc71",
+        "verify-higher": "d789991c784b43dd29dda2ebeb394005e4812716f543535e032e16eff2aa7e90",
+        "verify-lemmas": "7f0a6357fe81d00302b1228480cdf3dfa6099c0652bad880ec0839bdca68efa4",
+    },
+}
 
 
 def run(capsys, *argv):
@@ -272,3 +301,18 @@ class TestDeterminism:
         before = run(capsys, "--format", "json", "vars", "--seed", EXAM1)
         after = run(capsys, "vars", "--seed", EXAM1, "--format", "json")
         assert before == after
+
+
+class TestSharedParser:
+    @pytest.mark.parametrize("command", sorted(HELP_SHA256))
+    def test_help_text_pinned(self, capsys, monkeypatch, command):
+        pins = HELP_SHA256_BY_VERSION.get(sys.version_info[:2])
+        if pins is None:
+            pytest.skip("no --help pins recorded for this Python version")
+        monkeypatch.setenv("COLUMNS", "80")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--help"] if command else ["--help"])
+            captured = capsys.readouterr()
+            assert exit_info.value.code == 0 and captured.err == ""
+            assert hashlib.sha256(captured.out.encode()).hexdigest() == pins[command]
