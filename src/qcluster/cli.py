@@ -11,6 +11,7 @@ given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -39,10 +40,12 @@ EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # Shared flags are accepted both before and after the subcommand; the
-    # SUPPRESS defaults keep a subparser from clobbering a value parsed by
-    # the main parser.
+    # Built on the first main() call and shared by every later one, so main
+    # must treat it as read-only.  Shared flags are accepted both before and
+    # after the subcommand; the SUPPRESS defaults keep a subparser from
+    # clobbering a value parsed by the main parser.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS,
                         help="report style: human text or one JSON record per line")
@@ -171,7 +174,12 @@ def _cmd_verify_lemmas(args) -> int:
 
 def _cmd_identities(args) -> int:
     if args.family and args.params is not None:
-        params = tuple(int(v) for v in args.params.split(",")) if args.params else ()
+        try:
+            params = tuple(int(v) for v in args.params.split(",")) if args.params else ()
+        except ValueError:
+            raise ValueError(
+                f"--params must be comma-separated integers, got {args.params!r}"
+            ) from None
         reports = [check_identity(args.family, params)]
     elif args.params is not None:
         raise ValueError("--params needs --family: parameters belong to one family")
@@ -211,8 +219,7 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     # The shared flags use SUPPRESS defaults so that a subparser cannot
     # clobber a value parsed before the subcommand; fill the defaults here.
     args.format = getattr(args, "format", "text")

@@ -318,11 +318,8 @@ def q_int(n: int, d: int = 1) -> QLaurent:
     return _q_int_base(n).scale_exponents(d)
 
 
-@lru_cache(maxsize=None)
-def _q_factorial_base(n: int) -> QLaurent:
-    if n == 0:
-        return QLaurent.one()
-    return _q_factorial_base(n - 1) * _q_int_base(n)
+# _Q_FACTORIAL_TABLE[k] = [k]!, extended in a loop so that no call recurses.
+_Q_FACTORIAL_TABLE: list[QLaurent] = [_ONE]
 
 
 def q_factorial(n: int, d: int = 1) -> QLaurent:
@@ -330,7 +327,10 @@ def q_factorial(n: int, d: int = 1) -> QLaurent:
     _check_base(d)
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"q_factorial needs n >= 0, got {n!r}")
-    return _q_factorial_base(n).scale_exponents(d)
+    table = _Q_FACTORIAL_TABLE
+    while len(table) <= n:
+        table.append(table[-1] * _q_int_base(len(table)))
+    return table[n].scale_exponents(d)
 
 
 _Q_BINOM_TABLE: dict[tuple[int, int], QLaurent] = {}

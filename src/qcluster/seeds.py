@@ -412,6 +412,8 @@ def loads_seed(text: str) -> QuantumSeed:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SeedFormatError(f"seed file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SeedFormatError("seed file nests too deeply to be a seed object") from exc
     if not isinstance(payload, dict):
         raise SeedFormatError("seed file must hold a JSON object")
     return seed_from_dict(payload)

@@ -1,10 +1,17 @@
+import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from qcluster import cli
 from qcluster.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 EXAM1 = "fixtures/exam1.json"
 EXAM3 = "fixtures/exam3.json"
@@ -100,6 +107,18 @@ class TestValidate:
         status, _, err = run(capsys, "validate", "--seed", "no/such/file.json")
         assert status == 2
         assert "error:" in err
+
+    def test_deeply_nested_seed(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "qcluster", "validate", "--seed", str(deep)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert "error: seed file nests too deeply to be a seed object" in result.stderr
 
 
 class TestMutate:
@@ -238,6 +257,11 @@ class TestIdentities:
     def test_bad_params(self, capsys):
         status, _, err = run(capsys, "identities", "--family", "VANISHING", "--params", "0")
         assert status == 2 and "requires d >= 1" in err
+        for params in ("a", "1,,2"):
+            status, out, err = run(capsys, "identities", "--family", "VANDERMONDE", "--params", params)
+            assert status == 2 and out == ""
+            assert f"--params must be comma-separated integers, got {params!r}" in err
+            assert "invalid literal" not in err
 
     def test_params_without_family(self, capsys):
         status, out, err = run(capsys, "identities", "--params", "5")
@@ -316,3 +340,57 @@ class TestSharedParser:
             captured = capsys.readouterr()
             assert exit_info.value.code == 0 and captured.err == ""
             assert hashlib.sha256(captured.out.encode()).hexdigest() == pins[command]
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        run(capsys, "validate", "--seed", EXAM1)
+        first = len(built)
+        run(capsys, "verify-serre", "--seed", EXAM1, "--i", "2", "--j", "1")
+        assert first > 0 and len(built) == first
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("verify-serre", "--seed", EXAM1, "--i", "x", "--j", "1"), 2),
+            (("verify-higher", "--seed", EXAM1), 2),
+            (("--format", "xml", "vars", "--seed", EXAM1), 2),
+            (("--help",), 0),
+            (("verify-serre", "--help"), 0),
+        ],
+    )
+    def test_exit_leaves_next_call_unchanged(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setenv("COLUMNS", "80")
+        follow_up = ("verify-serre", "--seed", EXAM1, "--i", "2", "--j", "1", "--opposite")
+
+        def exiting_call():
+            with pytest.raises(SystemExit) as exit_info:
+                main(list(argv))
+            captured = capsys.readouterr()
+            return exit_info.value.code, captured.out, captured.err
+
+        cli._build_parser.cache_clear()
+        first_exit = exiting_call()
+        cli._build_parser.cache_clear()
+        first_follow_up = run(capsys, *follow_up)
+        assert first_exit[0] == code and first_follow_up[0] == 0
+        assert exiting_call() == first_exit
+        assert run(capsys, *follow_up) == first_follow_up
+        assert exiting_call() == first_exit
+
+    @pytest.mark.parametrize("position", ["before", "after"])
+    def test_shared_flags_do_not_carry_over(self, capsys, position):
+        plain = ("verify-serre", "--seed", EXAM1, "--i", "2", "--j", "1")
+        flags = ("--format", "json", "--timings")
+        argv = flags + plain if position == "before" else plain + flags
+        status, out, _ = run(capsys, *argv)
+        record = json.loads(out)
+        assert status == 0 and "seconds" in record
+        assert run(capsys, *plain) == (0, "serre(i=2, j=1): PASS [terms=32]\n", "")

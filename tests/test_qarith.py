@@ -1,7 +1,11 @@
+import sys
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcluster import qarith
 from qcluster.qarith import (
     QLaurent,
     parse_qlaurent,
@@ -164,6 +168,21 @@ class TestQFactorial:
     def test_rejects_bad_base(self):
         with pytest.raises(ValueError):
             q_factorial(2, 0)
+
+    def test_cold_table_does_not_recurse(self, monkeypatch):
+        # A limit 20 frames above the current depth leaves room for one
+        # multiply but not for a recursion through 48 cold table entries.
+        monkeypatch.setattr(qarith, "_Q_FACTORIAL_TABLE", [QLaurent.one()])
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 20)
+        try:
+            value = q_factorial(48)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value == reduce(lambda a, b: a * b, (q_int(k) for k in range(1, 49)))
 
 
 class TestQBinom:

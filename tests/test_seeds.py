@@ -283,6 +283,11 @@ class TestSeedFiles:
         with pytest.raises(SeedFormatError):
             loads_seed(json.dumps([1, 2, 3]))
 
+    @pytest.mark.parametrize("text", ["[" * 100000, '{"n": ' * 100000], ids=["array", "object"])
+    def test_too_deeply_nested(self, text):
+        with pytest.raises(SeedFormatError, match="seed file nests too deeply to be a seed object"):
+            loads_seed(text)
+
 
 class TestExchangeMatrix:
     def test_column_as_expvec(self, ex1):
