@@ -383,7 +383,6 @@ class TestSharedParser:
         assert first_exit[0] == code and first_follow_up[0] == 0
         assert exiting_call() == first_exit
         assert run(capsys, *follow_up) == first_follow_up
-        assert exiting_call() == first_exit
 
     @pytest.mark.parametrize("position", ["before", "after"])
     def test_shared_flags_do_not_carry_over(self, capsys, position):
