@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -449,6 +450,56 @@ class TestReductionStepSupport:
                 allowed = {b_ij * k for k in range(l)}
                 seen = {expo[i - 1] for expo in total.support()}
                 assert seen <= allowed
+
+
+# sha256 of repr((check, params, ok, residue, terms)), one line per
+# certificate, over `_digest_certificates()`.  It pins every verdict,
+# remainder and term count, so a kernel change that moves any of them
+# fails here.
+CERTIFICATE_DIGEST = "874d28ebbaf01eb7328811d7ee02043912620bd1e734560de64313bb46622ee4"
+
+
+def _digest_certificates():
+    """12 random rank-2/3 seeds: the full suite, every L32 and L41 (m, t)
+    at its minimal m, exploratory `higher` just below the admissible
+    outer exponent (nonzero remainders), one admissible m above the
+    minimum, and `higher` at l = 1, 2 on the b_ij = 0 pairs."""
+    rng = random.Random(5)
+    certs = []
+    signs = set()
+    for _ in range(12):
+        seed = random_principal_seed(rng, rng.choice([2, 3]), max_entry=3, max_d=3)
+        certs.extend(full_suite(seed))
+        for i in range(1, seed.n + 1):
+            for j in range(1, seed.n + 1):
+                if i == j:
+                    continue
+                size = abs(seed.b_entry(i, j))
+                signs.add((seed.b_entry(i, j) > 0) - (seed.b_entry(i, j) < 0))
+                if size == 0:
+                    certs.extend(higher_verify(seed, i, j, l, l) for l in (1, 2))
+                    continue
+                for l in range(1, size + 1):
+                    certs.append(higher_verify(seed, i, j, l, l * size - 1, exploratory=True))
+                certs.append(higher_verify(seed, i, j, 1, size + 1))
+                certs.append(lemma_sum_check(seed, i, j, "L32"))
+                certs.extend(lemma_sum_check(seed, i, j, "L41", t_shift=t) for t in range(size))
+    return certs, signs
+
+
+class TestCertificateDigest:
+    def test_pinned_digest(self):
+        certs, signs = _digest_certificates()
+        lines = "\n".join(repr((c.check, c.params, c.ok, c.residue, c.terms)) for c in certs)
+        # the set exercises what it claims to: both signs of b_ij, every
+        # lemma variant, and nonzero exploratory remainders
+        assert signs == {-1, 0, 1}
+        assert len(certs) == 460
+        assert sum(c.exploratory and not c.ok for c in certs) == 92
+        assert all(c.ok for c in certs if not c.exploratory)
+        assert {dict(c.params)["variant"] for c in certs if c.check == "lemma-sum"} == {"L32", "L41"}
+        assert {c.check for c in certs} == {"serre", "serre-opposite", "higher", "lemma-sum"}
+        assert hashlib.sha256(lines.encode()).hexdigest() == CERTIFICATE_DIGEST
 
 
 class TestRandomSweepSmall:
