@@ -130,13 +130,14 @@ def _cmd_validate(args) -> int:
 def _cmd_mutate(args) -> int:
     seed = load_seed(args.seed)
     mutated = mutate(seed, args.k)
+    # Write the file first, so a run that cannot write it prints nothing.
+    if args.out:
+        dump_seed(mutated, args.out)
     if args.format == "json":
         print(json.dumps(seed_to_dict(mutated)))
     else:
         _print_matrix("Lambda'", mutated.form.rows())
         _print_matrix("Btilde'", mutated.exchange.btilde)
-    if args.out:
-        dump_seed(mutated, args.out)
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ the SkewForm they were built over, and refuse cross-form arithmetic.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .qarith import QLaurent, parse_qlaurent
@@ -19,7 +20,7 @@ ExpVec = Tuple[int, ...]
 
 
 def vec_add(left: Sequence[int], right: Sequence[int]) -> ExpVec:
-    return tuple(a + b for a, b in zip(left, right))
+    return tuple(map(add, left, right))
 
 def vec_neg(vec: Sequence[int]) -> ExpVec:
     return tuple(-a for a in vec)

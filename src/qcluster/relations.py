@@ -2,7 +2,9 @@
 
 Every check here expands an alternating sum (or a difference against a
 closed form) exactly in the torus and decides the verdict by canonical
-emptiness, never by sampling.  Certificates record the instance, the
+emptiness, never by sampling.  The alternating sums are evaluated as
+iterated q-commutators (the q-adjoint action), so the relation kernel
+expands no q-binomial coefficient.  Certificates record the instance, the
 verdict, the canonical remainder and expansion statistics.
 """
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .qarith import QLaurent, q_binom
-from .qtorus import TorusElem
+from .qtorus import TorusElem, vec_add
 from .seeds import (
     QuantumSeed,
     SeedFormatError,
@@ -33,10 +35,10 @@ class VerificationCertificate:
     `residue` is the canonical string of the element that must vanish
     ("0" on a pass).  For the alternating sums (serre, serre-opposite,
     higher, lemma-sum) `terms` is the summed term counts of the scaled
-    summands c_r A^(L-r) M A^r.  The Horner kernel never builds them: it
-    counts the support of M A^L once per nonzero c_r, which is exact
-    because A and M have nonnegative coefficients, so no product cancels
-    (see `_sandwich`).  The commutator check reports the term count of
+    summands c_r A^(L-r) M A^r.  The q-adjoint kernel never builds them:
+    it counts the sumset supp(M) + L*supp(A) once per summand, which is
+    exact because A and M have nonnegative coefficients, so no product
+    cancels (see `_q_adjoint`).  The commutator check reports the term count of
     y_i y_j - y_j y_i, and the power-product check the summed term counts
     of its three expansions.  `seconds` is wall time.
     """
@@ -152,24 +154,6 @@ def _ordered_power_product(seed: QuantumSeed, exponent_of: Callable[[int], int],
     return acc
 
 
-def _alternating_coeffs(top: int, d: int, shift: int) -> list[QLaurent]:
-    """(-1)^r q^(d*r*(r-1)/2 - d*r*shift) [top, r] at base q^d, r = 0..top."""
-    out = []
-    for r in range(top + 1):
-        coeff = q_binom(top, r, d) * QLaurent.q_power(d * r * (r - 1) - 2 * d * r * shift)
-        out.append(-coeff if r % 2 else coeff)
-    return out
-
-
-def _partial_sums(values: Sequence[QLaurent]) -> list[QLaurent]:
-    out = []
-    acc = QLaurent.zero()
-    for value in values:
-        acc = acc + value
-        out.append(acc)
-    return out
-
-
 def _certify(check: str, params: Sequence[tuple[str, object]], residue: TorusElem, terms: int, started: float, exploratory: bool = False) -> VerificationCertificate:
     return VerificationCertificate(
         check=check,
@@ -182,43 +166,58 @@ def _certify(check: str, params: Sequence[tuple[str, object]], residue: TorusEle
     )
 
 
-def _sandwich(outer: TorusElem, middle: TorusElem, coeffs: Sequence[QLaurent]) -> tuple[TorusElem, int]:
-    """sum_r coeffs[r] * outer^(L-r) * middle * outer^r with L = len(coeffs) - 1.
+def _q_adjoint(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: int, opposite: bool = False) -> tuple[TorusElem, int]:
+    """The iterated q-commutator of `middle` with A = `outer`.
 
-    Every relation check is one such sum.  It is evaluated by Horner's
-    scheme: with c_r = coeffs[r], R_r = middle * outer^r, T_0 = c_0 R_0
-    and T_r = outer * T_(r-1) + c_r R_r, the sum is T_L, so every product
-    is by `outer` (a two-term y_k in every caller).
+    Starting from M = middle, there is one step for each k = 0 .. steps-1,
+    and step k replaces M by A*M - q^(d(first+k)) * (M*A), or by
+    M*A - q^(d(first+k)) * (A*M) when `opposite`.  Left and right multiplication by A commute as operators
+    and q is central, so by Gauss's binomial formula at Q = q^d the result
+    is the alternating sum
 
-    Returns the sum together with `terms`, the summed term counts of the
-    scaled summands c_r * outer^(L-r) * middle * outer^r.  No summand is
-    built: `outer` and `middle` must have coefficients with nonnegative
-    integer coefficients (ArithmeticError otherwise).  Then no product
-    cancels, the support of every summand with c_r != 0 is the sumset
-    L*supp(outer) + supp(middle), which is the support of R_L, and
-    scaling by c_r != 0 keeps it, since Z[q^(1/2), q^(-1/2)] has no zero
-    divisors.  So `terms` is |supp(R_L)| times the number of nonzero c_r.
+        sum_r (-1)^r Q^(r(r-1)/2 + r*first) [L, r]_Q * A^(L-r) M A^r
+
+    with L = steps (A^r M A^(L-r) when `opposite`).  With first = 0 this
+    is (ad_q A)^L (M).  Every product is by the two-term A of the callers,
+    and every twist is a single power of q.  The steps commute, so they
+    run in order of |first+k|, least twisted first: those steps cancel
+    most terms early and keep the intermediates small, and the order does
+    not change the result.
+
+    Returns the result together with `terms`, the summed term counts of
+    the L+1 scaled summands.  No summand is built: `outer` and `middle`
+    must have coefficients with nonnegative integer coefficients
+    (ArithmeticError otherwise).  Then no product cancels, so the support
+    of every summand is the sumset supp(middle) + L*supp(outer), and
+    scaling by a nonzero q-binomial multiple keeps it, since
+    Z[q^(1/2), q^(-1/2)] has no zero divisors.  So `terms` is the size of
+    that sumset, computed from exponent vectors alone, times L+1.
     """
     for elem in (outer, middle):
         for _, coeff in elem.items():
             if any(value < 0 for _, value in coeff.items()):
-                raise ArithmeticError("sandwich operands need nonnegative coefficients")
-    right = middle
-    acc = middle.scale(coeffs[0])
-    for coeff in coeffs[1:]:
-        right = right * outer
-        acc = outer * acc + right.scale(coeff)
-    return acc, right.term_count() * sum(1 for coeff in coeffs if coeff)
+                raise ArithmeticError("q-adjoint operands need nonnegative coefficients")
+    acc = middle
+    for k in sorted(range(steps), key=lambda k: abs(first + k)):
+        left, right = outer * acc, acc * outer
+        if opposite:
+            left, right = right, left
+        acc = left + right.scale(-QLaurent.q_power(2 * d * (first + k)))
+    support, step_support = middle.support(), outer.support()
+    for _ in range(steps):
+        support = {vec_add(e, f) for e in support for f in step_support}
+    return acc, len(support) * (steps + 1)
 
 
 def _order_sum(seed: QuantumSeed, i: int, j: int, l: int, m_exp: int) -> tuple[TorusElem, int]:
     """sum_r +/- [m+1, r] y_i^(m+1-r) y_j^l y_i^r at base q^(d_i).
 
-    The twist is q^(d_i * r(r-1)/2), times q^(-d_i * r * m) when b_ij > 0.
+    The twist is q^(d_i * r(r-1)/2), times q^(-d_i * r * m) when b_ij > 0:
+    m+1 q-commutator steps, the first at q^(-d_i * m) when b_ij > 0.
     """
-    shift = m_exp if seed.b_entry(i, j) > 0 else 0
-    coeffs = _alternating_coeffs(m_exp + 1, seed.d[i - 1], shift)
-    return _sandwich(mutated_variable(seed, i), mutated_variable(seed, j) ** l, coeffs)
+    first = -m_exp if seed.b_entry(i, j) > 0 else 0
+    y_i, y_j = mutated_variable(seed, i), mutated_variable(seed, j)
+    return _q_adjoint(y_i, y_j ** l, seed.d[i - 1], m_exp + 1, first)
 
 
 # -- one-step variables ------------------------------------------------------
@@ -404,39 +403,48 @@ def lemma_sum_check(
                 f"L41 needs m_exp >= (t_shift+1)*|b_ij| = {(t_shift + 1) * size}, got m_exp={m_exp}"
             )
         params = (("i", i), ("j", j), ("variant", "L41"), ("m", m_exp), ("t", t_shift))
-    d_i = seed.d[i - 1]
     step = size * (1 + t_shift)
-    # summand t carries the partial sum of coefficients 0..t, twisted by
-    # q^(-d_i*t) when b_ij < 0 and by q^(d_i*t*step) when b_ij > 0
-    slope = step if b > 0 else -1
-    sums = _partial_sums(_alternating_coeffs(m_exp + 1, d_i, m_exp if b > 0 else 0))
-    coeffs = [sums[t] * QLaurent.q_power(2 * d_i * t * slope) for t in range(m_exp + 1)]
-    total, terms = _sandwich(mutated_variable(seed, i), _gen_power(seed, i, step - 1), coeffs)
+    # Summand t carries the partial sum of the order-sum coefficients 0..t,
+    # twisted by q^(-d_i*t) when b_ij < 0 and by q^(d_i*t*step) when
+    # b_ij > 0.  At Q = q^(d_i) those partial sums close up:
+    #   (-1)^t Q^(t(t+1)/2) [m, t]_Q         when b_ij < 0,
+    #   (-1)^t Q^(t(t-1)/2 - t*m) [m, t]_Q   when b_ij > 0,
+    # so the sum is m q-commutator steps, the first at Q^(step - m) when
+    # b_ij > 0 and at Q^0 otherwise.
+    first = step - m_exp if b > 0 else 0
+    y_i = mutated_variable(seed, i)
+    total, terms = _q_adjoint(y_i, _gen_power(seed, i, step - 1), seed.d[i - 1], m_exp, first)
     return _certify("lemma-sum", params, total, terms, started)
 
 
 # -- fundamental (quantum Serre-type) relations ------------------------------
 
 
-def serre_verify(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
-    """The degree-(|b_ij|+1) alternating relation between y_i and y_j.
+def _cartan_entry(seed: QuantumSeed, i: int, j: int) -> int:
+    return cartan_matrix(seed.exchange.principal_part(), seed.d)[i - 1][j - 1]
 
-    This is the order-1 relation at outer exponent |b_ij|: for b_ij <= 0
-    the twist is q^(d_i * r(r-1)/2); for b_ij > 0 it picks up the extra
-    factor q^(-d_i * r * b_ij).
+
+def serre_verify(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
+    """The quantum Serre relation (ad_q y_i)^(1-c_ij)(y_j) = 0.
+
+    c_ij = -|b_ij| is the Cartan entry, so this is the order-1 relation
+    at outer exponent |b_ij|: 1 - c_ij q-commutator steps at base
+    q^(d_i), the twist of step k being q^(d_i * k) for b_ij <= 0 and
+    q^(d_i * (k - b_ij)) for b_ij > 0.
     """
     started = time.perf_counter()
     _require_principal(seed)
     _require_pair(seed, i, j)
-    total, terms = _order_sum(seed, i, j, 1, abs(seed.b_entry(i, j)))
+    total, terms = _order_sum(seed, i, j, 1, -_cartan_entry(seed, i, j))
     return _certify("serre", (("i", i), ("j", j)), total, terms, started)
 
 
 def serre_verify_opposite(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
     """The reversed-side relation sum_r +/- [b_ji+1, r] y_j^r y_i y_j^(b_ji+1-r).
 
-    Obtained from the b_ij > 0 relation through the bar involution;
-    requires b_ij <= 0 (so b_ji >= 0).
+    The right q-adjoint action of y_j, 1 - c_ji = b_ji + 1 steps at base
+    q^(d_j).  Obtained from the b_ij > 0 relation through the bar
+    involution; requires b_ij <= 0 (so b_ji >= 0).
     """
     started = time.perf_counter()
     _require_principal(seed)
@@ -444,8 +452,9 @@ def serre_verify_opposite(seed: QuantumSeed, i: int, j: int) -> VerificationCert
     b_ij = seed.b_entry(i, j)
     if b_ij > 0:
         raise ValueError(f"reversed-side relation needs b_ij <= 0, got b_ij={b_ij}")
-    coeffs = _alternating_coeffs(seed.b_entry(j, i) + 1, seed.d[j - 1], 0)
-    total, terms = _sandwich(mutated_variable(seed, j), mutated_variable(seed, i), coeffs[::-1])
+    steps = 1 - _cartan_entry(seed, j, i)
+    y_i, y_j = mutated_variable(seed, i), mutated_variable(seed, j)
+    total, terms = _q_adjoint(y_j, y_i, seed.d[j - 1], steps, 0, opposite=True)
     return _certify("serre-opposite", (("i", i), ("j", j)), total, terms, started)
 
 
@@ -504,10 +513,13 @@ def cartan_matrix(b: Sequence[Sequence[int]], d: Sequence[int] | None = None) ->
 
 
 def quantum_group_suite(seed: QuantumSeed) -> list[VerificationCertificate]:
-    """Both defining-relation families on the images theta_k -> y_k.
+    """Both defining-relation families on the images E_k -> y_k.
 
-    For every ordered pair (i, j) the direct relation is checked, plus
-    the reversed-side relation whenever b_ij <= 0.
+    For every ordered pair (i, j) the quantum Serre relation
+    (ad_q y_i)^(1-c_ij)(y_j) = 0 is checked, with c_ij from
+    `cartan_matrix`, plus the reversed-side relation whenever b_ij <= 0.
+    Together they make E_k -> y_k a homomorphism from the positive part
+    of the quantum group of that Cartan matrix.
     """
     _require_principal(seed)
     certificates = []

@@ -420,8 +420,15 @@ def loads_seed(text: str) -> QuantumSeed:
 
 
 def load_seed(path) -> QuantumSeed:
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads_seed(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SeedFormatError(
+            f"seed file is not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}"
+        ) from exc
+    return loads_seed(text)
 
 
 def dump_seed(seed: QuantumSeed, path) -> None:

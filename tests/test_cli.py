@@ -120,6 +120,18 @@ class TestValidate:
         assert "Traceback" not in result.stderr
         assert "error: seed file nests too deeply to be a seed object" in result.stderr
 
+    def test_non_utf8_seed(self, tmp_path):
+        raw = tmp_path / "latin1.json"
+        raw.write_bytes(b'{"n": 2, "labels": ["\xff"]}\n')
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "qcluster", "validate", "--seed", str(raw)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert "error: seed file is not UTF-8 text: byte 0xff at offset 21" in result.stderr
+
 
 class TestMutate:
     def test_direction_1_golden_matrices(self, capsys):
@@ -169,6 +181,15 @@ class TestMutate:
         from qcluster.seeds import load_seed
 
         assert load_seed(target).exchange.btilde == ((0, -1), (2, 0), (-1, 1), (0, 1))
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unwritable_out_prints_nothing(self, capsys, tmp_path, fmt):
+        target = tmp_path / "no" / "such" / "dir" / "mutated.json"
+        status, out, err = run(
+            capsys, "mutate", "--seed", EXAM1, "--k", "1", "--out", str(target), "--format", fmt
+        )
+        assert status == 2 and out == ""
+        assert "error:" in err and not target.exists()
 
 
 class TestVars:

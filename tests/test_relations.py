@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qcluster.qarith import QLaurent, q_binom
 from qcluster.qtorus import SkewForm, TorusElem, ordered_product
 from qcluster.relations import (
-    _sandwich,
+    _q_adjoint,
     RelationInstance,
     commutator_check,
     commutator_witness,
@@ -43,6 +43,45 @@ def ex3():
 def xword(seed, half, exponents):
     """q^(half/2) times the natural-order generator word x1^a1 ... xm^am."""
     return ordered_product(seed.form, exponents).scale(QLaurent.q_power(half))
+
+
+def _sandwich(outer, middle, coeffs):
+    """Reference oracle: sum_r coeffs[r] * outer^(L-r) * middle * outer^r
+    with L = len(coeffs) - 1, by Horner's scheme, with `terms` as
+    `_q_adjoint` defines it (|supp(middle * outer^L)| per nonzero c_r).
+
+    The q-adjoint kernel is checked against it.  With R_r = middle * outer^r, T_0 = c_0 R_0 and
+    T_r = outer * T_(r-1) + c_r R_r, the sum is T_L.
+    """
+    for elem in (outer, middle):
+        for _, coeff in elem.items():
+            if any(value < 0 for _, value in coeff.items()):
+                raise ArithmeticError("sandwich operands need nonnegative coefficients")
+    right = middle
+    acc = middle.scale(coeffs[0])
+    for coeff in coeffs[1:]:
+        right = right * outer
+        acc = outer * acc + right.scale(coeff)
+    return acc, right.term_count() * sum(1 for coeff in coeffs if coeff)
+
+
+def _alternating_coeffs(top, d, shift):
+    """(-1)^r q^(d*r*(r-1)/2 - d*r*shift) [top, r] at base q^d, r = 0..top."""
+    out = []
+    for r in range(top + 1):
+        coeff = q_binom(top, r, d) * QLaurent.q_power(d * r * (r - 1) - 2 * d * r * shift)
+        out.append(-coeff if r % 2 else coeff)
+    return out
+
+
+def _lemma_coeffs(m_exp, d, step, positive):
+    """Partial sums of the order-sum coefficients, twisted as `lemma_sum_check` does."""
+    slope = step if positive else -1
+    coeffs, acc = [], QLaurent.zero()
+    for t, value in enumerate(_alternating_coeffs(m_exp + 1, d, m_exp if positive else 0)[: m_exp + 1]):
+        acc = acc + value
+        coeffs.append(acc * QLaurent.q_power(2 * d * t * slope))
+    return coeffs
 
 
 @st.composite
@@ -90,13 +129,36 @@ class TestSandwichKernel:
             direct = direct + summand
         assert _sandwich(outer, middle, coeffs) == (direct, terms)
 
+    @given(sandwich_operands(), st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_q_adjoint_matches_oracle(self, operands, d, m_exp):
+        # each caller's step count and first twist against the oracle fed
+        # the q-binomial coefficients it replaced: the order sum (serre and
+        # higher) for b_ij <= 0 and b_ij > 0, the reversed side, and the
+        # lemma partial sums for both signs.  The operands are generic, so
+        # most sums are nonzero, as exploratory remainders are.
+        outer, middle, _ = operands
+        for shift in (0, m_exp):
+            assert _q_adjoint(outer, middle, d, m_exp + 1, -shift) == _sandwich(
+                outer, middle, _alternating_coeffs(m_exp + 1, d, shift)
+            )
+        assert _q_adjoint(outer, middle, d, m_exp + 1, 0, opposite=True) == _sandwich(
+            outer, middle, _alternating_coeffs(m_exp + 1, d, 0)[::-1]
+        )
+        for step in range(1, 4):
+            assert _q_adjoint(outer, middle, d, m_exp, step - m_exp) == _sandwich(
+                outer, middle, _lemma_coeffs(m_exp, d, step, positive=True)
+            )
+        assert _q_adjoint(outer, middle, d, m_exp, 0) == _sandwich(
+            outer, middle, _lemma_coeffs(m_exp, d, 1, positive=False)
+        )
+
     def test_negative_coefficient_refused(self, ex1):
         y1, y2 = one_step_variables(ex1)
-        coeffs = [QLaurent.one()] * 3
         with pytest.raises(ArithmeticError, match="nonnegative"):
-            _sandwich(-y1, y2, coeffs)
+            _q_adjoint(-y1, y2, 1, 2, 0)
         with pytest.raises(ArithmeticError, match="nonnegative"):
-            _sandwich(y1, y2.scale(QLaurent({0: 2, 1: -1})), coeffs)
+            _q_adjoint(y1, y2.scale(QLaurent({0: 2, 1: -1})), 1, 2, 0)
 
     def test_heavy_instance(self):
         seed = principal_seed([[0, 4], [-4, 0]], (1, 1))
