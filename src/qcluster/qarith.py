@@ -74,10 +74,6 @@ class QLaurent:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def at_one(self) -> int:
-        """Evaluate at q = 1 (the sum of all coefficients)."""
-        return sum(self._terms.values())
-
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other: Union["QLaurent", int]) -> "QLaurent":
@@ -297,7 +293,7 @@ def parse_qlaurent(text: str) -> QLaurent:
     return QLaurent(terms)
 
 
-# -- q-integers, q-factorials, Gaussian binomials ---------------------------
+# -- q-integers and Gaussian binomials --------------------------------------
 
 
 def _check_base(d: int) -> None:
@@ -316,21 +312,6 @@ def q_int(n: int, d: int = 1) -> QLaurent:
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"q_int needs n >= 0, got {n!r}")
     return _q_int_base(n).scale_exponents(d)
-
-
-# _Q_FACTORIAL_TABLE[k] = [k]!, extended in a loop so that no call recurses.
-_Q_FACTORIAL_TABLE: list[QLaurent] = [_ONE]
-
-
-def q_factorial(n: int, d: int = 1) -> QLaurent:
-    """[n]! at base q^d: the product [1][2]...[n]; one when n = 0."""
-    _check_base(d)
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"q_factorial needs n >= 0, got {n!r}")
-    table = _Q_FACTORIAL_TABLE
-    while len(table) <= n:
-        table.append(table[-1] * _q_int_base(len(table)))
-    return table[n].scale_exponents(d)
 
 
 _Q_BINOM_TABLE: dict[tuple[int, int], QLaurent] = {}

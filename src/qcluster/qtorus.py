@@ -22,9 +22,6 @@ ExpVec = Tuple[int, ...]
 def vec_add(left: Sequence[int], right: Sequence[int]) -> ExpVec:
     return tuple(map(add, left, right))
 
-def vec_neg(vec: Sequence[int]) -> ExpVec:
-    return tuple(-a for a in vec)
-
 def unit_vector(dim: int, index: int) -> ExpVec:
     """The standard basis vector e_index (1-based) in Z^dim."""
     if not 1 <= index <= dim:
@@ -229,17 +226,6 @@ class TorusElem:
     def bar(self) -> "TorusElem":
         """Bar involution: q^(l/2) X^c -> q^(-l/2) X^c (an anti-automorphism)."""
         return self._raw(self.form, {e: c.bar() for e, c in self._terms.items()})
-
-    def inverse_monomial(self) -> "TorusElem":
-        """Invert a single-term element c*X^e with c a unit power of q."""
-        if len(self._terms) != 1:
-            raise ValueError("only monomials are invertible in the torus")
-        ((expo, coeff),) = self._terms.items()
-        units = coeff.items()
-        if len(units) != 1 or units[0][1] not in (1, -1):
-            raise ValueError("monomial coefficient is not a unit")
-        half, sign = units[0]
-        return TorusElem.monomial(self.form, vec_neg(expo), QLaurent({-half: sign}))
 
     @classmethod
     def _raw(cls, form: SkewForm, data: dict[ExpVec, QLaurent]) -> "TorusElem":

@@ -19,12 +19,10 @@ from .qarith import QLaurent, q_binom
 from .qtorus import TorusElem, vec_add
 from .seeds import (
     QuantumSeed,
-    SeedFormatError,
     find_symmetrizer,
     is_skew_symmetrizer,
     mutated_variable,
     pos_part,
-    validate_compatibility,
 )
 
 
@@ -123,9 +121,6 @@ class RelationInstance:
 def _require_principal(seed: QuantumSeed) -> None:
     if not seed.is_principal:
         raise ValueError("seed is not principal (m = 2n with identity coefficient block)")
-    verdict = validate_compatibility(seed)
-    if not verdict:
-        raise SeedFormatError(f"seed is incompatible: {verdict.message}")
 
 
 def _require_pair(seed: QuantumSeed, i: int, j: int) -> None:

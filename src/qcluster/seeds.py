@@ -116,22 +116,13 @@ def find_symmetrizer(b: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class CompatibilityVerdict:
-    ok: bool
-    violation: tuple[int, int] | None = None
-    message: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
 class QuantumSeed:
     """The triple (labels, Lambda, Btilde) with its skew-symmetrizer D.
 
-    `order` is the linear order on mutable indices used whenever an
-    ordered generator product is rendered; relation verdicts never depend
-    on it.
+    Every seed is a compatible pair: construction raises SeedFormatError
+    unless Btilde^T * Lambda = [D 0].  `order` is the linear order on
+    mutable indices used whenever an ordered generator product is
+    rendered; relation verdicts never depend on it.
     """
 
     form: SkewForm
@@ -158,6 +149,7 @@ class QuantumSeed:
             object.__setattr__(self, "order", tuple(range(1, n + 1)))
         elif sorted(self.order) != list(range(1, n + 1)):
             raise SeedFormatError(f"order must be a permutation of [1, {n}]")
+        validate_compatibility(self)
 
     @property
     def n(self) -> int:
@@ -187,11 +179,12 @@ class QuantumSeed:
         return TorusElem.generator(self.form, index)
 
 
-def validate_compatibility(seed: QuantumSeed) -> CompatibilityVerdict:
+def validate_compatibility(seed: QuantumSeed) -> None:
     """Check Btilde^T * Lambda = [D 0] entrywise.
 
-    Equivalently pairing(b_j, e_i) = delta_ij * d_j.  Reports the first
-    violating (i, j), scanning columns j in [1, n] and rows i in [1, m].
+    Equivalently pairing(b_j, e_i) = delta_ij * d_j.  Raises
+    SeedFormatError at the first violating (i, j), scanning columns j in
+    [1, n] and rows i in [1, m].  QuantumSeed runs it on construction.
     """
     for j in range(1, seed.n + 1):
         column = seed.exchange.column(j)
@@ -199,19 +192,17 @@ def validate_compatibility(seed: QuantumSeed) -> CompatibilityVerdict:
             expected = seed.d[j - 1] if i == j else 0
             actual = sum(column[t] * seed.form.entry(t + 1, i) for t in range(seed.m))
             if actual != expected:
-                return CompatibilityVerdict(
-                    False,
-                    (i, j),
-                    f"pairing(b_{j}, e_{i}) = {actual}, expected {expected}",
+                raise SeedFormatError(
+                    f"compatibility fails at (i, j) = ({i}, {j}): "
+                    f"pairing(b_{j}, e_{i}) = {actual}, expected {expected}"
                 )
-    return CompatibilityVerdict(True)
 
 
 def principal_seed(b: Sequence[Sequence[int]], d: Sequence[int], labels: Sequence[str] = ()) -> QuantumSeed:
     """The principal-coefficients seed for an n x n exchange matrix b.
 
-    Lambda = [[0, -D], [D, -DB]] and Btilde = [B; I_n] with m = 2n;
-    compatibility holds by construction and is re-verified.
+    Lambda = [[0, -D], [D, -DB]] and Btilde = [B; I_n] with m = 2n, a
+    compatible pair by construction.
     """
     b = _freeze_matrix(b)
     n = len(b)
@@ -229,30 +220,24 @@ def principal_seed(b: Sequence[Sequence[int]], d: Sequence[int], labels: Sequenc
     btilde = [list(row) for row in b]
     for i in range(n):
         btilde.append([1 if j == i else 0 for j in range(n)])
-    seed = QuantumSeed(
+    return QuantumSeed(
         form=SkewForm(lam),
         exchange=ExchangeMatrix(_freeze_matrix(btilde), n=n, m=2 * n),
         d=d,
         labels=tuple(labels),
     )
-    verdict = validate_compatibility(seed)
-    if not verdict:
-        raise SeedFormatError(f"principal seed failed compatibility: {verdict.message}")
-    return seed
 
 
 def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
     """One-step mutation in direction k (1-based, k in [1, n]).
 
-    Produces the mutated exchange matrix and skew form; the result is
-    compatible with the same D.  Mutation is an involution.
+    Produces the mutated exchange matrix and skew form over the same D;
+    like every seed, the result is checked for compatibility when it is
+    built.  Mutation is an involution.
     """
     n, m = seed.n, seed.m
     if not 1 <= k <= n:
         raise ValueError(f"mutation direction {k} out of range [1, {n}]")
-    verdict = validate_compatibility(seed)
-    if not verdict:
-        raise SeedFormatError(f"cannot mutate an incompatible seed: {verdict.message}")
     kk = k - 1
     old_b = seed.exchange.btilde
     new_b = [list(row) for row in old_b]
@@ -279,17 +264,13 @@ def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
 
     new_labels = list(seed.labels)
     new_labels[kk] = seed.labels[kk] + "'"
-    mutated = QuantumSeed(
+    return QuantumSeed(
         form=SkewForm(new_lam),
         exchange=ExchangeMatrix(_freeze_matrix(new_b), n=n, m=m),
         d=seed.d,
         labels=tuple(new_labels),
         order=seed.order,
     )
-    verdict = validate_compatibility(mutated)
-    if not verdict:
-        raise SeedFormatError(f"mutation broke compatibility: {verdict.message}")
-    return mutated
 
 
 def mutated_variable(seed: QuantumSeed, k: int) -> TorusElem:
@@ -306,16 +287,6 @@ def mutated_variable(seed: QuantumSeed, k: int) -> TorusElem:
     plus = tuple(base[t] + pos_part(column[t]) for t in range(m))
     minus = tuple(base[t] + pos_part(-column[t]) for t in range(m))
     return TorusElem(seed.form, {plus: QLaurent.one(), minus: QLaurent.one()})
-
-
-def quiver_edges(seed: QuantumSeed) -> list[tuple[int, int]]:
-    """Directed edges i -> j on [1, n] wherever b_{ij} > 0, sorted."""
-    return sorted(
-        (i, j)
-        for i in range(1, seed.n + 1)
-        for j in range(1, seed.n + 1)
-        if seed.b_entry(i, j) > 0
-    )
 
 
 def random_principal_seed(rng: random.Random, n: int, max_entry: int = 3, max_d: int = 3) -> QuantumSeed:
@@ -392,19 +363,12 @@ def seed_from_dict(payload: dict) -> QuantumSeed:
         labels and (len(labels) != m or not all(isinstance(v, str) for v in labels))
     ):
         raise SeedFormatError(f"labels must be {m} strings in a JSON list")
-    seed = QuantumSeed(
+    return QuantumSeed(
         form=form,
         exchange=ExchangeMatrix(btilde, n=n, m=m),
         d=d,
         labels=tuple(labels),
     )
-    verdict = validate_compatibility(seed)
-    if not verdict:
-        at = verdict.violation
-        raise SeedFormatError(
-            f"compatibility fails at (i, j) = ({at[0]}, {at[1]}): {verdict.message}"
-        )
-    return seed
 
 
 def loads_seed(text: str) -> QuantumSeed:
@@ -414,6 +378,9 @@ def loads_seed(text: str) -> QuantumSeed:
         raise SeedFormatError(f"seed file is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SeedFormatError("seed file nests too deeply to be a seed object") from exc
+    except ValueError as exc:
+        # The decoder's own limit on integer digits; its wording varies by version.
+        raise SeedFormatError("seed file holds an integer too long to be a seed entry") from exc
     if not isinstance(payload, dict):
         raise SeedFormatError("seed file must hold a JSON object")
     return seed_from_dict(payload)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qcluster import cli
+from qcluster import cli, seeds
 from qcluster.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -131,6 +131,47 @@ class TestValidate:
         assert result.returncode == 2 and result.stdout == ""
         assert "Traceback" not in result.stderr
         assert "error: seed file is not UTF-8 text: byte 0xff at offset 21" in result.stderr
+
+    def test_integer_too_long_for_decoder(self, tmp_path):
+        # Past the interpreter's digit limit the decoder raises a plain
+        # ValueError whose wording differs between Python versions.
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"n": ' + "1" * 5000 + ', "m": 4}\n')
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "qcluster", "validate", "--seed", str(huge)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert result.stderr == "error: seed file holds an integer too long to be a seed entry\n"
+
+
+class TestCompatibilityCheckedOnce:
+    @pytest.mark.parametrize(
+        "argv,calls",
+        [
+            (("suite", "--seed", EXAM3), 1),
+            (("mutate", "--seed", EXAM1, "--k", "1"), 2),
+        ],
+        ids=["suite", "mutate"],
+    )
+    def test_one_check_per_built_seed(self, capsys, monkeypatch, argv, calls):
+        original = seeds.validate_compatibility
+        seen = []
+
+        def counting(seed):
+            seen.append(seed)
+            return original(seed)
+
+        # Rebind every module-level reference, so that a module holding its
+        # own import of the check is counted too.
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qcluster" and vars(module).get("validate_compatibility") is original:
+                monkeypatch.setattr(module, "validate_compatibility", counting)
+        status, _, _ = run(capsys, *argv)
+        assert status == 0
+        assert len(seen) == calls
 
 
 class TestMutate:
