@@ -14,7 +14,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from qcluster.relations import higher_verify
+from qcluster.relations import RelationInstance, higher_verify
 from qcluster.seeds import load_seed
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -36,7 +36,11 @@ def main():
     print(f"{'l':>3} {'m':>3}  in-range  vanishes")
     for l in range(1, args.max_l + 1):
         for m in range(args.max_m + 1):
-            in_range = (b == 0 and m >= 0) or (0 < l <= size and m >= l * size)
+            try:
+                RelationInstance(seed, args.i, args.j, l, m)
+                in_range = True
+            except ValueError:
+                in_range = False
             cert = higher_verify(seed, args.i, args.j, l, m, exploratory=True)
             marker = "yes" if in_range else " no"
             print(f"{l:>3} {m:>3}      {marker}       {'yes' if cert.ok else ' no'}")

@@ -177,6 +177,9 @@ class QLaurent:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant compares equal to its int, so it must hash like it.
+        if not self._terms.keys() - {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:

@@ -16,14 +16,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .qarith import QLaurent, q_binom
-from .qtorus import TorusElem, vec_add
-from .seeds import (
-    QuantumSeed,
-    find_symmetrizer,
-    is_skew_symmetrizer,
-    mutated_variable,
-    pos_part,
-)
+from .qtorus import TorusElem, ordered_product, vec_add
+from .seeds import QuantumSeed, is_skew_symmetrizer, mutated_variable, pos_part
 
 
 @dataclass(frozen=True)
@@ -109,11 +103,6 @@ class RelationInstance:
                     f"outer exponent m={self.m_exp} below the bound l*|b_ij| = {self.l * b}"
                 )
 
-    @property
-    def family(self) -> str:
-        b = self.seed.b_entry(self.i, self.j)
-        return "b<0" if b < 0 else ("b=0" if b == 0 else "b>0")
-
 
 # -- small helpers -----------------------------------------------------------
 
@@ -138,15 +127,9 @@ def _gen_power(seed: QuantumSeed, index: int, power: int) -> TorusElem:
 
 
 def _ordered_power_product(seed: QuantumSeed, exponent_of: Callable[[int], int], skip: int | None = None) -> TorusElem:
-    """prod over mutable k in the seed's order of x_k^exponent_of(k), skipping one index."""
-    acc = TorusElem.unit(seed.form)
-    for k in seed.order:
-        if k == skip:
-            continue
-        power = exponent_of(k)
-        if power:
-            acc = acc * _gen_power(seed, k, power)
-    return acc
+    """prod over mutable k in natural order of x_k^exponent_of(k), skipping one index."""
+    exponents = [exponent_of(k) if k != skip else 0 for k in range(1, seed.n + 1)]
+    return ordered_product(seed.form, exponents + [0] * (seed.m - seed.n))
 
 
 def _certify(check: str, params: Sequence[tuple[str, object]], residue: TorusElem, terms: int, started: float, exploratory: bool = False) -> VerificationCertificate:
@@ -256,7 +239,8 @@ def witness_monomial(seed: QuantumSeed, i: int, j: int) -> TorusElem:
         x_i^(b_ij-1) x_j^(-b_ji-1)
         * prod_{k != j} x_k^([-b_ki]_+) * prod_{k != i} x_k^([b_kj]_+)
         * x_{n+j},
-    products over mutable indices in the seed's order.
+    products over mutable indices in natural order.  On a principal seed
+    the mutable generators commute, so that order does not change the word.
     """
     _require_pair(seed, i, j)
     b_ij = seed.b_entry(i, j)
@@ -483,19 +467,17 @@ def higher_verify(
 # -- Cartan matrix and the full relation suite -------------------------------
 
 
-def cartan_matrix(b: Sequence[Sequence[int]], d: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
+def cartan_matrix(b: Sequence[Sequence[int]], d: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The generalized Cartan matrix: c_ii = 2, c_ij = -|b_ij|.
 
-    Shares b's symmetrizer; d*C symmetric is re-verified (with a computed
-    symmetrizer when d is not supplied).
+    Shares b's skew-symmetrizer d: ValueError unless d skew-symmetrizes b,
+    and diag(d) * C symmetric is re-verified.
     """
     rows = tuple(tuple(int(v) for v in row) for row in b)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("exchange matrix must be square")
-    if d is None:
-        d = find_symmetrizer(rows)
-    elif not is_skew_symmetrizer(tuple(d), rows):
+    if not is_skew_symmetrizer(tuple(d), rows):
         raise ValueError("d does not skew-symmetrize the exchange matrix")
     cartan = tuple(
         tuple(2 if i == j else -abs(rows[i][j]) for j in range(n)) for i in range(n)

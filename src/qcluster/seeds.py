@@ -2,9 +2,9 @@
 
 A quantum seed bundles a skew-symmetric form Lambda, an m x n exchange
 matrix Btilde whose principal n x n part is skew-symmetrizable by a
-positive diagonal D, variable labels, and a linear order on the mutable
-indices.  Seeds are immutable; mutation returns a fresh seed over a fresh
-form, so torus elements stay pinned to the form they were built over.
+positive diagonal D, and variable labels.  Seeds are immutable; mutation
+returns a fresh seed over a fresh form, so torus elements stay pinned to
+the form they were built over.
 
 Indices in the public API are 1-based, matching the usual notation
 (mutation direction k in [1, n], generators x_1 .. x_m).
@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, lcm
+from dataclasses import dataclass
 from typing import Sequence
 
 from .qarith import QLaurent
@@ -75,61 +73,18 @@ def is_skew_symmetrizer(d: Sequence[int], b: Sequence[Sequence[int]]) -> bool:
     return all(d[i] * b[i][j] == -d[j] * b[j][i] for i in range(n) for j in range(n))
 
 
-def find_symmetrizer(b: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """A minimal positive diagonal making diag(d) * b skew-symmetric.
-
-    Raises SeedFormatError when b is not skew-symmetrizable.
-    """
-    n = len(b)
-    ratio: list[Fraction | None] = [None] * n
-    for start in range(n):
-        if ratio[start] is not None:
-            continue
-        ratio[start] = Fraction(1)
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if b[i][j] == 0 and b[j][i] == 0:
-                    continue
-                if (b[i][j] == 0) != (b[j][i] == 0) or b[i][j] * b[j][i] > 0:
-                    raise SeedFormatError(
-                        f"principal part is not skew-symmetrizable at ({i + 1}, {j + 1})"
-                    )
-                candidate = ratio[i] * Fraction(-b[i][j], b[j][i])
-                if ratio[j] is None:
-                    ratio[j] = candidate
-                    queue.append(j)
-                elif ratio[j] != candidate:
-                    raise SeedFormatError(
-                        f"principal part is not skew-symmetrizable at ({i + 1}, {j + 1})"
-                    )
-    scale = lcm(*(r.denominator for r in ratio)) if n else 1
-    d = tuple(int(r * scale) for r in ratio)
-    common = 0
-    for v in d:
-        common = gcd(common, v)
-    d = tuple(v // common for v in d) if common else d
-    if not is_skew_symmetrizer(d, b):
-        raise SeedFormatError("principal part is not skew-symmetrizable")
-    return d
-
-
 @dataclass(frozen=True)
 class QuantumSeed:
     """The triple (labels, Lambda, Btilde) with its skew-symmetrizer D.
 
     Every seed is a compatible pair: construction raises SeedFormatError
-    unless Btilde^T * Lambda = [D 0].  `order` is the linear order on
-    mutable indices used whenever an ordered generator product is
-    rendered; relation verdicts never depend on it.
+    unless Btilde^T * Lambda = [D 0].
     """
 
     form: SkewForm
     exchange: ExchangeMatrix
     d: tuple[int, ...]
     labels: tuple[str, ...] = ()
-    order: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         n, m = self.exchange.n, self.exchange.m
@@ -145,10 +100,6 @@ class QuantumSeed:
             object.__setattr__(self, "labels", tuple(f"x{i}" for i in range(1, m + 1)))
         elif len(self.labels) != m:
             raise SeedFormatError(f"labels must have length m={m}")
-        if not self.order:
-            object.__setattr__(self, "order", tuple(range(1, n + 1)))
-        elif sorted(self.order) != list(range(1, n + 1)):
-            raise SeedFormatError(f"order must be a permutation of [1, {n}]")
         validate_compatibility(self)
 
     @property
@@ -198,15 +149,16 @@ def validate_compatibility(seed: QuantumSeed) -> None:
                 )
 
 
-def principal_seed(b: Sequence[Sequence[int]], d: Sequence[int], labels: Sequence[str] = ()) -> QuantumSeed:
+def principal_seed(b: Sequence[Sequence[int]], d: Sequence[int]) -> QuantumSeed:
     """The principal-coefficients seed for an n x n exchange matrix b.
 
     Lambda = [[0, -D], [D, -DB]] and Btilde = [B; I_n] with m = 2n, a
-    compatible pair by construction.
+    compatible pair by construction.  Every entry of b and d must be an
+    int (bool excluded), as in a seed file; SeedFormatError otherwise.
     """
-    b = _freeze_matrix(b)
+    b = tuple(tuple(_json_int(v, "b") for v in row) for row in b)
     n = len(b)
-    d = tuple(int(v) for v in d)
+    d = tuple(_json_int(v, "d") for v in d)
     if any(len(row) != n for row in b):
         raise SeedFormatError("exchange matrix must be square")
     if not is_skew_symmetrizer(d, b):
@@ -224,7 +176,6 @@ def principal_seed(b: Sequence[Sequence[int]], d: Sequence[int], labels: Sequenc
         form=SkewForm(lam),
         exchange=ExchangeMatrix(_freeze_matrix(btilde), n=n, m=2 * n),
         d=d,
-        labels=tuple(labels),
     )
 
 
@@ -269,7 +220,6 @@ def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
         exchange=ExchangeMatrix(_freeze_matrix(new_b), n=n, m=m),
         d=seed.d,
         labels=tuple(new_labels),
-        order=seed.order,
     )
 
 

@@ -118,6 +118,13 @@ class TestRingBasics:
         assert 2 * QLaurent.one() + 1 == QLaurent({0: 3})
         assert at_one(QLaurent({2: 1}) - 1) == 0
 
+    @pytest.mark.parametrize("value", [0, 1, 5, -1, -7, 2**70])
+    def test_constant_hashes_like_its_int(self, value):
+        const = QLaurent.from_int(value)
+        assert const == value and hash(const) == hash(value)
+        assert len({const, value}) == 1
+        assert {value: "int"}[const] == "int"
+
     @given(qlaurents, qlaurents, qlaurents, st.integers(min_value=-8, max_value=8))
     @settings(max_examples=80)
     def test_ring_axioms(self, a, b, c, h):

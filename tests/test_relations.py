@@ -391,7 +391,6 @@ class TestHigher:
     def test_instance_defaults(self, ex1):
         instance = RelationInstance(ex1, 2, 1, l=2)
         assert instance.m_exp == 4
-        assert instance.family == "b<0"
 
 
 class TestCartan:
@@ -399,7 +398,7 @@ class TestCartan:
         assert cartan_matrix([[0, 1], [-2, 0]], (2, 1)) == ((2, -1), (-2, 2))
 
     def test_rank3(self):
-        assert cartan_matrix([[0, 2, -2], [-2, 0, 2], [2, -2, 0]]) == (
+        assert cartan_matrix([[0, 2, -2], [-2, 0, 2], [2, -2, 0]], (1, 1, 1)) == (
             (2, -2, -2),
             (-2, 2, -2),
             (-2, -2, 2),
@@ -414,7 +413,7 @@ class TestCartan:
 
     def test_non_symmetrizable(self):
         with pytest.raises(ValueError):
-            cartan_matrix([[0, 1], [1, 0]])
+            cartan_matrix([[0, 1], [1, 0]], (1, 1))
 
 
 class TestSuites:

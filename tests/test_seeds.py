@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -10,7 +11,6 @@ from qcluster.seeds import (
     QuantumSeed,
     SeedFormatError,
     dump_seed,
-    find_symmetrizer,
     is_skew_symmetrizer,
     load_seed,
     loads_seed,
@@ -75,7 +75,35 @@ class TestPrincipalSeed:
 
     def test_default_labels_and_order(self, ex1):
         assert ex1.labels == ("x1", "x2", "x3", "x4")
-        assert ex1.order == (1, 2)
+
+    @pytest.mark.parametrize(
+        "b, d",
+        [
+            ([[0, 1.9], [-1.9, 0]], (1, 1)),
+            (EX1_B, (2.7, True)),
+            (EX1_B, (2, True)),
+            ([[0, True], [-2, 0]], EX1_D),
+            ([[0, "1"], [-2, 0]], EX1_D),
+            (EX1_B, (2.0, 1)),
+        ],
+    )
+    def test_rejects_non_int_entries(self, b, d):
+        with pytest.raises(SeedFormatError, match="must hold integers"):
+            principal_seed(b, d)
+
+    def test_mutable_generators_commute(self):
+        # The mutable block of [[0, -D], [D, -DB]] is zero, so a word over
+        # x_1 .. x_n is X^a in every order of its letters.
+        rng = random.Random(11)
+        for n in (2, 3, 4):
+            for _ in range(3):
+                seed = random_principal_seed(rng, n)
+                frozen = tuple(range(n + 1, seed.m + 1))
+                for _ in range(3):
+                    a = [rng.randint(-2, 2) for _ in range(n)] + [0] * n
+                    expected = TorusElem.monomial(seed.form, a)
+                    for order in itertools.permutations(range(1, n + 1)):
+                        assert ordered_product(seed.form, a, order + frozen) == expected
 
 
 class TestCompatibility:
@@ -97,10 +125,6 @@ class TestCompatibility:
     def test_symmetrizer_helpers(self):
         assert is_skew_symmetrizer((2, 1), EX1_B)
         assert not is_skew_symmetrizer((1, 1), EX1_B)
-        assert find_symmetrizer(EX1_B) == (2, 1)
-        assert find_symmetrizer(EX3_B) == (1, 1, 1)
-        with pytest.raises(SeedFormatError):
-            find_symmetrizer([[0, 1], [1, 0]])
 
 
 class TestMutation:
