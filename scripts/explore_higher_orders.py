@@ -5,7 +5,9 @@ For a chosen pair (i, j) this expands the order-l alternating sum for
 every l and outer exponent m in a grid and reports which instances
 vanish.  In-range instances must vanish; out-of-range instances are
 evaluated with the exploratory flag and usually leave a remainder, which
-makes the admissibility boundary visible.
+makes the admissibility boundary visible.  A seed that does not load or
+an index pair that is not two distinct mutable indices prints one
+`error: ...` line to stderr and exits 2.
 """
 
 import argparse
@@ -29,7 +31,12 @@ def main():
     parser.add_argument("--max-m", type=int, default=8)
     args = parser.parse_args()
 
-    seed = load_seed(args.seed)
+    try:
+        seed = load_seed(args.seed)
+    except (ValueError, OSError) as exc:
+        parser.exit(2, f"error: {exc}\n")
+    if not (1 <= args.i <= seed.n and 1 <= args.j <= seed.n) or args.i == args.j:
+        parser.exit(2, f"error: need two distinct indices in [1, {seed.n}], got i={args.i}, j={args.j}\n")
     b = seed.b_entry(args.i, args.j)
     size = abs(b)
     print(f"b_{args.i}{args.j} = {b}; admissible: l <= {size}, m >= l*{size}")

@@ -59,6 +59,14 @@ class QLaurent:
         """The monomial q^(half/2)."""
         return cls({half: 1})
 
+    @classmethod
+    def _raw(cls, data: dict[int, int]) -> "QLaurent":
+        # Trusted constructor for kernels that build canonical term maps
+        # themselves: int keys, no zero value, and `data` is not shared.
+        out = cls.__new__(cls)
+        out._terms = data
+        return out
+
     # -- inspection ---------------------------------------------------
 
     def items(self) -> list[tuple[int, int]]:

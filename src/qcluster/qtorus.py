@@ -7,11 +7,13 @@ length m) with QLaurent coefficients, multiplied by the twist rule
 
 Exponent vectors are plain int tuples.  Elements are immutable, pinned to
 the SkewForm they were built over, and refuse cross-form arithmetic.
+`iterated_q_commutator` fuses the two products and the difference of
+each q-commutator step into a single pass.
 """
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .qarith import QLaurent, parse_qlaurent
@@ -21,6 +23,15 @@ ExpVec = Tuple[int, ...]
 
 def vec_add(left: Sequence[int], right: Sequence[int]) -> ExpVec:
     return tuple(map(add, left, right))
+
+def _int_tuple(values: Iterable[object], what: str) -> ExpVec:
+    # bool is an int subclass, but True is neither an exponent nor a form entry.
+    out = tuple(values)
+    for value in out:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{what} must be ints, got {value!r}")
+    return out
+
 
 def unit_vector(dim: int, index: int) -> ExpVec:
     """The standard basis vector e_index (1-based) in Z^dim."""
@@ -35,7 +46,7 @@ class SkewForm:
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Sequence[int]]):
-        mat = tuple(tuple(int(v) for v in row) for row in rows)
+        mat = tuple(_int_tuple(row, "skew form entries") for row in rows)
         dim = len(mat)
         for row in mat:
             if len(row) != dim:
@@ -98,7 +109,7 @@ class TorusElem:
         if terms is not None:
             items = terms.items() if hasattr(terms, "items") else terms
             for expo, coeff in items:
-                expo = tuple(int(v) for v in expo)
+                expo = _int_tuple(expo, "exponent vector entries")
                 if len(expo) != form.dim:
                     raise ValueError(
                         f"exponent vector of length {len(expo)} in a torus of dimension {form.dim}"
@@ -248,6 +259,48 @@ class TorusElem:
         return render_torus_elem(self)
 
     __repr__ = __str__
+
+
+def iterated_q_commutator(outer: TorusElem, middle: TorusElem, halves: Iterable[int], opposite: bool = False) -> TorusElem:
+    """Starting from M = middle, M <- outer*M - q^(h/2) * (M*outer) for each h in `halves`.
+
+    With `opposite` the two products trade places:
+    M*outer - q^(h/2) * (outer*M).  For a term X^f of `outer` and X^e of
+    M, p = e . (Lambda f) is the only twist: X^f * X^e = q^(-p/2) X^(e+f)
+    and X^e * X^f = q^(p/2) X^(e+f) by skew-symmetry.  So Lambda f is
+    computed once per term of `outer` for all steps, each term pair costs
+    one dot product, and each step builds one map of integer coefficient
+    maps whose zeros are dropped once at its end.  A unit coefficient of
+    `outer` needs no coefficient multiply.
+    """
+    outer._check_form(middle)
+    rows = outer.form.rows()
+    sign = -1 if opposite else 1
+    # (f, sign * Lambda f, the coefficient of X^f or None when it is 1)
+    factors = [
+        (f, tuple(sign * sum(map(mul, row, f)) for row in rows), None if a == 1 else a)
+        for f, a in outer._terms.items()
+    ]
+    terms = middle._terms
+    for half in halves:
+        data: dict[ExpVec, dict[int, int]] = {}
+        for f, lam_f, a in factors:
+            for e, c in terms.items():
+                p = sum(map(mul, e, lam_f))
+                lead, trail = -p, p + half
+                expo = vec_add(e, f)
+                acc = data.get(expo)
+                if acc is None:
+                    acc = data[expo] = {}
+                for h, v in (c if a is None else a * c)._terms.items():
+                    acc[h + lead] = acc.get(h + lead, 0) + v
+                    acc[h + trail] = acc.get(h + trail, 0) - v
+        terms = {}
+        for expo, acc in data.items():
+            coeffs = {h: v for h, v in acc.items() if v}
+            if coeffs:
+                terms[expo] = QLaurent._raw(coeffs)
+    return TorusElem._raw(outer.form, terms)
 
 
 def ordered_product(form: SkewForm, exponents: Sequence[int], order: Sequence[int] | None = None) -> TorusElem:

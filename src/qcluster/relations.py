@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .qarith import QLaurent, q_binom
-from .qtorus import TorusElem, ordered_product, vec_add
-from .seeds import QuantumSeed, is_skew_symmetrizer, mutated_variable, pos_part
+from .qtorus import ExpVec, TorusElem, iterated_q_commutator, ordered_product, vec_add
+from .seeds import QuantumSeed, _json_int, is_skew_symmetrizer, mutated_variable, pos_part
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,11 @@ class VerificationCertificate:
     ("0" on a pass).  For the alternating sums (serre, serre-opposite,
     higher, lemma-sum) `terms` is the summed term counts of the scaled
     summands c_r A^(L-r) M A^r.  The q-adjoint kernel never builds them:
-    it counts the sumset supp(M) + L*supp(A) once per summand, which is
-    exact because A and M have nonnegative coefficients, so no product
-    cancels (see `_q_adjoint`).  The commutator check reports the term count of
+    every summand has the support supp(M) + L*supp(A), which it counts
+    per line of direction f1 - f0 for the two exponents of A, as a union
+    of intervals (see `_sumset_size`).  The count is exact because A and M
+    have nonnegative coefficients, so no product cancels (see
+    `_q_adjoint`).  The commutator check reports the term count of
     y_i y_j - y_j y_i, and the power-product check the summed term counts
     of its three expansions.  `seconds` is wall time.
     """
@@ -149,9 +151,11 @@ def _q_adjoint(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: i
 
     Starting from M = middle, there is one step for each k = 0 .. steps-1,
     and step k replaces M by A*M - q^(d(first+k)) * (M*A), or by
-    M*A - q^(d(first+k)) * (A*M) when `opposite`.  Left and right multiplication by A commute as operators
-    and q is central, so by Gauss's binomial formula at Q = q^d the result
-    is the alternating sum
+    M*A - q^(d(first+k)) * (A*M) when `opposite`;
+    `qtorus.iterated_q_commutator` does each step in one pass.  Left and
+    right multiplication by A commute as operators and q is central, so
+    by Gauss's binomial formula at Q = q^d the result is the alternating
+    sum
 
         sum_r (-1)^r Q^(r(r-1)/2 + r*first) [L, r]_Q * A^(L-r) M A^r
 
@@ -169,22 +173,46 @@ def _q_adjoint(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: i
     of every summand is the sumset supp(middle) + L*supp(outer), and
     scaling by a nonzero q-binomial multiple keeps it, since
     Z[q^(1/2), q^(-1/2)] has no zero divisors.  So `terms` is the size of
-    that sumset, computed from exponent vectors alone, times L+1.
+    that sumset, counted from exponent vectors alone, times L+1 (see
+    `_sumset_size`).
     """
     for elem in (outer, middle):
         for _, coeff in elem.items():
             if any(value < 0 for _, value in coeff.items()):
                 raise ArithmeticError("q-adjoint operands need nonnegative coefficients")
-    acc = middle
-    for k in sorted(range(steps), key=lambda k: abs(first + k)):
-        left, right = outer * acc, acc * outer
-        if opposite:
-            left, right = right, left
-        acc = left + right.scale(-QLaurent.q_power(2 * d * (first + k)))
-    support, step_support = middle.support(), outer.support()
-    for _ in range(steps):
-        support = {vec_add(e, f) for e in support for f in step_support}
-    return acc, len(support) * (steps + 1)
+    halves = sorted((2 * d * (first + k) for k in range(steps)), key=abs)
+    acc = iterated_q_commutator(outer, middle, halves, opposite)
+    return acc, _sumset_size(middle.support(), outer.support(), steps) * (steps + 1)
+
+
+def _sumset_size(support: set[ExpVec], step_support: set[ExpVec], steps: int) -> int:
+    """|support + steps*step_support|, the support of each summand of `_q_adjoint`.
+
+    For a two-term outer with exponents f0 and f1 = f0 + delta the sumset
+    is steps*f0 plus the points e + t*delta, e in `support`, 0 <= t <= steps.
+    Points e and e' reach the same such point only when e' - e is an
+    integer multiple of delta, so `support` splits into cosets of Z*delta
+    keyed by e - s*delta, with s = floor(e_c / delta_c) on a coordinate c
+    where delta is nonzero.  Each coset covers the union of the integer
+    intervals [s, s + steps], counted after sorting, in O(|M| log |M|).
+    Other sizes of outer are summed in `steps` passes.
+    """
+    if len(step_support) != 2:
+        for _ in range(steps):
+            support = {vec_add(e, f) for e in support for f in step_support}
+        return len(support)
+    f0, f1 = step_support
+    delta = tuple(b - a for a, b in zip(f0, f1))
+    c = next(t for t, v in enumerate(delta) if v)
+    cosets: dict[ExpVec, list[int]] = {}
+    for e in support:
+        s = e[c] // delta[c]
+        cosets.setdefault(tuple(v - s * w for v, w in zip(e, delta)), []).append(s)
+    total = 0
+    for params in cosets.values():
+        params.sort()
+        total += steps + 1 + sum(min(steps + 1, b - a) for a, b in zip(params, params[1:]))
+    return total
 
 
 def _order_sum(seed: QuantumSeed, i: int, j: int, l: int, m_exp: int) -> tuple[TorusElem, int]:
@@ -471,13 +499,15 @@ def cartan_matrix(b: Sequence[Sequence[int]], d: Sequence[int]) -> tuple[tuple[i
     """The generalized Cartan matrix: c_ii = 2, c_ij = -|b_ij|.
 
     Shares b's skew-symmetrizer d: ValueError unless d skew-symmetrizes b,
-    and diag(d) * C symmetric is re-verified.
+    and diag(d) * C symmetric is re-verified.  Every entry of b and d must
+    be an int and not a bool (SeedFormatError, as for seed files).
     """
-    rows = tuple(tuple(int(v) for v in row) for row in b)
+    rows = tuple(tuple(_json_int(v, "b") for v in row) for row in b)
+    d = tuple(_json_int(v, "d") for v in d)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("exchange matrix must be square")
-    if not is_skew_symmetrizer(tuple(d), rows):
+    if not is_skew_symmetrizer(d, rows):
         raise ValueError("d does not skew-symmetrize the exchange matrix")
     cartan = tuple(
         tuple(2 if i == j else -abs(rows[i][j]) for j in range(n)) for i in range(n)

@@ -8,6 +8,7 @@ from qcluster.qarith import QLaurent
 from qcluster.qtorus import (
     SkewForm,
     TorusElem,
+    iterated_q_commutator,
     ordered_product,
     parse_torus_elem,
     render_torus_elem,
@@ -69,6 +70,20 @@ class TestSkewForm:
         with pytest.raises(ValueError):
             SkewForm([[0, 1, 0], [-1, 0, 0]])
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 1.5], [-1.5, 0]],
+            [[0, 2.0], [-2.0, 0]],
+            [[0, "2"], ["-2", 0]],
+            [[0, True], [-1, 0]],
+            [[False, 1], [-1, 0]],
+        ],
+    )
+    def test_rejects_non_int_entries(self, rows):
+        with pytest.raises(TypeError, match="skew form entries must be ints"):
+            SkewForm(rows)
+
     def test_pairing_bilinear_and_alternating(self):
         form = LAM4
         e = (1, -2, 0, 3)
@@ -92,6 +107,14 @@ class TestMonomials:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             TorusElem.monomial(LAM4, (1, 0, 0), 1)
+
+    @pytest.mark.parametrize(
+        "expo",
+        [(1.7, True, 0, 0), (1, True, 0, 0), (1.0, 0, 0, 0), ("1", 0, 0, 0)],
+    )
+    def test_rejects_non_int_exponents(self, expo):
+        with pytest.raises(TypeError, match="exponent vector entries must be ints"):
+            TorusElem(LAM4, {expo: 1})
 
 
 class TestLinear:
@@ -170,6 +193,35 @@ class TestTwistedProduct:
         mono = TorusElem.monomial(LAM4, e, 1)
         assert mono ** 3 == TorusElem.monomial(LAM4, (3, -3, 6, 0), 1)
         assert mono ** 0 == TorusElem.unit(LAM4)
+
+
+class TestIteratedQCommutator:
+    @given(skew_forms(3), st.data(), st.lists(st.integers(min_value=-6, max_value=6), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_products(self, form, data, halves):
+        # any coefficients, signs included: each fused step is the two
+        # products and the difference, built at once
+        outer = data.draw(elements(form))
+        middle = data.draw(elements(form))
+        left, right = middle, middle
+        for half in halves:
+            twist = QLaurent.q_power(half)
+            left = outer * left - (left * outer).scale(twist)
+            right = right * outer - (outer * right).scale(twist)
+        assert iterated_q_commutator(outer, middle, halves) == left
+        assert iterated_q_commutator(outer, middle, halves, opposite=True) == right
+
+    def test_commuting_pair_cancels(self):
+        x2, x4 = TorusElem.generator(LAM4, 2), TorusElem.generator(LAM4, 4)
+        # x2 x4 = q^(-1) x4 x2, so x2 x4 - q^(-1) x4 x2 = 0
+        assert iterated_q_commutator(x2, x4, [-2]).is_zero()
+        assert not iterated_q_commutator(x2, x4, [0]).is_zero()
+        assert iterated_q_commutator(x2, x4, []) == x4
+
+    def test_cross_form_refused(self):
+        other = SkewForm([[0, 1], [-1, 0]])
+        with pytest.raises(ValueError, match="different skew forms"):
+            iterated_q_commutator(TorusElem.unit(LAM4), TorusElem.unit(other), [0])
 
 
 class TestBar:

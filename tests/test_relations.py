@@ -1,14 +1,16 @@
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcluster.qarith import QLaurent, q_binom
 from qcluster.qtorus import SkewForm, TorusElem, ordered_product
 from qcluster.relations import (
     _q_adjoint,
+    _sumset_size,
     RelationInstance,
     commutator_check,
     commutator_witness,
@@ -25,7 +27,14 @@ from qcluster.relations import (
     witness_monomial,
     witness_scalar,
 )
-from qcluster.seeds import mutate, principal_seed, random_principal_seed
+from qcluster.seeds import (
+    SeedFormatError,
+    load_seed,
+    mutate,
+    mutated_variable,
+    principal_seed,
+    random_principal_seed,
+)
 
 COMMUTATOR_COEFF = QLaurent({3: 1, -1: -1})  # q^(3/2) - q^(-1/2)
 
@@ -164,6 +173,35 @@ class TestSandwichKernel:
         seed = principal_seed([[0, 4], [-4, 0]], (1, 1))
         cert = higher_verify(seed, 1, 2, 4, 16)
         assert (cert.ok, cert.residue, cert.terms) == (True, "0", 1620)
+
+    @pytest.mark.parametrize("m_exp, terms", [(400, 323208), (1000, 2008008)])
+    def test_long_line_instances(self, m_exp, terms):
+        # m+1 steps by y_1 of exam1: many overlapping intervals on each
+        # line of direction b_1, counted per line
+        seed = load_seed(Path(__file__).resolve().parent.parent / "fixtures" / "exam1.json")
+        cert = higher_verify(seed, 1, 2, 1, m_exp)
+        assert (cert.ok, cert.residue, cert.terms) == (True, "0", terms)
+
+    def test_cross_form_refused(self, ex1, ex3):
+        y1 = mutated_variable(ex1, 1)
+        with pytest.raises(ValueError, match="different skew forms"):
+            _q_adjoint(y1, mutated_variable(mutate(ex1, 1), 2), 1, 2, 0)
+        with pytest.raises(ValueError, match="different skew forms"):
+            _q_adjoint(y1, mutated_variable(ex3, 1), 1, 1, 0, opposite=True)
+
+    @given(sandwich_operands(), st.integers(min_value=0, max_value=6))
+    @settings(max_examples=80, deadline=None)
+    def test_sumset_size_by_lines(self, operands, steps):
+        # the per-line count against the sumset built step by step, on
+        # random two-term steps (deltas with entries of size 2 and more
+        # split a line into several cosets)
+        outer, middle, _ = operands
+        support, step_support = middle.support(), outer.support()
+        assume(len(step_support) == 2)
+        expected = support
+        for _ in range(steps):
+            expected = {tuple(a + b for a, b in zip(e, f)) for e in expected for f in step_support}
+        assert _sumset_size(support, step_support, steps) == len(expected)
 
 
 class TestOneStepVariables:
@@ -414,6 +452,21 @@ class TestCartan:
     def test_non_symmetrizable(self):
         with pytest.raises(ValueError):
             cartan_matrix([[0, 1], [1, 0]], (1, 1))
+
+    @pytest.mark.parametrize(
+        "b, d",
+        [
+            ([[0, 1.9], [-1.9, 0]], (1, 1)),
+            ([[0, 1.0], [-1.0, 0]], (1, 1)),
+            ([[0, True], [-2, 0]], (2, 1)),
+            ([[0, "1"], [-2, 0]], (2, 1)),
+            ([[0, 1], [-2, 0]], (2.0, 1)),
+            ([[0, 1], [-2, 0]], (2, True)),
+        ],
+    )
+    def test_rejects_non_int_entries(self, b, d):
+        with pytest.raises(SeedFormatError, match="must hold integers"):
+            cartan_matrix(b, d)
 
 
 class TestSuites:

@@ -22,3 +22,19 @@ def test_script_exits_zero(argv):
         [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [["--i", "1", "--j", "1"], ["--i", "1", "--j", "3"], ["--i", "3", "--j", "1"], ["--i", "0", "--j", "2"]],
+)
+def test_explore_rejects_bad_index_pair(pair):
+    # exam1 has n = 2: one error line on stderr and exit 2, no traceback
+    result = subprocess.run(
+        [sys.executable, "scripts/explore_higher_orders.py", *pair],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: need two distinct indices in [1, 2]")
+    assert len(result.stderr.splitlines()) == 1
