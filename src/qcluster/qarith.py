@@ -31,8 +31,12 @@ class QLaurent:
         if terms is not None:
             items = terms.items() if hasattr(terms, "items") else terms
             for half, coeff in items:
-                if not isinstance(half, int) or not isinstance(coeff, int):
-                    raise TypeError("half-exponents and coefficients must be ints")
+                # bool is an int subclass, but q^(True/2) is no canonical term.
+                if (type(half) is bool or type(coeff) is bool
+                        or not isinstance(half, int) or not isinstance(coeff, int)):
+                    raise TypeError(
+                        f"half-exponents and coefficients must be ints, got {half!r}: {coeff!r}"
+                    )
                 merged = data.get(half, 0) + coeff
                 if merged:
                     data[half] = merged

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .qarith import QLaurent, q_binom
 from .qtorus import ExpVec, TorusElem, iterated_q_commutator, ordered_product, vec_add
-from .seeds import QuantumSeed, _json_int, is_skew_symmetrizer, mutated_variable, pos_part
+from .seeds import QuantumSeed, _json_int, is_skew_symmetrizer, pos_part
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,6 @@ class RelationInstance:
 
 
 # -- small helpers -----------------------------------------------------------
-
-
-def _require_principal(seed: QuantumSeed) -> None:
-    if not seed.is_principal:
-        raise ValueError("seed is not principal (m = 2n with identity coefficient block)")
 
 
 def _require_pair(seed: QuantumSeed, i: int, j: int) -> None:
@@ -215,24 +210,28 @@ def _sumset_size(support: set[ExpVec], step_support: set[ExpVec], steps: int) ->
     return total
 
 
-def _order_sum(seed: QuantumSeed, i: int, j: int, l: int, m_exp: int) -> tuple[TorusElem, int]:
-    """sum_r +/- [m+1, r] y_i^(m+1-r) y_j^l y_i^r at base q^(d_i).
+def _order_sum(seed: QuantumSeed, ys: Sequence[TorusElem], i: int, j: int, l: int, m_exp: int) -> tuple[TorusElem, int]:
+    """sum_r +/- [m+1, r] y_i^(m+1-r) y_j^l y_i^r at base q^(d_i), from ys = y_1 .. y_n.
 
     The twist is q^(d_i * r(r-1)/2), times q^(-d_i * r * m) when b_ij > 0:
     m+1 q-commutator steps, the first at q^(-d_i * m) when b_ij > 0.
     """
     first = -m_exp if seed.b_entry(i, j) > 0 else 0
-    y_i, y_j = mutated_variable(seed, i), mutated_variable(seed, j)
-    return _q_adjoint(y_i, y_j ** l, seed.d[i - 1], m_exp + 1, first)
+    return _q_adjoint(ys[i - 1], ys[j - 1] ** l, seed.d[i - 1], m_exp + 1, first)
 
 
 # -- one-step variables ------------------------------------------------------
 
 
-def one_step_variables(seed: QuantumSeed) -> list[TorusElem]:
-    """y_1, ..., y_n: every one-step mutated variable over the initial form."""
-    _require_principal(seed)
-    return [mutated_variable(seed, k) for k in range(1, seed.n + 1)]
+def one_step_variables(seed: QuantumSeed) -> tuple[TorusElem, ...]:
+    """y_1, ..., y_n of a principal seed over its form (ValueError otherwise).
+
+    Derived once per seed (`QuantumSeed.one_step`); every check takes its
+    operands from here.
+    """
+    if not seed.is_principal:
+        raise ValueError("seed is not principal (m = 2n with identity coefficient block)")
+    return seed.one_step
 
 
 # -- commutator closed form --------------------------------------------------
@@ -297,10 +296,9 @@ def commutator_witness(seed: QuantumSeed, i: int, j: int) -> TorusElem:
 def commutator_check(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
     """Compare y_i y_j - y_j y_i against its closed-form witness."""
     started = time.perf_counter()
-    _require_principal(seed)
+    ys = one_step_variables(seed)
     _require_pair(seed, i, j)
-    y_i = mutated_variable(seed, i)
-    y_j = mutated_variable(seed, j)
+    y_i, y_j = ys[i - 1], ys[j - 1]
     commutator = y_i * y_j - y_j * y_i
     residue = commutator - commutator_witness(seed, i, j)
     terms = commutator.term_count()
@@ -340,14 +338,14 @@ def power_product_check(seed: QuantumSeed, i: int, t: int, side: str = "left") -
     the q-binomial expansion.
     """
     started = time.perf_counter()
-    _require_principal(seed)
+    ys = one_step_variables(seed)
     if not 1 <= i <= seed.n:
         raise ValueError(f"index i={i} out of range [1, {seed.n}]")
     if t < 1:
         raise ValueError(f"power t must be >= 1, got {t}")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    y_i = mutated_variable(seed, i)
+    y_i = ys[i - 1]
     x_i = _gen_power(seed, i, 1)
     brute = (y_i ** t) * (x_i ** t) if side == "left" else (x_i ** t) * (y_i ** t)
     product_form = TorusElem.unit(seed.form)
@@ -380,7 +378,7 @@ def lemma_sum_check(
     Requires b_ij != 0.
     """
     started = time.perf_counter()
-    _require_principal(seed)
+    ys = one_step_variables(seed)
     _require_pair(seed, i, j)
     if variant not in ("L32", "L41"):
         raise ValueError(f"variant must be 'L32' or 'L41', got {variant!r}")
@@ -419,49 +417,43 @@ def lemma_sum_check(
     # so the sum is m q-commutator steps, the first at Q^(step - m) when
     # b_ij > 0 and at Q^0 otherwise.
     first = step - m_exp if b > 0 else 0
-    y_i = mutated_variable(seed, i)
-    total, terms = _q_adjoint(y_i, _gen_power(seed, i, step - 1), seed.d[i - 1], m_exp, first)
+    total, terms = _q_adjoint(ys[i - 1], _gen_power(seed, i, step - 1), seed.d[i - 1], m_exp, first)
     return _certify("lemma-sum", params, total, terms, started)
 
 
 # -- fundamental (quantum Serre-type) relations ------------------------------
 
 
-def _cartan_entry(seed: QuantumSeed, i: int, j: int) -> int:
-    return cartan_matrix(seed.exchange.principal_part(), seed.d)[i - 1][j - 1]
-
-
 def serre_verify(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
     """The quantum Serre relation (ad_q y_i)^(1-c_ij)(y_j) = 0.
 
-    c_ij = -|b_ij| is the Cartan entry, so this is the order-1 relation
-    at outer exponent |b_ij|: 1 - c_ij q-commutator steps at base
-    q^(d_i), the twist of step k being q^(d_i * k) for b_ij <= 0 and
-    q^(d_i * (k - b_ij)) for b_ij > 0.
+    With c_ij = -|b_ij| this is the order-1 relation at outer exponent
+    |b_ij|: 1 - c_ij = 1 + |b_ij| q-commutator steps at base q^(d_i), the
+    twist of step k being q^(d_i * k) for b_ij <= 0 and
+    q^(d_i * (k - b_ij)) for b_ij > 0, on operands derived once per seed.
     """
     started = time.perf_counter()
-    _require_principal(seed)
+    ys = one_step_variables(seed)
     _require_pair(seed, i, j)
-    total, terms = _order_sum(seed, i, j, 1, -_cartan_entry(seed, i, j))
+    total, terms = _order_sum(seed, ys, i, j, 1, abs(seed.b_entry(i, j)))
     return _certify("serre", (("i", i), ("j", j)), total, terms, started)
 
 
 def serre_verify_opposite(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
     """The reversed-side relation sum_r +/- [b_ji+1, r] y_j^r y_i y_j^(b_ji+1-r).
 
-    The right q-adjoint action of y_j, 1 - c_ji = b_ji + 1 steps at base
-    q^(d_j).  Obtained from the b_ij > 0 relation through the bar
-    involution; requires b_ij <= 0 (so b_ji >= 0).
+    The right q-adjoint action of y_j, 1 - c_ji = 1 + |b_ji| steps at base
+    q^(d_j), on operands derived once per seed.  Obtained from the b_ij > 0
+    relation through the bar involution; requires b_ij <= 0 (so b_ji >= 0).
     """
     started = time.perf_counter()
-    _require_principal(seed)
+    ys = one_step_variables(seed)
     _require_pair(seed, i, j)
     b_ij = seed.b_entry(i, j)
     if b_ij > 0:
         raise ValueError(f"reversed-side relation needs b_ij <= 0, got b_ij={b_ij}")
-    steps = 1 - _cartan_entry(seed, j, i)
-    y_i, y_j = mutated_variable(seed, i), mutated_variable(seed, j)
-    total, terms = _q_adjoint(y_j, y_i, seed.d[j - 1], steps, 0, opposite=True)
+    steps = 1 + abs(seed.b_entry(j, i))
+    total, terms = _q_adjoint(ys[j - 1], ys[i - 1], seed.d[j - 1], steps, 0, opposite=True)
     return _certify("serre-opposite", (("i", i), ("j", j)), total, terms, started)
 
 
@@ -480,14 +472,14 @@ def higher_verify(
     expanded anyway and its remainder reported without any expectation.
     """
     started = time.perf_counter()
-    _require_principal(seed)
+    ys = one_step_variables(seed)
     if exploratory:
         _require_pair(seed, i, j)
         if l < 1 or m_exp < 0:
             raise ValueError("even exploratory instances need l >= 1 and m_exp >= 0")
     else:
         RelationInstance(seed, i, j, l, m_exp)
-    total, terms = _order_sum(seed, i, j, l, m_exp)
+    total, terms = _order_sum(seed, ys, i, j, l, m_exp)
     params = (("i", i), ("j", j), ("l", l), ("m", m_exp))
     return _certify("higher", params, total, terms, started, exploratory=exploratory)
 
@@ -499,8 +491,9 @@ def cartan_matrix(b: Sequence[Sequence[int]], d: Sequence[int]) -> tuple[tuple[i
     """The generalized Cartan matrix: c_ii = 2, c_ij = -|b_ij|.
 
     Shares b's skew-symmetrizer d: ValueError unless d skew-symmetrizes b,
-    and diag(d) * C symmetric is re-verified.  Every entry of b and d must
-    be an int and not a bool (SeedFormatError, as for seed files).
+    which makes diag(d) * C symmetric.  Every entry of b and d must be an
+    int and not a bool (SeedFormatError, as for seed files).  The checks
+    read their step counts 1 - c_ij = 1 + |b_ij| from the seed instead.
     """
     rows = tuple(tuple(_json_int(v, "b") for v in row) for row in b)
     d = tuple(_json_int(v, "d") for v in d)
@@ -509,26 +502,21 @@ def cartan_matrix(b: Sequence[Sequence[int]], d: Sequence[int]) -> tuple[tuple[i
         raise ValueError("exchange matrix must be square")
     if not is_skew_symmetrizer(d, rows):
         raise ValueError("d does not skew-symmetrize the exchange matrix")
-    cartan = tuple(
+    return tuple(
         tuple(2 if i == j else -abs(rows[i][j]) for j in range(n)) for i in range(n)
     )
-    for i in range(n):
-        for j in range(n):
-            if d[i] * cartan[i][j] != d[j] * cartan[j][i]:
-                raise ArithmeticError(f"Cartan symmetrization failed at ({i + 1}, {j + 1})")
-    return cartan
 
 
 def quantum_group_suite(seed: QuantumSeed) -> list[VerificationCertificate]:
     """Both defining-relation families on the images E_k -> y_k.
 
     For every ordered pair (i, j) the quantum Serre relation
-    (ad_q y_i)^(1-c_ij)(y_j) = 0 is checked, with c_ij from
-    `cartan_matrix`, plus the reversed-side relation whenever b_ij <= 0.
-    Together they make E_k -> y_k a homomorphism from the positive part
-    of the quantum group of that Cartan matrix.
+    (ad_q y_i)^(1-c_ij)(y_j) = 0 is checked, with c_ij = -|b_ij|, plus the
+    reversed-side relation whenever b_ij <= 0, all on the y_k derived once
+    per seed.  Together they make E_k -> y_k a homomorphism from the
+    positive part of the quantum group of that Cartan matrix.
     """
-    _require_principal(seed)
+    one_step_variables(seed)  # the principal check, even when n = 1 gives no pair
     certificates = []
     for i in range(1, seed.n + 1):
         for j in range(1, seed.n + 1):
@@ -540,36 +528,22 @@ def quantum_group_suite(seed: QuantumSeed) -> list[VerificationCertificate]:
     return certificates
 
 
-def default_higher_instances(seed: QuantumSeed) -> list[RelationInstance]:
-    """Every (i, j, l, l*|b_ij|) with b_ij != 0 and 1 <= l <= |b_ij|."""
-    out = []
-    for i in range(1, seed.n + 1):
-        for j in range(1, seed.n + 1):
-            if i == j or seed.b_entry(i, j) == 0:
-                continue
-            size = abs(seed.b_entry(i, j))
-            for l in range(1, size + 1):
-                out.append(RelationInstance(seed, i, j, l, l * size))
-    return out
-
-
 def full_suite(seed: QuantumSeed) -> list[VerificationCertificate]:
     """The relation suite: all direct and reversed-side relations plus the
     higher-order instances at their minimal admissible outer exponents.
 
-    The l = 1 instance at m = |b_ij| is the Serre sum itself, so its
-    certificate is the pair's `serre` certificate relabelled, not a second
-    expansion; its `seconds` is the time of that shared expansion.
+    Those are (i, j, l, l*|b_ij|) with b_ij != 0 and 1 <= l <= |b_ij|.
+    The l = 1 instance is the Serre sum itself, so its certificate is the
+    pair's `serre` certificate relabelled, not a second expansion; its
+    `seconds` is the time of that shared expansion.
     """
     certificates = quantum_group_suite(seed)
-    serre = {c.params: c for c in certificates if c.check == "serre"}
-    for instance in default_higher_instances(seed):
-        pair = (("i", instance.i), ("j", instance.j))
-        if instance.l == 1:
-            params = pair + (("l", 1), ("m", instance.m_exp))
-            certificates.append(replace(serre[pair], check="higher", params=params))
-        else:
-            certificates.append(
-                higher_verify(seed, instance.i, instance.j, instance.l, instance.m_exp)
-            )
+    for serre in [c for c in certificates if c.check == "serre"]:
+        (_, i), (_, j) = serre.params
+        size = abs(seed.b_entry(i, j))
+        if size:
+            params = serre.params + (("l", 1), ("m", size))
+            certificates.append(replace(serre, check="higher", params=params))
+        for l in range(2, size + 1):
+            certificates.append(higher_verify(seed, i, j, l, l * size))
     return certificates

@@ -12,6 +12,7 @@ Indices in the public API are 1-based, matching the usual notation
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ class SeedFormatError(ValueError):
 
 
 def _freeze_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    return tuple(tuple(row) for row in rows)
 
 
 def pos_part(value: int) -> int:
@@ -38,7 +39,7 @@ def pos_part(value: int) -> int:
 
 @dataclass(frozen=True)
 class ExchangeMatrix:
-    """An m x n integer matrix whose columns drive mutation."""
+    """An m x n matrix of ints (bool excluded) whose columns drive mutation."""
 
     btilde: Matrix
     n: int
@@ -49,6 +50,9 @@ class ExchangeMatrix:
             raise SeedFormatError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
         if len(self.btilde) != self.m or any(len(row) != self.n for row in self.btilde):
             raise SeedFormatError(f"btilde must be {self.m}x{self.n}")
+        for row in self.btilde:
+            for value in row:
+                _json_int(value, "btilde")
 
     def entry(self, i: int, j: int) -> int:
         """b_{ij} with 1-based indices, i in [1, m], j in [1, n]."""
@@ -78,7 +82,8 @@ class QuantumSeed:
     """The triple (labels, Lambda, Btilde) with its skew-symmetrizer D.
 
     Every seed is a compatible pair: construction raises SeedFormatError
-    unless Btilde^T * Lambda = [D 0].
+    unless Btilde^T * Lambda = [D 0].  `is_principal` and the one-step
+    variables `one_step` are derived once, on first use.
     """
 
     form: SkewForm
@@ -92,7 +97,9 @@ class QuantumSeed:
             raise SeedFormatError(
                 f"lambda is {self.form.dim}x{self.form.dim} but btilde has m={m} rows"
             )
-        if len(self.d) != n or any(not isinstance(v, int) or v <= 0 for v in self.d):
+        for value in self.d:
+            _json_int(value, "d")
+        if len(self.d) != n or any(v <= 0 for v in self.d):
             raise SeedFormatError("d must be a length-n vector of positive integers")
         if not is_skew_symmetrizer(self.d, self.exchange.principal_part()):
             raise SeedFormatError("d does not skew-symmetrize the principal part")
@@ -113,7 +120,7 @@ class QuantumSeed:
     def b_entry(self, i: int, j: int) -> int:
         return self.exchange.entry(i, j)
 
-    @property
+    @functools.cached_property
     def is_principal(self) -> bool:
         """m = 2n with the coefficient block equal to the identity."""
         if self.m != 2 * self.n:
@@ -124,6 +131,11 @@ class QuantumSeed:
             for i in range(self.n)
             for j in range(self.n)
         )
+
+    @functools.cached_property
+    def one_step(self) -> tuple[TorusElem, ...]:
+        """y_1, ..., y_n over this seed's form, each built by `mutated_variable`."""
+        return tuple(mutated_variable(self, k) for k in range(1, self.n + 1))
 
     def generator(self, index: int) -> TorusElem:
         """x_index as a torus element over this seed's form (1-based)."""
@@ -236,7 +248,11 @@ def mutated_variable(seed: QuantumSeed, k: int) -> TorusElem:
     base = tuple(-1 if t == k - 1 else 0 for t in range(m))
     plus = tuple(base[t] + pos_part(column[t]) for t in range(m))
     minus = tuple(base[t] + pos_part(-column[t]) for t in range(m))
-    return TorusElem(seed.form, {plus: QLaurent.one(), minus: QLaurent.one()})
+    # Seed entries are ints, so the exponents are canonical; a zero column
+    # merges the two terms.
+    if plus == minus:
+        return TorusElem._raw(seed.form, {plus: QLaurent.from_int(2)})
+    return TorusElem._raw(seed.form, {plus: QLaurent.one(), minus: QLaurent.one()})
 
 
 def random_principal_seed(rng: random.Random, n: int, max_entry: int = 3, max_d: int = 3) -> QuantumSeed:

@@ -118,6 +118,12 @@ class TestRingBasics:
         assert 2 * QLaurent.one() + 1 == QLaurent({0: 3})
         assert at_one(QLaurent({2: 1}) - 1) == 0
 
+    @pytest.mark.parametrize("terms", [{True: 1}, {0: True}, {False: -2}, [(1, False)]])
+    def test_rejects_bool_terms(self, terms):
+        # QLaurent({True: 1}) once rendered as q^(True/2), which does not parse
+        with pytest.raises(TypeError, match="half-exponents and coefficients must be ints"):
+            QLaurent(terms)
+
     @pytest.mark.parametrize("value", [0, 1, 5, -1, -7, 2**70])
     def test_constant_hashes_like_its_int(self, value):
         const = QLaurent.from_int(value)

@@ -1,11 +1,13 @@
 import hashlib
 import random
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcluster import relations, seeds
 from qcluster.qarith import QLaurent, q_binom
 from qcluster.qtorus import SkewForm, TorusElem, ordered_product
 from qcluster.relations import (
@@ -15,7 +17,6 @@ from qcluster.relations import (
     commutator_check,
     commutator_witness,
     cartan_matrix,
-    default_higher_instances,
     full_suite,
     higher_verify,
     lemma_sum_check,
@@ -189,15 +190,17 @@ class TestSandwichKernel:
         with pytest.raises(ValueError, match="different skew forms"):
             _q_adjoint(y1, mutated_variable(ex3, 1), 1, 1, 0, opposite=True)
 
-    @given(sandwich_operands(), st.integers(min_value=0, max_value=6))
+    @given(sandwich_operands(), st.integers(min_value=0, max_value=6), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_sumset_size_by_lines(self, operands, steps):
+    def test_sumset_size_by_lines(self, operands, steps, data):
         # the per-line count against the sumset built step by step, on
         # random two-term steps (deltas with entries of size 2 and more
-        # split a line into several cosets)
-        outer, middle, _ = operands
-        support, step_support = middle.support(), outer.support()
-        assume(len(step_support) == 2)
+        # split a line into several cosets); the step support is drawn with
+        # exactly two terms, so no example is discarded
+        _, middle, _ = operands
+        support = middle.support()
+        expo = st.tuples(*[st.integers(min_value=-2, max_value=2)] * middle.form.dim)
+        step_support = data.draw(st.sets(expo, min_size=2, max_size=2))
         expected = support
         for _ in range(steps):
             expected = {tuple(a + b for a, b in zip(e, f)) for e in expected for f in step_support}
@@ -432,6 +435,16 @@ class TestHigher:
 
 
 class TestCartan:
+    def test_symmetrized_by_d(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            seed = random_principal_seed(rng, rng.choice([2, 3, 4]))
+            d = seed.d
+            cartan = cartan_matrix(seed.exchange.principal_part(), d)
+            for i in range(seed.n):
+                for j in range(seed.n):
+                    assert d[i] * cartan[i][j] == d[j] * cartan[j][i]
+
     def test_rank2(self):
         assert cartan_matrix([[0, 1], [-2, 0]], (2, 1)) == ((2, -1), (-2, 2))
 
@@ -487,8 +500,8 @@ class TestSuites:
         assert all(c.ok for c in certs)
 
     def test_default_higher_instances(self, ex1):
-        instances = default_higher_instances(ex1)
-        assert [(it.i, it.j, it.l, it.m_exp) for it in instances] == [
+        higher = [dict(c.params) for c in full_suite(ex1) if c.check == "higher"]
+        assert [(h["i"], h["j"], h["l"], h["m"]) for h in higher] == [
             (1, 2, 1, 1),
             (2, 1, 1, 2),
             (2, 1, 2, 4),
@@ -513,6 +526,40 @@ class TestSuites:
         assert '"check": "serre"' in record and '"ok": true' in record
         timed = cert.render(timings=True)
         assert "s]" in timed
+
+
+class TestOneStepDerivedOnce:
+    @pytest.mark.parametrize("name, variables", [("exam1.json", 2), ("exam3.json", 3)])
+    def test_full_suite_builds_each_variable_once(self, monkeypatch, name, variables):
+        originals = {
+            "mutated_variable": seeds.mutated_variable,
+            "cartan_matrix": relations.cartan_matrix,
+        }
+        counts = dict.fromkeys(originals, 0)
+        for attr, original in originals.items():
+
+            def counting(*args, attr=attr, original=original):
+                counts[attr] += 1
+                return original(*args)
+
+            # Rebind every module-level reference, so that a module holding
+            # its own import of the function is counted too.
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "qcluster" and vars(module).get(attr) is original:
+                    monkeypatch.setattr(module, attr, counting)
+        seed = load_seed(Path(__file__).resolve().parent.parent / "fixtures" / name)
+        assert all(c.ok for c in full_suite(seed))
+        assert counts == {"mutated_variable": variables, "cartan_matrix": 0}
+
+    def test_variables_unchanged_by_the_suite(self):
+        rng = random.Random(23)
+        for n in (2, 3, 4):
+            for _ in range(3):
+                seed = random_principal_seed(rng, n, max_entry=2, max_d=2)
+                full_suite(seed)
+                assert seed.one_step == tuple(
+                    mutated_variable(seed, k) for k in range(1, n + 1)
+                )
 
 
 class TestReductionStepSupport:

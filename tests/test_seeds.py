@@ -122,6 +122,11 @@ class TestCompatibility:
                 d=ex1.d,
             )
 
+    @pytest.mark.parametrize("d", [(2, True), (2.0, 1), (True, 1)])
+    def test_rejects_non_int_d(self, ex1, d):
+        with pytest.raises(SeedFormatError, match="field 'd' must hold integers"):
+            QuantumSeed(ex1.form, ex1.exchange, d=d)
+
     def test_symmetrizer_helpers(self):
         assert is_skew_symmetrizer((2, 1), EX1_B)
         assert not is_skew_symmetrizer((1, 1), EX1_B)
@@ -309,3 +314,9 @@ class TestExchangeMatrix:
             ExchangeMatrix(((0, 1), (-1, 0)), n=2, m=3)
         with pytest.raises(SeedFormatError):
             ExchangeMatrix(((0, 1), (-1, 0)), n=3, m=2)
+
+    @pytest.mark.parametrize("entry", [1.0, True, "1"])
+    def test_rejects_non_int_entries(self, entry):
+        # 1.0 and True once built a valid seed with exam1's form
+        with pytest.raises(SeedFormatError, match="field 'btilde' must hold integers"):
+            ExchangeMatrix(((0, entry), (-2, 0), (1, 0), (0, 1)), n=2, m=4)
