@@ -93,8 +93,9 @@ def _vandermonde(n: int, d: int, k: int) -> tuple[QLaurent, QLaurent]:
 
 def _pascal(n: int, r: int, d: int) -> tuple[QLaurent, QLaurent]:
     lhs = q_binom(n + 1, r, d)
-    first = q_binom(n, r, d) + QLaurent.q_power(2 * d * (n + 1 - r)) * q_binom(n, r - 1, d)
-    second = QLaurent.q_power(2 * d * r) * q_binom(n, r, d) + q_binom(n, r - 1, d)
+    upper, lower = q_binom(n, r, d), q_binom(n, r - 1, d)
+    first = upper + QLaurent.q_power(2 * d * (n + 1 - r)) * lower
+    second = QLaurent.q_power(2 * d * r) * upper + lower
     if first != second:
         # Return an unequal pair so a broken recurrence fails the check.
         return first, second
@@ -109,7 +110,7 @@ def _reversal(n: int, d: int) -> tuple[QLaurent, QLaurent]:
 
 def _symmetry(n: int, r: int, d: int) -> tuple[QLaurent, QLaurent]:
     lhs = q_binom(n, r, d)
-    rhs = QLaurent.q_power(2 * d * r * (n - r)) * q_binom(n, r, d).bar()
+    rhs = QLaurent.q_power(2 * d * r * (n - r)) * lhs.bar()
     return lhs, rhs
 
 

@@ -11,7 +11,9 @@ silently overflow.
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache
+from math import comb
 from typing import Iterable, Mapping, Tuple, Union
 
 TermSource = Union[Mapping[int, int], Iterable[Tuple[int, int]], None]
@@ -126,15 +128,25 @@ class QLaurent:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        data: dict[int, int] = {}
-        for ha, ca in self._terms.items():
-            for hb, cb in other._terms.items():
-                half = ha + hb
-                merged = data.get(half, 0) + ca * cb
-                if merged:
-                    data[half] = merged
-                else:
-                    del data[half]
+        terms_a, terms_b = self._terms, other._terms
+        if len(terms_b) == 1:
+            terms_a, terms_b = terms_b, terms_a
+        if len(terms_a) == 1:
+            # A monomial c0 q^(h0/2) times anything: a shift and a scale.
+            # c0 * c is nonzero for nonzero c and the shift is injective, so
+            # the map stays canonical without a merge.
+            ((h0, c0),) = terms_a.items()
+            data = {h0 + half: c0 * coeff for half, coeff in terms_b.items()}
+        else:
+            data = {}
+            for ha, ca in terms_a.items():
+                for hb, cb in terms_b.items():
+                    half = ha + hb
+                    merged = data.get(half, 0) + ca * cb
+                    if merged:
+                        data[half] = merged
+                    else:
+                        del data[half]
         out = QLaurent.__new__(QLaurent)
         out._terms = data
         return out
@@ -329,29 +341,59 @@ def q_int(n: int, d: int = 1) -> QLaurent:
     return _q_int_base(n).scale_exponents(d)
 
 
-_Q_BINOM_TABLE: dict[tuple[int, int], QLaurent] = {}
+# A Gaussian binomial [k, s] = sum_j c_j q^j is stored packed, as the one
+# int sum_j c_j 2^(W j): its value at q = 2^W.  Packing is a ring map, so the
+# Pascal recurrence [k, s] = [k-1, s] + q^(k-s) [k-1, s-1] becomes
+# P[k, s] = P[k-1, s] + (P[k-1, s-1] << W (k-s)) on plain ints.
+#
+# Why decoding is exact: every coefficient of [k, s] is a nonnegative integer
+# (it counts partitions of j into at most s parts of size at most k-s), and
+# they sum to C(k, s), so each is at most C(k, s).  The fill for (n, r) only
+# touches entries with s <= r and k-s <= n-r, and C(k, s) grows in both s and
+# k-s, so each has C(k, s) <= C(n, r).  With 2^W > C(n, r) no W-bit slot ever
+# carries into the next, and reading the slots back as unsigned W-bit
+# integers returns the coefficients.  Every coefficient in degrees
+# 0 .. s(k-s) is positive, so the decoded term map has no zero value.
+#
+# W is 64 whenever C(n, r) < 2^64, which covers every n <= 67; a larger
+# request rounds its bit length up to a multiple of 64.  Entries are keyed
+# by (W, k, s): each width has its own table, and every entry in it obeys
+# C(k, s) < 2^W whichever request filled it.
+_SLOT_BITS = 64
+_Q_BINOM_TABLE: dict[tuple[int, int, int], int] = {}
 
 
-def _fill_q_binom_table(n: int, r: int) -> QLaurent:
-    # Pascal recurrence [k, s] = [k-1, s] + q^(k-s) [k-1, s-1]; no division.
+def _fill_q_binom_table(n: int, r: int, width: int) -> int:
     # The table is filled row by row, bottom-up, over exactly the entries a
     # memoized recursion from (n, r) would compute, so no call recurses.
     table = _Q_BINOM_TABLE
 
-    def entry(k: int, s: int) -> QLaurent:
-        return _ONE if s == 0 or s == k else table[k, s]
+    def entry(k: int, s: int) -> int:
+        return 1 if s == 0 or s == k else table[width, k, s]
 
     rows = []
     missing = {r}
     k = n
     while missing:
         rows.append((k, missing))
-        missing = {t for s in missing for t in (s, s - 1) if 0 < t < k - 1 and (k - 1, t) not in table}
+        missing = {t for s in missing for t in (s, s - 1) if 0 < t < k - 1 and (width, k - 1, t) not in table}
         k -= 1
     for k, columns in reversed(rows):
         for s in columns:
-            table[k, s] = entry(k - 1, s) + entry(k - 1, s - 1).shift(2 * (k - s))
-    return table[n, r]
+            table[width, k, s] = entry(k - 1, s) + (entry(k - 1, s - 1) << width * (k - s))
+    return table[width, n, r]
+
+
+def _decode_q_binom(packed: int, width: int, count: int, d: int) -> QLaurent:
+    # Slot j of `packed` is the coefficient of q^(d j), half-exponent 2 d j.
+    if width == _SLOT_BITS:
+        coeffs = memoryview(packed.to_bytes(8 * count, sys.byteorder)).cast("Q")
+    else:
+        size = width // 8
+        raw = packed.to_bytes(size * count, "little")
+        coeffs = [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+    step = 2 * d
+    return QLaurent._raw(dict(zip(range(0, step * count, step), coeffs)))
 
 
 def q_binom(n: int, r: int, d: int = 1) -> QLaurent:
@@ -365,7 +407,9 @@ def q_binom(n: int, r: int, d: int = 1) -> QLaurent:
         return QLaurent.zero()
     if r == 0 or r == n:
         return _ONE
-    base = _Q_BINOM_TABLE.get((n, r))
-    if base is None:
-        base = _fill_q_binom_table(n, r)
-    return base.scale_exponents(d)
+    width = _SLOT_BITS
+    packed = _Q_BINOM_TABLE.get((width, n, r))
+    if packed is None:
+        width = _SLOT_BITS * -(-comb(n, r).bit_length() // _SLOT_BITS)
+        packed = _Q_BINOM_TABLE.get((width, n, r)) or _fill_q_binom_table(n, r, width)
+    return _decode_q_binom(packed, width, r * (n - r) + 1, d)

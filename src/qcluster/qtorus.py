@@ -229,8 +229,10 @@ class TorusElem:
     def __pow__(self, exponent: int) -> "TorusElem":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("torus powers need a nonnegative integer exponent")
-        acc = TorusElem.unit(self.form)
-        for _ in range(exponent):
+        if not exponent:
+            return TorusElem.unit(self.form)
+        acc = self
+        for _ in range(exponent - 1):
             acc = acc * self
         return acc
 

@@ -46,6 +46,9 @@ class ExchangeMatrix:
     m: int
 
     def __post_init__(self):
+        # Rows passed as lists would leave the matrix unhashable and unequal
+        # to the same matrix given as tuples.
+        object.__setattr__(self, "btilde", _freeze_matrix(self.btilde))
         if self.n < 1 or self.m < self.n:
             raise SeedFormatError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
         if len(self.btilde) != self.m or any(len(row) != self.n for row in self.btilde):
@@ -92,6 +95,8 @@ class QuantumSeed:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "d", tuple(self.d))
+        object.__setattr__(self, "labels", tuple(self.labels))
         n, m = self.exchange.n, self.exchange.m
         if self.form.dim != m:
             raise SeedFormatError(

@@ -1,10 +1,12 @@
 import sys
+import tracemalloc
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcluster import qarith
 from qcluster.qarith import (
     QLaurent,
     parse_qlaurent,
@@ -81,6 +83,35 @@ def q_binom_factorial(n, r, d=1):
     numerator = q_factorial(n)
     denominator = q_factorial(r) * q_factorial(n - r)
     return exact_div(numerator, denominator).scale_exponents(d)
+
+
+def factorial_quotient_row(n):
+    """Coefficient lists of [n choose r] for r = 0..n, from [n]! / ([r]! [n-r]!).
+
+    Consecutive quotients differ by [n-r+1] / [r] = (1 - q^(n-r+1)) / (1 - q^r),
+    so each entry is the one before times 1 - q^(n-r+1), divided exactly by
+    1 - q^r.  Shares no code with the Pascal table behind q_binom and, on
+    plain lists, is fast enough for every n up to 70.
+    """
+    row = [[1]]
+    for r in range(1, n + 1):
+        a = n - r + 1
+        numerator = row[-1] + [0] * a
+        for i, c in enumerate(row[-1]):
+            numerator[i + a] -= c
+        quotient = []
+        for i in range(len(numerator) - r):
+            quotient.append(numerator[i] + (quotient[i - r] if i >= r else 0))
+        for i in range(len(numerator) - r, len(numerator)):
+            if numerator[i] + (quotient[i - r] if i >= r else 0):
+                raise ArithmeticError("factorial quotient does not divide exactly")
+        row.append(quotient)
+    return row
+
+
+def from_coefficients(coeffs, d):
+    """sum_j coeffs[j] q^(d j)."""
+    return QLaurent({2 * d * j: c for j, c in enumerate(coeffs)})
 
 
 qlaurents = st.dictionaries(
@@ -250,6 +281,42 @@ class TestQBinom:
         for n in range(9):
             for r in range(n + 1):
                 assert q_binom(n, r, d) == q_binom_factorial(n, r, d)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_factorial_quotient_across_slot_widths(self, d):
+        # C(68, 34) is the first binomial past 2^64, so rows 68..70 hold
+        # entries decoded from 128-bit slots.
+        for n in range(71):
+            for r, coeffs in enumerate(factorial_quotient_row(n)):
+                assert q_binom(n, r, d) == from_coefficients(coeffs, d)
+
+    def test_independent_of_call_order(self, monkeypatch):
+        # (70, 35) needs 128-bit slots, (60, 30) fits in 64-bit ones.
+        expected = {
+            (70, 35): from_coefficients(factorial_quotient_row(70)[35], 1),
+            (60, 30): from_coefficients(factorial_quotient_row(60)[30], 1),
+        }
+        for order in ([(70, 35), (60, 30)], [(60, 30), (70, 35)]):
+            monkeypatch.setattr(qarith, "_Q_BINOM_TABLE", {})
+            for n, r in order:
+                assert q_binom(n, r) == expected[n, r]
+
+    def test_table_for_rows_to_60_is_small(self, monkeypatch):
+        # Row 60 needs every entry of rows 0..60.  That table took 37.5 MiB
+        # as term maps; packed it takes about 4.8 MiB.
+        monkeypatch.setattr(qarith, "_Q_BINOM_TABLE", {})
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for r in range(61):
+                q_binom(60, r)
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert size < 8 * 2**20
 
     def test_at_one_is_ordinary_binomial(self):
         from math import comb

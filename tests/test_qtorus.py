@@ -194,6 +194,20 @@ class TestTwistedProduct:
         assert mono ** 3 == TorusElem.monomial(LAM4, (3, -3, 6, 0), 1)
         assert mono ** 0 == TorusElem.unit(LAM4)
 
+    def test_power_takes_one_product_fewer(self, monkeypatch):
+        x = TorusElem(LAM4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): QLaurent.q_power(1)})
+        expected = x * x * x
+        calls = []
+        real_mul = TorusElem.__mul__
+
+        def counting_mul(a, b):
+            calls.append(b)
+            return real_mul(a, b)
+
+        monkeypatch.setattr(TorusElem, "__mul__", counting_mul)
+        assert x ** 1 is x and not calls
+        assert x ** 3 == expected and len(calls) == 2
+
 
 class TestIteratedQCommutator:
     @given(skew_forms(3), st.data(), st.lists(st.integers(min_value=-6, max_value=6), max_size=3))

@@ -127,6 +127,13 @@ class TestCompatibility:
         with pytest.raises(SeedFormatError, match="field 'd' must hold integers"):
             QuantumSeed(ex1.form, ex1.exchange, d=d)
 
+    def test_list_fields_are_frozen(self, ex1):
+        # A list d (or labels) was once kept as is: the seed compared unequal
+        # to ex1 and raised TypeError on hash.
+        seed = QuantumSeed(ex1.form, ex1.exchange, d=list(ex1.d), labels=list(ex1.labels))
+        assert seed.d == ex1.d and seed.labels == ex1.labels
+        assert seed == ex1 and hash(seed) == hash(ex1)
+
     def test_symmetrizer_helpers(self):
         assert is_skew_symmetrizer((2, 1), EX1_B)
         assert not is_skew_symmetrizer((1, 1), EX1_B)
@@ -320,3 +327,9 @@ class TestExchangeMatrix:
         # 1.0 and True once built a valid seed with exam1's form
         with pytest.raises(SeedFormatError, match="field 'btilde' must hold integers"):
             ExchangeMatrix(((0, entry), (-2, 0), (1, 0), (0, 1)), n=2, m=4)
+
+    def test_list_rows_are_frozen(self, ex1):
+        # List rows were once kept as is, which left the matrix unhashable.
+        exchange = ExchangeMatrix([list(row) for row in EX1_BTILDE], n=2, m=4)
+        assert exchange.btilde == EX1_BTILDE
+        assert exchange == ex1.exchange and hash(exchange) == hash(ex1.exchange)
