@@ -2,20 +2,21 @@
 
 Each identity family expands both sides exactly and compares canonical
 forms; vanishing families compare against the zero polynomial.  Scalar
-families expand in QLaurent.  The product expansions are polynomials in
-commuting indeterminates, expanded as TorusElem values over the zero skew
-form (one variable x, or x and y for the bivariate family).  Families
-carry their precondition ranges as data, so a single sweep can enumerate
-and report every instance uniformly.
+families expand in QLaurent; the alternating q-binomial sums and the
+q-Vandermonde sum are summed as packed ints and decoded once.  The
+product expansions are polynomials in commuting indeterminates, expanded
+as TorusElem values over the zero skew form (one variable x, or x and y
+for the bivariate family).  Families carry their precondition ranges as
+data, so a single sweep can enumerate and report every instance
+uniformly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterator, Sequence
 
-from .qarith import QLaurent, q_binom, q_int
+from .qarith import QLaurent, _height, _l1, _pack, _require_int, _slot_width, _unpack, q_binom, q_int
 from .qtorus import SkewForm, TorusElem
 
 
@@ -37,28 +38,64 @@ class IdentityReport:
 # -- the expansions ----------------------------------------------------------
 
 
-def _alternating_terms(top: int, shift: int) -> Iterator[QLaurent]:
-    """(-1)^r q^(r(r-1)/2 - shift*r) [top, r] for r = 0..top, one at a time."""
-    for r in range(top + 1):
-        term = q_binom(top, r).shift(r * (r - 1) - 2 * shift * r)
-        yield -term if r % 2 else term
+# The alternating sums run on ints.  Each q-binomial operand is packed at
+# q = 2^W (qarith._pack), which is a ring map, so the packed sum of shifted
+# operands (for Vandermonde, of their products) is exactly the sum's value
+# at 2^W; qarith._unpack reads it back exactly when every coefficient of
+# the sum is below 2^(W-1) in absolute value.
+#
+# The bound: a coefficient of the sum is at most sum_r mult_r * height_r,
+# where height_r is the largest |coefficient| of term r (||a||_1 * max|b|
+# for a product a*b) and mult_r is how often term r is added (once, or for
+# a double sum once per prefix it lies in).  Each height is read from the
+# operands q_binom actually returned, never from C(n, r), so a wrong
+# q_binom cannot alias to a false PASS.  The bound grows as the terms
+# arrive; each term is packed at the width the bound so far needs, and when
+# that width grows, the running sums, whose coefficients are within the
+# bound so far, are decoded at the old width and packed again at the new.
+# For true q-binomials the heights of [top, r] sum to at most
+# sum_r C(top, r) = 2^top, so a single sum keeps W = 64 for every
+# top <= 62.
 
 
-def _vanishing(d: int) -> tuple[QLaurent, QLaurent]:
-    return sum(_alternating_terms(d, 0), QLaurent.zero()), QLaurent.zero()
+def _widen(width: int, bound: int, sums: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The slot width `bound` needs, and `sums` moved to it from the
+    narrower `width` (decoded there, then packed again)."""
+    wider = _slot_width(bound)
+    return wider, tuple(_pack(_unpack(packed, width, 0), wider) for packed in sums)
+
+
+def _alternating_sum(top: int, shift: int, slope: int | None = None) -> QLaurent:
+    """sum_{r=0}^{top} (-1)^r q^(r(r-1)/2 - shift*r) [top, r].
+
+    With a slope: sum_{t=0}^{top-1} q^(slope*t) times that sum cut after
+    r = t.
+    """
+    steps = top + 1 if slope is None else top
+    low = min(r * (r - 1) // 2 - shift * r for r in range(steps))
+    outer = 0 if slope is None else min(0, slope * (steps - 1))
+    width, bound, inner, total = _slot_width(0), 0, 0, 0
+    for t in range(steps):
+        term = q_binom(top, t)
+        bound += (1 if slope is None else steps - t) * _height(term)
+        if bound >> (width - 1):
+            width, (inner, total) = _widen(width, bound, (inner, total))
+        packed = _pack(term, width) << width * (t * (t - 1) // 2 - shift * t - low)
+        inner = inner - packed if t % 2 else inner + packed
+        if slope is not None:
+            total += inner << width * (slope * t - outer)
+    if slope is None:
+        return _unpack(inner, width, 2 * low)
+    return _unpack(total, width, 2 * (low + outer))
 
 
 def _shifted_vanishing(d: int, c: int) -> tuple[QLaurent, QLaurent]:
-    return sum(_alternating_terms(d, c), QLaurent.zero()), QLaurent.zero()
+    return _alternating_sum(d, c), QLaurent.zero()
 
 
 def _double_sum(n: int, shift: int, slope: int) -> tuple[QLaurent, QLaurent]:
     """sum_{t=0}^{n} q^(slope*t) sum_{r=0}^{t} (-1)^r q^(r(r-1)/2 - shift*r) [n+1, r]."""
-    total = inner = QLaurent.zero()
-    for t, term in enumerate(islice(_alternating_terms(n + 1, shift), n + 1)):
-        inner = inner + term
-        total = total + inner.shift(2 * slope * t)
-    return total, QLaurent.zero()
+    return _alternating_sum(n + 1, shift, slope), QLaurent.zero()
 
 
 _LINE = SkewForm([[0]])
@@ -85,10 +122,15 @@ def _product_expansion_bivar(n: int) -> tuple[TorusElem, TorusElem]:
 
 def _vandermonde(n: int, d: int, k: int) -> tuple[QLaurent, QLaurent]:
     lhs = q_binom(n, k)
-    rhs = QLaurent.zero()
+    low = min((d - r) * (k - r) for r in range(k + 1))
+    width, bound, rhs = _slot_width(0), 0, 0
     for r in range(k + 1):
-        rhs = rhs + QLaurent.q_power(2 * (d - r) * (k - r)) * q_binom(d, r) * q_binom(n - d, k - r)
-    return lhs, rhs
+        a, b = q_binom(d, r), q_binom(n - d, k - r)
+        bound += _l1(a) * _height(b)
+        if bound >> (width - 1):
+            width, (rhs,) = _widen(width, bound, (rhs,))
+        rhs += _pack(a, width) * _pack(b, width) << width * ((d - r) * (k - r) - low)
+    return lhs, _unpack(rhs, width, 2 * low)
 
 
 def _pascal(n: int, r: int, d: int) -> tuple[QLaurent, QLaurent]:
@@ -208,7 +250,7 @@ FAMILIES: dict[str, IdentityFamily] = {
             ("d",),
             "d >= 1",
             lambda d: d >= 1,
-            _vanishing,
+            lambda d: _shifted_vanishing(d, 0),
             _sweep_vanishing,
         ),
         IdentityFamily(
@@ -304,7 +346,9 @@ def check_identity(family: str, params: Sequence[int]) -> IdentityReport:
     if family not in FAMILIES:
         raise ValueError(f"unknown identity family {family!r}")
     spec = FAMILIES[family]
-    params = tuple(int(v) for v in params)
+    params = tuple(params)
+    for value in params:
+        _require_int(f"{family} parameter", value)
     if len(params) != len(spec.param_names):
         raise ValueError(
             f"{family} takes parameters ({', '.join(spec.param_names)}), got {params}"

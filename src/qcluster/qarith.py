@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import re
 import sys
+from array import array
 from functools import lru_cache
+from itertools import repeat
 from math import comb
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 TermSource = Union[Mapping[int, int], Iterable[Tuple[int, int]], None]
 
@@ -323,8 +325,15 @@ def parse_qlaurent(text: str) -> QLaurent:
 # -- q-integers and Gaussian binomials --------------------------------------
 
 
+def _require_int(name: str, value: object) -> None:
+    # bool is an int subclass, but True is no count, as in QLaurent.
+    if type(value) is bool or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def _check_base(d: int) -> None:
-    if not isinstance(d, int) or d <= 0:
+    _require_int("base exponent d", d)
+    if d <= 0:
         raise ValueError(f"base exponent d must be a positive integer, got {d!r}")
 
 
@@ -336,7 +345,8 @@ def _q_int_base(n: int) -> QLaurent:
 def q_int(n: int, d: int = 1) -> QLaurent:
     """[n] at base q^d: 1 + q^d + ... + q^((n-1)d); zero when n = 0."""
     _check_base(d)
-    if not isinstance(n, int) or n < 0:
+    _require_int("q_int's n", n)
+    if n < 0:
         raise ValueError(f"q_int needs n >= 0, got {n!r}")
     return _q_int_base(n).scale_exponents(d)
 
@@ -384,16 +394,22 @@ def _fill_q_binom_table(n: int, r: int, width: int) -> int:
     return table[width, n, r]
 
 
+def _slots(packed: int, width: int, count: int) -> Sequence[int]:
+    """The lowest `count` width-bit slots of a nonnegative int, as unsigned ints."""
+    size = width // 8
+    raw = packed.to_bytes(size * count, "little")
+    if width == _SLOT_BITS:
+        words = array("Q", raw)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words
+    return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+
+
 def _decode_q_binom(packed: int, width: int, count: int, d: int) -> QLaurent:
     # Slot j of `packed` is the coefficient of q^(d j), half-exponent 2 d j.
-    if width == _SLOT_BITS:
-        coeffs = memoryview(packed.to_bytes(8 * count, sys.byteorder)).cast("Q")
-    else:
-        size = width // 8
-        raw = packed.to_bytes(size * count, "little")
-        coeffs = [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
     step = 2 * d
-    return QLaurent._raw(dict(zip(range(0, step * count, step), coeffs)))
+    return QLaurent._raw(dict(zip(range(0, step * count, step), _slots(packed, width, count))))
 
 
 def q_binom(n: int, r: int, d: int = 1) -> QLaurent:
@@ -403,6 +419,8 @@ def q_binom(n: int, r: int, d: int = 1) -> QLaurent:
     genuine polynomial in q^d.
     """
     _check_base(d)
+    _require_int("q_binom's n", n)
+    _require_int("q_binom's r", r)
     if r < 0 or r > n:
         return QLaurent.zero()
     if r == 0 or r == n:
@@ -413,3 +431,86 @@ def q_binom(n: int, r: int, d: int = 1) -> QLaurent:
         width = _SLOT_BITS * -(-comb(n, r).bit_length() // _SLOT_BITS)
         packed = _Q_BINOM_TABLE.get((width, n, r)) or _fill_q_binom_table(n, r, width)
     return _decode_q_binom(packed, width, r * (n - r) + 1, d)
+
+
+# -- polynomials in q packed as ints ------------------------------------------
+#
+# A polynomial P = sum_j c_j q^j is packed as the one int P(2^W), with a
+# W-bit slot per degree.  Evaluation at q = 2^W is a ring map, so sums,
+# products and shifts (q^e P is P(2^W) << W e) of packed values are exactly
+# the packed sums, products and shifts of the polynomials, whatever the
+# coefficients.  Only decoding needs a bound: when every |c_j| < 2^(W-1),
+# adding the bias 2^(W-1) to every slot puts each slot's digit
+# c_j + 2^(W-1) in [1, 2^W - 1], so no slot borrows from or carries into
+# its neighbour, and reading the slots back and subtracting the bias gives
+# c_j.  Two polynomials within the bound then pack to the same int only if
+# they are equal, and one packs to 0 only if it is 0.  W is a multiple of
+# 64, so the slots are whole 8-byte words and decoding runs over bytes.
+
+
+def _slot_width(bound: int) -> int:
+    """The least multiple of 64, W, with bound < 2^(W-1)."""
+    return _SLOT_BITS * (bound.bit_length() // _SLOT_BITS + 1)
+
+
+def _slot_bias(width: int, count: int) -> int:
+    # 2^(width-1) in each of `count` slots.
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * count, "little")
+
+
+def _height(poly: QLaurent) -> int:
+    """The largest |coefficient| of poly; 0 for the zero polynomial."""
+    return max(map(abs, poly._terms.values()), default=0)
+
+
+def _l1(poly: QLaurent) -> int:
+    """The sum of the |coefficients| of poly."""
+    return sum(map(abs, poly._terms.values()))
+
+
+def _pack(poly: QLaurent, width: int) -> int:
+    """poly at q = 2^width, for any polynomial in q (ValueError otherwise)."""
+    terms = poly._terms
+    try:
+        # Dense with coefficients in [0, 2^64), as a Gaussian binomial is:
+        # each coefficient is the low word of its slot.  A missing degree
+        # raises KeyError and a negative or too large coefficient
+        # OverflowError.
+        coeffs = array("Q", map(terms.__getitem__, range(0, 2 * len(terms), 2)))
+    except (KeyError, OverflowError):
+        pass
+    else:
+        if width > _SLOT_BITS:
+            words = array("Q", bytes(width // 8 * len(coeffs)))
+            words[::width // _SLOT_BITS] = coeffs
+            coeffs = words
+        if sys.byteorder == "big":
+            coeffs.byteswap()
+        return int.from_bytes(coeffs.tobytes(), "little")
+    if any(half < 0 or half & 1 for half in terms):
+        raise ValueError(f"only a polynomial in q can be packed, got {poly}")
+    # Balanced digits, the inverse of _unpack: slot j holds c_j + 2^(W-1).
+    count = max(terms, default=0) // 2 + 1
+    size, bias = width // 8, 1 << (width - 1)
+    digits = map(bias.__add__, map(terms.get, range(0, 2 * count, 2), repeat(0)))
+    try:
+        slots = b"".join(map(int.to_bytes, digits, repeat(size), repeat("little")))
+    except OverflowError:
+        # A coefficient past its slot still packs exactly, by shifts.
+        return sum(coeff << width * (half // 2) for half, coeff in terms.items())
+    return int.from_bytes(slots, "little") - _slot_bias(width, count)
+
+
+def _unpack(packed: int, width: int, low: int) -> QLaurent:
+    """q^(low/2) times the polynomial P with P(2^width) = packed, read as
+    balanced digits: exact when every |coefficient| of P is below
+    2^(width-1)."""
+    if not packed:
+        return _ZERO
+    # If P has degree m - 1, its top digit puts |packed| above
+    # 2^(width (m-1) - 1) and below 2^(width m), so this count is m or
+    # m + 1; an extra slot decodes as 0.
+    count = packed.bit_length() // width + 1
+    bias = 1 << (width - 1)
+    digits = _slots(packed + _slot_bias(width, count), width, count)
+    return QLaurent._raw({low + 2 * j: digit - bias for j, digit in enumerate(digits) if digit != bias})

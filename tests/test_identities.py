@@ -1,3 +1,7 @@
+import tracemalloc
+from itertools import islice
+from random import Random
+
 import pytest
 
 from qcluster import identities
@@ -71,6 +75,16 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             check_identity("VANISHING", (1, 2))
 
+    @pytest.mark.parametrize("params", [(2.7,), (True,), ("3",), (3.0,)])
+    def test_non_int_parameters_rejected(self, params):
+        # Read through int(), 2.7 would run as d=2 and report PASS.
+        with pytest.raises(TypeError, match="VANISHING parameter must be an int"):
+            check_identity("VANISHING", params)
+
+    def test_bool_among_int_parameters_rejected(self):
+        with pytest.raises(TypeError, match="must be an int, got False"):
+            check_identity("DOUBLE_SUM_POS", (4, 3, False))
+
 
 class TestExhaustiveSweep:
     def test_every_family_passes_its_ranges(self):
@@ -124,3 +138,124 @@ class TestNotVacuous:
         original = q_binom if hook == "q_binom" else q_int
         monkeypatch.setattr(identities, hook, _perturb_first_call(original))
         assert not check_identity(family, params).verdict
+
+
+# The sums as QLaurent terms added one at a time, the way the identities
+# were expanded before they were summed as packed ints.
+
+
+def qlaurent_alternating_terms(top, shift):
+    for r in range(top + 1):
+        term = q_binom(top, r).shift(r * (r - 1) - 2 * shift * r)
+        yield -term if r % 2 else term
+
+
+def qlaurent_shifted_vanishing(d, c):
+    return sum(qlaurent_alternating_terms(d, c), QLaurent.zero())
+
+
+def qlaurent_double_sum(n, shift, slope):
+    total = inner = QLaurent.zero()
+    for t, term in enumerate(islice(qlaurent_alternating_terms(n + 1, shift), n + 1)):
+        inner = inner + term
+        total = total + inner.shift(2 * slope * t)
+    return total
+
+
+def qlaurent_vandermonde_rhs(n, d, k):
+    rhs = QLaurent.zero()
+    for r in range(k + 1):
+        rhs = rhs + QLaurent.q_power(2 * (d - r) * (k - r)) * q_binom(d, r) * q_binom(n - d, k - r)
+    return rhs
+
+
+@pytest.fixture
+def widenings(monkeypatch):
+    """Every (old, new) slot width the packed sums move between."""
+    seen = []
+    widen = identities._widen
+
+    def spy(width, bound, sums):
+        out = widen(width, bound, sums)
+        seen.append((width, out[0]))
+        return out
+
+    monkeypatch.setattr(identities, "_widen", spy)
+    return seen
+
+
+class TestPackedSums:
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_shifted_vanishing_outside_precondition(self, d):
+        # By Gauss's binomial formula the sum is prod_{i<d} (1 - q^(i-c)),
+        # which is zero exactly for 0 <= c < d.
+        for c in (-3, -1, d, d + 2, 2 * d + 5):
+            value, zero = identities._shifted_vanishing(d, c)
+            assert value == qlaurent_shifted_vanishing(d, c)
+            assert not value.is_zero() and zero.is_zero()
+
+    def test_double_sums(self):
+        rng = Random(2)
+        nonzero = 0
+        for _ in range(60):
+            n, shift, slope = rng.randint(1, 12), rng.randint(-6, 16), rng.randint(-9, 9)
+            value, zero = identities._double_sum(n, shift, slope)
+            assert value == qlaurent_double_sum(n, shift, slope), (n, shift, slope)
+            assert zero.is_zero()
+            nonzero += not value.is_zero()
+        assert nonzero > 40
+
+    def test_vandermonde(self):
+        rng = Random(3)
+        for _ in range(60):
+            n = rng.randint(0, 16)
+            d, k = rng.randint(0, n), rng.randint(0, n + 2)
+            lhs, rhs = identities._vandermonde(n, d, k)
+            assert rhs == qlaurent_vandermonde_rhs(n, d, k) == lhs, (n, d, k)
+
+    def test_sums_past_64_bit_slots(self, widenings):
+        # The coefficient bound passes 2^63 part way through these sums, so
+        # the running sums move from 64-bit to 128-bit slots.
+        value = identities._shifted_vanishing(80, 81)[0]
+        assert value == qlaurent_shifted_vanishing(80, 81)
+        assert widenings == [(64, 128)]
+        value = identities._double_sum(66, 5, -3)[0]
+        assert value == qlaurent_double_sum(66, 5, -3)
+        assert check_identity("VANISHING", (80,)).verdict
+        assert check_identity("DOUBLE_SUM_POS", (66, 9, 4)).verdict
+        assert check_identity("VANDERMONDE", (80, 40, 40)).verdict
+        assert widenings == [(64, 128)] * 5
+
+    def test_large_coefficient_cannot_alias(self, monkeypatch, widenings):
+        # 2^64 - q packs to 0 in 64-bit slots, so a width fixed in advance
+        # would read the broken sum as zero and report PASS.
+        honest = q_binom
+        state = {"hit": False}
+
+        def broken(n, r, d=1):
+            value = honest(n, r, d)
+            if (n, r) == (4, 1) and not state["hit"]:
+                state["hit"] = True
+                value = value + QLaurent({0: 2**64, 2: -1})
+            return value
+
+        monkeypatch.setattr(identities, "q_binom", broken)
+        assert not check_identity("VANISHING", (4,)).verdict
+        assert state["hit"] and widenings == [(64, 128)]
+
+    def test_warm_vanishing_60_peak_memory(self):
+        # Only packed ints are kept, never the decoded terms: a list of the
+        # 61 decoded q-binomials alone would take several MiB.
+        assert check_identity("VANISHING", (60,)).verdict
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert check_identity("VANISHING", (60,)).verdict
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 2**20

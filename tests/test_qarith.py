@@ -212,6 +212,12 @@ class TestQInt:
         with pytest.raises(ValueError):
             q_int(3, -1)
 
+    @pytest.mark.parametrize("args", [(True,), (3, True), (2.0,), (3, 1.5), ("3",)])
+    def test_rejects_non_int_arguments(self, args):
+        # bool is an int subclass, but True is no count, as in QLaurent.
+        with pytest.raises(TypeError, match="must be an int"):
+            q_int(*args)
+
 
 class TestQFactorial:
     def test_empty_product(self):
@@ -318,12 +324,70 @@ class TestQBinom:
                 tracemalloc.stop()
         assert size < 8 * 2**20
 
+    @pytest.mark.parametrize("args", [(5, 2, True), (5, True), (True, 1), (5.0, 2), (5, 2.0), (5, 2, 1.0)])
+    def test_rejects_non_int_arguments(self, args):
+        with pytest.raises(TypeError, match="must be an int"):
+            q_binom(*args)
+
     def test_at_one_is_ordinary_binomial(self):
         from math import comb
 
         for n in range(11):
             for r in range(n + 1):
                 assert at_one(q_binom(n, r, 2)) == comb(n, r)
+
+
+class TestPacking:
+    @given(st.sampled_from([64, 128]), st.data())
+    @settings(max_examples=150)
+    def test_round_trip(self, width, data):
+        # Any coefficients within the balanced-digit bound, dense or sparse.
+        top = 1 << (width - 1)
+        coeffs = data.draw(st.dictionaries(
+            st.integers(min_value=0, max_value=40),
+            st.one_of(st.integers(min_value=0, max_value=3), st.integers(min_value=1 - top, max_value=top - 1)),
+            max_size=41,
+        ))
+        low = data.draw(st.integers(min_value=-60, max_value=60))
+        poly = QLaurent({2 * j: c for j, c in coeffs.items()})
+        packed = qarith._pack(poly, width)
+        assert packed == sum(c << width * j for j, c in coeffs.items())
+        assert qarith._unpack(packed, width, low) == poly.shift(low)
+
+    @pytest.mark.parametrize("width", [64, 128])
+    def test_dense_nonnegative_round_trip(self, width):
+        # A q-binomial's shape: every degree present, coefficients >= 0,
+        # one of them the largest a 64-bit word holds.
+        poly = QLaurent({**dict(q_binom(12, 5).items()), 10: 2**64 - 1})
+        packed = qarith._pack(poly, width)
+        assert packed == sum(c << width * (h // 2) for h, c in poly.items())
+        if width == 128:
+            assert qarith._unpack(packed, width, 0) == poly
+
+    def test_coefficient_past_its_slot_still_packs_exactly(self):
+        poly = QLaurent({0: -(2**70), 2: 2**64, 6: 3})
+        assert qarith._pack(poly, 64) == -(2**70) + (2**64 << 64) + (3 << 192)
+
+    def test_zero(self):
+        assert qarith._pack(QLaurent.zero(), 64) == 0
+        assert qarith._unpack(0, 128, -7) is QLaurent.zero()
+
+    @pytest.mark.parametrize("poly", [qp(1), qp(-2), QLaurent({0: 1, 3: -1})])
+    def test_only_polynomials_in_q_pack(self, poly):
+        with pytest.raises(ValueError, match="polynomial in q"):
+            qarith._pack(poly, 64)
+
+    @pytest.mark.parametrize(
+        "bound,width",
+        [(0, 64), (2**63 - 1, 64), (2**63, 128), (2**127 - 1, 128), (2**127, 192)],
+    )
+    def test_slot_width(self, bound, width):
+        assert qarith._slot_width(bound) == width
+
+    def test_norms(self):
+        poly = QLaurent({0: 3, 2: -5, 8: 1})
+        assert (qarith._height(poly), qarith._l1(poly)) == (5, 9)
+        assert (qarith._height(QLaurent.zero()), qarith._l1(QLaurent.zero())) == (0, 0)
 
 
 class TestPublishedIdentities:
