@@ -81,9 +81,6 @@ class QLaurent:
         """(half-exponent, coefficient) pairs in ascending half-exponent order."""
         return sorted(self._terms.items())
 
-    def coefficient(self, half: int) -> int:
-        return self._terms.get(half, 0)
-
     def term_count(self) -> int:
         return len(self._terms)
 

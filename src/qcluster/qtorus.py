@@ -33,13 +33,6 @@ def _int_tuple(values: Iterable[object], what: str) -> ExpVec:
     return out
 
 
-def unit_vector(dim: int, index: int) -> ExpVec:
-    """The standard basis vector e_index (1-based) in Z^dim."""
-    if not 1 <= index <= dim:
-        raise ValueError(f"generator index {index} out of range [1, {dim}]")
-    return tuple(1 if k == index - 1 else 0 for k in range(dim))
-
-
 class SkewForm:
     """A skew-symmetric integer matrix seen as a bilinear form on Z^m."""
 
@@ -139,19 +132,11 @@ class TorusElem:
         """The single-term element coeff * X^expo (empty when coeff = 0)."""
         return cls(form, {tuple(expo): coeff})
 
-    @classmethod
-    def generator(cls, form: SkewForm, index: int) -> "TorusElem":
-        """The generator x_index = X^(e_index), 1-based."""
-        return cls.monomial(form, unit_vector(form.dim, index))
-
     # -- inspection ---------------------------------------------------
 
     def items(self) -> list[tuple[ExpVec, QLaurent]]:
         """(exponent vector, coefficient) pairs in graded-lex order."""
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def coefficient(self, expo: Sequence[int]) -> QLaurent:
-        return self._terms.get(tuple(expo), QLaurent.zero())
 
     def support(self) -> set[ExpVec]:
         return set(self._terms)
@@ -236,10 +221,6 @@ class TorusElem:
             acc = acc * self
         return acc
 
-    def bar(self) -> "TorusElem":
-        """Bar involution: q^(l/2) X^c -> q^(-l/2) X^c (an anti-automorphism)."""
-        return self._raw(self.form, {e: c.bar() for e, c in self._terms.items()})
-
     @classmethod
     def _raw(cls, form: SkewForm, data: dict[ExpVec, QLaurent]) -> "TorusElem":
         out = cls.__new__(cls)
@@ -305,27 +286,25 @@ def iterated_q_commutator(outer: TorusElem, middle: TorusElem, halves: Iterable[
     return TorusElem._raw(outer.form, terms)
 
 
-def ordered_product(form: SkewForm, exponents: Sequence[int], order: Sequence[int] | None = None) -> TorusElem:
-    """The product x_{s(1)}^{a_{s(1)}} * ... * x_{s(m)}^{a_{s(m)}}.
+def ordered_product(form: SkewForm, letters: Iterable[Tuple[int, int]]) -> TorusElem:
+    """The word x_{i_1}^{p_1} * ... * x_{i_k}^{p_k} of (index, power) letters.
 
-    `order` is a permutation of [1, m] (natural order when omitted).  For
-    the natural order this differs from X^a by the twist
-    q^(-1/2 * sum_{l<k} a_k a_l lambda_{kl}).
+    Indices are 1-based and may repeat; the letters multiply in the order
+    given.  x_i^p = X^(p*e_i), so by the twist rule the word is the single
+    term q^(1/2 * sum_{s<t} p_s p_t lambda_{i_s i_t}) * X^(sum_s p_s e_{i_s}),
+    built without a torus product.
     """
-    dim = form.dim
-    if len(exponents) != dim:
-        raise ValueError("exponent vector length does not match the form")
-    if order is None:
-        order = range(1, dim + 1)
-    if sorted(order) != list(range(1, dim + 1)):
-        raise ValueError(f"order {list(order)} is not a permutation of [1, {dim}]")
-    acc = TorusElem.unit(form)
-    for index in order:
-        power = exponents[index - 1]
-        if power:
-            # x_i^p = X^(p*e_i): the self-pairing vanishes, so no twist.
-            acc = acc * TorusElem.monomial(form, tuple(power if k == index - 1 else 0 for k in range(dim)))
-    return acc
+    rows = form.rows()
+    dim = len(rows)
+    expo = [0] * dim
+    half = 0
+    for index, power in letters:
+        if not 1 <= index <= dim:
+            raise ValueError(f"generator index {index} out of range [1, {dim}]")
+        # the letters so far, summed into expo, pair with this one
+        half += power * sum(e * row[index - 1] for e, row in zip(expo, rows) if e)
+        expo[index - 1] += power
+    return TorusElem.monomial(form, expo, QLaurent.q_power(half))
 
 
 # -- canonical text form ----------------------------------------------------

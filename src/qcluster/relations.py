@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .qarith import QLaurent, q_binom
 from .qtorus import ExpVec, TorusElem, iterated_q_commutator, ordered_product, vec_add
-from .seeds import QuantumSeed, _json_int, is_skew_symmetrizer, pos_part
+from .seeds import QuantumSeed, pos_part
 
 
 @dataclass(frozen=True)
@@ -115,18 +115,6 @@ def _require_pair(seed: QuantumSeed, i: int, j: int) -> None:
         raise ValueError(f"indices (i, j) = ({i}, {j}) out of range [1, {n}]")
     if i == j:
         raise ValueError("need two distinct mutable indices")
-
-
-def _gen_power(seed: QuantumSeed, index: int, power: int) -> TorusElem:
-    return TorusElem.monomial(
-        seed.form, tuple(power if t == index - 1 else 0 for t in range(seed.m))
-    )
-
-
-def _ordered_power_product(seed: QuantumSeed, exponent_of: Callable[[int], int], skip: int | None = None) -> TorusElem:
-    """prod over mutable k in natural order of x_k^exponent_of(k), skipping one index."""
-    exponents = [exponent_of(k) if k != skip else 0 for k in range(1, seed.n + 1)]
-    return ordered_product(seed.form, exponents + [0] * (seed.m - seed.n))
 
 
 def _certify(check: str, params: Sequence[tuple[str, object]], residue: TorusElem, terms: int, started: float, exploratory: bool = False) -> VerificationCertificate:
@@ -266,26 +254,22 @@ def witness_monomial(seed: QuantumSeed, i: int, j: int) -> TorusElem:
         x_i^(b_ij-1) x_j^(-b_ji-1)
         * prod_{k != j} x_k^([-b_ki]_+) * prod_{k != i} x_k^([b_kj]_+)
         * x_{n+j},
-    products over mutable indices in natural order.  On a principal seed
-    the mutable generators commute, so that order does not change the word.
+    products over mutable indices in natural order.  The word is built in
+    this written letter order.  The order matters when Lambda's mutable
+    block is nonzero: the mutable generators then need not commute.
     """
     _require_pair(seed, i, j)
     b_ij = seed.b_entry(i, j)
-    b_ji = seed.b_entry(j, i)
-    n = seed.n
     if b_ij == 0:
         return TorusElem.zero(seed.form)
-    if b_ij < 0:
-        head = _gen_power(seed, i, -b_ij - 1) * _gen_power(seed, j, b_ji - 1)
-        first = _ordered_power_product(seed, lambda k: pos_part(seed.b_entry(k, i)), skip=j)
-        second = _ordered_power_product(seed, lambda k: pos_part(-seed.b_entry(k, j)), skip=i)
-        frozen = _gen_power(seed, n + i, 1)
-    else:
-        head = _gen_power(seed, i, b_ij - 1) * _gen_power(seed, j, -b_ji - 1)
-        first = _ordered_power_product(seed, lambda k: pos_part(-seed.b_entry(k, i)), skip=j)
-        second = _ordered_power_product(seed, lambda k: pos_part(seed.b_entry(k, j)), skip=i)
-        frozen = _gen_power(seed, n + j, 1)
-    return head * first * second * frozen
+    n = seed.n
+    # b_ij and b_ji have opposite signs, so the two cases differ by `sign`.
+    sign = 1 if b_ij > 0 else -1
+    letters = [(i, abs(b_ij) - 1), (j, abs(seed.b_entry(j, i)) - 1)]
+    letters += [(k, pos_part(-sign * seed.b_entry(k, i))) for k in range(1, n + 1) if k != j]
+    letters += [(k, pos_part(sign * seed.b_entry(k, j))) for k in range(1, n + 1) if k != i]
+    letters.append((n + (j if b_ij > 0 else i), 1))
+    return ordered_product(seed.form, letters)
 
 
 def commutator_witness(seed: QuantumSeed, i: int, j: int) -> TorusElem:
@@ -309,25 +293,27 @@ def commutator_check(seed: QuantumSeed, i: int, j: int) -> VerificationCertifica
 
 
 def _power_product_factor(seed: QuantumSeed, i: int, r: int, side: str) -> TorusElem:
-    neg_part = _ordered_power_product(seed, lambda k: pos_part(-seed.b_entry(k, i)))
-    plus_part = _ordered_power_product(seed, lambda k: pos_part(seed.b_entry(k, i)))
+    """prod_k x_k^([-b_ki]_+) + q^(half/2) prod_k x_k^([b_ki]_+) * x_{n+i}, k mutable in natural order."""
+    column = list(enumerate(seed.exchange.column(i)[: seed.n], 1))
     d_i = seed.d[i - 1]
     half = -d_i + 2 * d_i * r if side == "left" else d_i - 2 * d_i * r
-    return neg_part + (plus_part * _gen_power(seed, seed.n + i, 1)).scale(QLaurent.q_power(half))
+    neg_part = ordered_product(seed.form, [(k, pos_part(-b)) for k, b in column])
+    plus_part = ordered_product(seed.form, [(k, pos_part(b)) for k, b in column] + [(seed.n + i, 1)])
+    return neg_part + plus_part.scale(QLaurent.q_power(half))
 
 
 def _power_product_expansion(seed: QuantumSeed, i: int, t: int, side: str) -> TorusElem:
+    """sum_k c_k * prod_v x_v^((t-k)[-b_vi]_+) * prod_v x_v^(k[b_vi]_+) * x_{n+i}^k."""
+    column = list(enumerate(seed.exchange.column(i)[: seed.n], 1))
     d_i = seed.d[i - 1]
     acc = TorusElem.zero(seed.form)
     for k in range(t + 1):
         half = d_i * k * k if side == "left" else d_i * k * (k - 2 * t)
         coeff = q_binom(t, k, d_i) * QLaurent.q_power(half)
-        word = (
-            _ordered_power_product(seed, lambda v: (t - k) * pos_part(-seed.b_entry(v, i)))
-            * _ordered_power_product(seed, lambda v: k * pos_part(seed.b_entry(v, i)))
-            * _gen_power(seed, seed.n + i, k)
-        )
-        acc = acc + word.scale(coeff)
+        letters = [(v, (t - k) * pos_part(-b)) for v, b in column]
+        letters += [(v, k * pos_part(b)) for v, b in column]
+        letters.append((seed.n + i, k))
+        acc = acc + ordered_product(seed.form, letters).scale(coeff)
     return acc
 
 
@@ -345,9 +331,9 @@ def power_product_check(seed: QuantumSeed, i: int, t: int, side: str = "left") -
         raise ValueError(f"power t must be >= 1, got {t}")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    y_i = ys[i - 1]
-    x_i = _gen_power(seed, i, 1)
-    brute = (y_i ** t) * (x_i ** t) if side == "left" else (x_i ** t) * (y_i ** t)
+    y_i_t = ys[i - 1] ** t
+    x_i_t = ordered_product(seed.form, [(i, t)])
+    brute = y_i_t * x_i_t if side == "left" else x_i_t * y_i_t
     product_form = TorusElem.unit(seed.form)
     for r in range(1, t + 1):
         product_form = product_form * _power_product_factor(seed, i, r, side)
@@ -417,7 +403,7 @@ def lemma_sum_check(
     # so the sum is m q-commutator steps, the first at Q^(step - m) when
     # b_ij > 0 and at Q^0 otherwise.
     first = step - m_exp if b > 0 else 0
-    total, terms = _q_adjoint(ys[i - 1], _gen_power(seed, i, step - 1), seed.d[i - 1], m_exp, first)
+    total, terms = _q_adjoint(ys[i - 1], ordered_product(seed.form, [(i, step - 1)]), seed.d[i - 1], m_exp, first)
     return _certify("lemma-sum", params, total, terms, started)
 
 
@@ -484,27 +470,7 @@ def higher_verify(
     return _certify("higher", params, total, terms, started, exploratory=exploratory)
 
 
-# -- Cartan matrix and the full relation suite -------------------------------
-
-
-def cartan_matrix(b: Sequence[Sequence[int]], d: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The generalized Cartan matrix: c_ii = 2, c_ij = -|b_ij|.
-
-    Shares b's skew-symmetrizer d: ValueError unless d skew-symmetrizes b,
-    which makes diag(d) * C symmetric.  Every entry of b and d must be an
-    int and not a bool (SeedFormatError, as for seed files).  The checks
-    read their step counts 1 - c_ij = 1 + |b_ij| from the seed instead.
-    """
-    rows = tuple(tuple(_json_int(v, "b") for v in row) for row in b)
-    d = tuple(_json_int(v, "d") for v in d)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("exchange matrix must be square")
-    if not is_skew_symmetrizer(d, rows):
-        raise ValueError("d does not skew-symmetrize the exchange matrix")
-    return tuple(
-        tuple(2 if i == j else -abs(rows[i][j]) for j in range(n)) for i in range(n)
-    )
+# -- the relation suites -----------------------------------------------------
 
 
 def quantum_group_suite(seed: QuantumSeed) -> list[VerificationCertificate]:

@@ -142,10 +142,6 @@ class QuantumSeed:
         """y_1, ..., y_n over this seed's form, each built by `mutated_variable`."""
         return tuple(mutated_variable(self, k) for k in range(1, self.n + 1))
 
-    def generator(self, index: int) -> TorusElem:
-        """x_index as a torus element over this seed's form (1-based)."""
-        return TorusElem.generator(self.form, index)
-
 
 def validate_compatibility(seed: QuantumSeed) -> None:
     """Check Btilde^T * Lambda = [D 0] entrywise.

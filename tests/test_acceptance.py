@@ -38,7 +38,7 @@ def _finish(number, name, budget, start):
 
 
 def _xword(seed, half, exponents):
-    return ordered_product(seed.form, exponents).scale(QLaurent.q_power(half))
+    return ordered_product(seed.form, enumerate(exponents, 1)).scale(QLaurent.q_power(half))
 
 
 def test_criterion_1_rank2_golden_suite():
@@ -58,8 +58,8 @@ def test_criterion_1_rank2_golden_suite():
     y1 = mutated_variable(seed, 1)
     y2 = mutated_variable(seed, 2)
     # x1 y1 = q^-1 x3 + x2^2 and x2 y2 = q^(-1/2) x1 x4 + 1
-    assert seed.generator(1) * y1 == _xword(seed, -2, (0, 0, 1, 0)) + _xword(seed, 0, (0, 2, 0, 0))
-    assert seed.generator(2) * y2 == _xword(seed, -1, (1, 0, 0, 1)) + TorusElem.unit(seed.form)
+    assert ordered_product(seed.form, [(1, 1)]) * y1 == _xword(seed, -2, (0, 0, 1, 0)) + _xword(seed, 0, (0, 2, 0, 0))
+    assert ordered_product(seed.form, [(2, 1)]) * y2 == _xword(seed, -1, (1, 0, 0, 1)) + TorusElem.unit(seed.form)
 
     _finish(1, "rank-2 golden suite", 1.0, start)
 
@@ -118,9 +118,9 @@ def test_criterion_3_rank3_golden_suite():
     y1, y2, y3 = one_step_variables(seed)
     # x1 y1 = q^(-1/2) x3^2 x4 + x2^2, x2 y2 = q^(-1/2) x1^2 x5 + x3^2,
     # x3 y3 = q^(-1/2) x2^2 x6 + x1^2
-    assert seed.generator(1) * y1 == _xword(seed, -1, (0, 0, 2, 1, 0, 0)) + _xword(seed, 0, (0, 2, 0, 0, 0, 0))
-    assert seed.generator(2) * y2 == _xword(seed, -1, (2, 0, 0, 0, 1, 0)) + _xword(seed, 0, (0, 0, 2, 0, 0, 0))
-    assert seed.generator(3) * y3 == _xword(seed, -1, (0, 2, 0, 0, 0, 1)) + _xword(seed, 0, (2, 0, 0, 0, 0, 0))
+    assert ordered_product(seed.form, [(1, 1)]) * y1 == _xword(seed, -1, (0, 0, 2, 1, 0, 0)) + _xword(seed, 0, (0, 2, 0, 0, 0, 0))
+    assert ordered_product(seed.form, [(2, 1)]) * y2 == _xword(seed, -1, (2, 0, 0, 0, 1, 0)) + _xword(seed, 0, (0, 0, 2, 0, 0, 0))
+    assert ordered_product(seed.form, [(3, 1)]) * y3 == _xword(seed, -1, (0, 2, 0, 0, 0, 1)) + _xword(seed, 0, (2, 0, 0, 0, 0, 0))
 
     # commutator witness (q^(3/2) - q^(-1/2)) x1 x3 x4
     witness = _xword(seed, 0, (1, 0, 1, 1, 0, 0)).scale(COMMUTATOR_COEFF)

@@ -12,7 +12,6 @@ from qcluster.qtorus import (
     ordered_product,
     parse_torus_elem,
     render_torus_elem,
-    unit_vector,
     vec_add,
 )
 
@@ -98,9 +97,6 @@ class TestMonomials:
     def test_unit(self):
         assert TorusElem.monomial(LAM4, (0, 0, 0, 0), 1) == TorusElem.unit(LAM4)
 
-    def test_generator(self):
-        assert TorusElem.generator(LAM4, 2) == TorusElem.monomial(LAM4, (0, 1, 0, 0), 1)
-
     def test_zero_coefficient_gives_zero(self):
         assert TorusElem.monomial(LAM4, (1, 0, 0, 0), 0).is_zero()
 
@@ -128,10 +124,9 @@ class TestLinear:
 
     def test_scale_by_commutator_coefficient(self):
         # the witness (q^(3/2) - q^(-1/2)) x2 x4 assembled by scaling
-        word = ordered_product(LAM4, (0, 1, 0, 1))
+        word = ordered_product(LAM4, [(2, 1), (4, 1)])
         scaled = word.scale(QLaurent({3: 1, -1: -1}))
-        assert scaled.term_count() == 1
-        assert scaled.coefficient((0, 1, 0, 1)) == QLaurent({2: 1, -2: -1})
+        assert scaled.items() == [((0, 1, 0, 1), QLaurent({2: 1, -2: -1}))]
 
     def test_cross_form_refused(self):
         other = SkewForm([[0, 1], [-1, 0]])
@@ -144,8 +139,8 @@ class TestLinear:
 class TestTwistedProduct:
     def test_generator_pair_example(self):
         # x1 * x3 = q^(lambda_13/2) X^(e1+e3) with lambda_13 = -2
-        x1 = TorusElem.generator(LAM4, 1)
-        x3 = TorusElem.generator(LAM4, 3)
+        x1 = TorusElem.monomial(LAM4, (1, 0, 0, 0))
+        x3 = TorusElem.monomial(LAM4, (0, 0, 1, 0))
         assert x1 * x3 == TorusElem.monomial(LAM4, (1, 0, 1, 0), QLaurent({-2: 1}))
 
     def test_monomial_inverse(self):
@@ -156,9 +151,9 @@ class TestTwistedProduct:
 
     def test_exchange_relation_value(self):
         # x2 * (X^(1,-1,0,1) + X^(0,-1,0,0)) = q^(-1/2) x1 x4 + 1
-        x2 = TorusElem.generator(LAM4, 2)
+        x2 = TorusElem.monomial(LAM4, (0, 1, 0, 0))
         y2 = TorusElem(LAM4, {(1, -1, 0, 1): 1, (0, -1, 0, 0): 1})
-        expected = ordered_product(LAM4, (1, 0, 0, 1)).scale(QLaurent({-1: 1})) + TorusElem.unit(LAM4)
+        expected = ordered_product(LAM4, [(1, 1), (4, 1)]).scale(QLaurent({-1: 1})) + TorusElem.unit(LAM4)
         assert x2 * y2 == expected
 
     @given(st.integers(min_value=1, max_value=6).flatmap(
@@ -174,8 +169,8 @@ class TestTwistedProduct:
     def test_quasi_commutation_all_pairs(self):
         for i in range(1, 5):
             for j in range(1, 5):
-                xi = TorusElem.generator(LAM4, i)
-                xj = TorusElem.generator(LAM4, j)
+                xi = ordered_product(LAM4, [(i, 1)])
+                xj = ordered_product(LAM4, [(j, 1)])
                 twist = QLaurent.q_power(2 * LAM4.entry(i, j))
                 assert xi * xj == (xj * xi).scale(twist)
 
@@ -226,7 +221,7 @@ class TestIteratedQCommutator:
         assert iterated_q_commutator(outer, middle, halves, opposite=True) == right
 
     def test_commuting_pair_cancels(self):
-        x2, x4 = TorusElem.generator(LAM4, 2), TorusElem.generator(LAM4, 4)
+        x2, x4 = ordered_product(LAM4, [(2, 1)]), ordered_product(LAM4, [(4, 1)])
         # x2 x4 = q^(-1) x4 x2, so x2 x4 - q^(-1) x4 x2 = 0
         assert iterated_q_commutator(x2, x4, [-2]).is_zero()
         assert not iterated_q_commutator(x2, x4, [0]).is_zero()
@@ -238,31 +233,36 @@ class TestIteratedQCommutator:
             iterated_q_commutator(TorusElem.unit(LAM4), TorusElem.unit(other), [0])
 
 
-class TestBar:
-    def test_fixes_basis_monomials(self):
-        mono = TorusElem.monomial(LAM4, (1, 2, 3, 4), 1)
-        assert mono.bar() == mono
-
-    def test_involution(self):
-        elem = TorusElem(LAM4, {(1, 0, 0, 0): QLaurent({3: 2}), (0, 1, 0, 0): QLaurent({-1: 1})})
-        assert elem.bar().bar() == elem
-
-    @given(skew_forms(3), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_anti_automorphism(self, form, data):
-        f = data.draw(elements(form))
-        g = data.draw(elements(form))
-        assert (f * g).bar() == g.bar() * f.bar()
+@st.composite
+def forms_and_letters(draw):
+    # a random skew form and up to 6 (index, power) letters: indices may
+    # repeat and come in any order, powers may be zero or negative
+    dim = draw(st.integers(min_value=1, max_value=5))
+    form = draw(skew_forms(dim))
+    letter = st.tuples(st.integers(min_value=1, max_value=dim), st.integers(min_value=-3, max_value=3))
+    return form, draw(st.lists(letter, max_size=6))
 
 
 class TestOrderedProduct:
+    @given(forms_and_letters())
+    @settings(max_examples=150)
+    def test_matches_left_to_right_product(self, drawn):
+        form, letters = drawn
+        expected = TorusElem.unit(form)
+        for index, power in letters:
+            expected = expected * TorusElem.monomial(
+                form, tuple(power if k == index else 0 for k in range(1, form.dim + 1))
+            )
+        assert ordered_product(form, letters) == expected
+
     def test_single_factor(self):
         for i in range(1, 5):
-            assert ordered_product(LAM4, unit_vector(4, i)) == TorusElem.generator(LAM4, i)
+            unit = tuple(1 if k == i else 0 for k in range(1, 5))
+            assert ordered_product(LAM4, [(i, 1)]) == TorusElem.monomial(LAM4, unit)
 
     def test_x2_x4_prefactor(self):
-        # lambda_42 = 1, so x2*x4 = q^(-1/2) X^(0,1,0,1)
-        assert ordered_product(LAM4, (0, 1, 0, 1)) == TorusElem.monomial(
+        # lambda_42 = 1, so x2*x4 = q^(-1/2) X^(0,1,0,1) and x4*x2 = q^(1/2) X^(0,1,0,1)
+        assert ordered_product(LAM4, [(2, 1), (4, 1)]) == TorusElem.monomial(
             LAM4, (0, 1, 0, 1), QLaurent({-1: 1})
         )
 
@@ -274,18 +274,27 @@ class TestOrderedProduct:
                 for l in range(4)
                 for k in range(l + 1, 4)
             )
-            lhs = ordered_product(LAM4, a)
+            lhs = ordered_product(LAM4, enumerate(a, 1))
             assert lhs == TorusElem.monomial(LAM4, a, QLaurent.q_power(-half))
 
     def test_order_changes_twist_not_support(self):
-        natural = ordered_product(LAM4, (0, 1, 0, 1), order=(1, 2, 3, 4))
-        reversed_ = ordered_product(LAM4, (0, 1, 0, 1), order=(4, 3, 2, 1))
+        natural = ordered_product(LAM4, [(2, 1), (4, 1)])
+        reversed_ = ordered_product(LAM4, [(4, 1), (2, 1)])
         assert natural.support() == reversed_.support()
         assert reversed_ == TorusElem.monomial(LAM4, (0, 1, 0, 1), QLaurent({1: 1}))
 
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            ordered_product(LAM4, (0, 1, 0, 1), order=(1, 1, 2, 3))
+    def test_repeated_index_and_empty_word(self):
+        # x1 x3 x1^(-1) = q^(lambda_13) x3 with lambda_13 = -2
+        assert ordered_product(LAM4, [(1, 1), (3, 1), (1, -1)]) == TorusElem.monomial(
+            LAM4, (0, 0, 1, 0), QLaurent({-4: 1})
+        )
+        assert ordered_product(LAM4, []) == TorusElem.unit(LAM4)
+        assert ordered_product(LAM4, [(3, 0)]) == TorusElem.unit(LAM4)
+
+    def test_rejects_index_out_of_range(self):
+        for index in (0, 5, -1):
+            with pytest.raises(ValueError, match=rf"generator index {index} out of range \[1, 4\]"):
+                ordered_product(LAM4, [(1, 1), (index, 1)])
 
 
 class TestCanonicalText:

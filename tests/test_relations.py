@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcluster import relations, seeds
+from qcluster import seeds
 from qcluster.qarith import QLaurent, q_binom
 from qcluster.qtorus import SkewForm, TorusElem, ordered_product
 from qcluster.relations import (
@@ -16,7 +16,6 @@ from qcluster.relations import (
     RelationInstance,
     commutator_check,
     commutator_witness,
-    cartan_matrix,
     full_suite,
     higher_verify,
     lemma_sum_check,
@@ -29,7 +28,6 @@ from qcluster.relations import (
     witness_scalar,
 )
 from qcluster.seeds import (
-    SeedFormatError,
     load_seed,
     mutate,
     mutated_variable,
@@ -52,7 +50,7 @@ def ex3():
 
 def xword(seed, half, exponents):
     """q^(half/2) times the natural-order generator word x1^a1 ... xm^am."""
-    return ordered_product(seed.form, exponents).scale(QLaurent.q_power(half))
+    return ordered_product(seed.form, enumerate(exponents, 1)).scale(QLaurent.q_power(half))
 
 
 def _sandwich(outer, middle, coeffs):
@@ -291,7 +289,7 @@ class TestPowerProducts:
     def test_rank2_closed_form(self, ex1):
         # y2^t x2^t = sum_k [t,k] q^(k^2/2) x1^k x4^k
         y2 = one_step_variables(ex1)[1]
-        x2 = ex1.generator(2)
+        x2 = ordered_product(ex1.form, [(2, 1)])
         for t in range(1, 5):
             expected = TorusElem.zero(ex1.form)
             for k in range(t + 1):
@@ -302,7 +300,7 @@ class TestPowerProducts:
     def test_rank3_closed_form(self, ex3):
         # y1^t x1^t = sum_k [t,k] q^(k^2/2) x2^(2(t-k)) x3^(2k) x4^k
         y1 = one_step_variables(ex3)[0]
-        x1 = ex3.generator(1)
+        x1 = ordered_product(ex3.form, [(1, 1)])
         for t in range(1, 5):
             expected = TorusElem.zero(ex3.form)
             for k in range(t + 1):
@@ -434,54 +432,6 @@ class TestHigher:
         assert instance.m_exp == 4
 
 
-class TestCartan:
-    def test_symmetrized_by_d(self):
-        rng = random.Random(17)
-        for _ in range(30):
-            seed = random_principal_seed(rng, rng.choice([2, 3, 4]))
-            d = seed.d
-            cartan = cartan_matrix(seed.exchange.principal_part(), d)
-            for i in range(seed.n):
-                for j in range(seed.n):
-                    assert d[i] * cartan[i][j] == d[j] * cartan[j][i]
-
-    def test_rank2(self):
-        assert cartan_matrix([[0, 1], [-2, 0]], (2, 1)) == ((2, -1), (-2, 2))
-
-    def test_rank3(self):
-        assert cartan_matrix([[0, 2, -2], [-2, 0, 2], [2, -2, 0]], (1, 1, 1)) == (
-            (2, -2, -2),
-            (-2, 2, -2),
-            (-2, -2, 2),
-        )
-
-    def test_zero_matrix(self):
-        assert cartan_matrix([[0, 0], [0, 0]], (1, 1)) == ((2, 0), (0, 2))
-
-    def test_bad_symmetrizer(self):
-        with pytest.raises(ValueError):
-            cartan_matrix([[0, 1], [-2, 0]], (1, 1))
-
-    def test_non_symmetrizable(self):
-        with pytest.raises(ValueError):
-            cartan_matrix([[0, 1], [1, 0]], (1, 1))
-
-    @pytest.mark.parametrize(
-        "b, d",
-        [
-            ([[0, 1.9], [-1.9, 0]], (1, 1)),
-            ([[0, 1.0], [-1.0, 0]], (1, 1)),
-            ([[0, True], [-2, 0]], (2, 1)),
-            ([[0, "1"], [-2, 0]], (2, 1)),
-            ([[0, 1], [-2, 0]], (2.0, 1)),
-            ([[0, 1], [-2, 0]], (2, True)),
-        ],
-    )
-    def test_rejects_non_int_entries(self, b, d):
-        with pytest.raises(SeedFormatError, match="must hold integers"):
-            cartan_matrix(b, d)
-
-
 class TestSuites:
     def test_rank2_suite(self, ex1):
         certs = quantum_group_suite(ex1)
@@ -531,25 +481,21 @@ class TestSuites:
 class TestOneStepDerivedOnce:
     @pytest.mark.parametrize("name, variables", [("exam1.json", 2), ("exam3.json", 3)])
     def test_full_suite_builds_each_variable_once(self, monkeypatch, name, variables):
-        originals = {
-            "mutated_variable": seeds.mutated_variable,
-            "cartan_matrix": relations.cartan_matrix,
-        }
-        counts = dict.fromkeys(originals, 0)
-        for attr, original in originals.items():
+        original = seeds.mutated_variable
+        calls = []
 
-            def counting(*args, attr=attr, original=original):
-                counts[attr] += 1
-                return original(*args)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
-            # Rebind every module-level reference, so that a module holding
-            # its own import of the function is counted too.
-            for module_name, module in list(sys.modules.items()):
-                if module_name.split(".")[0] == "qcluster" and vars(module).get(attr) is original:
-                    monkeypatch.setattr(module, attr, counting)
+        # Rebind every module-level reference, so that a module holding
+        # its own import of the function is counted too.
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "qcluster" and vars(module).get("mutated_variable") is original:
+                monkeypatch.setattr(module, "mutated_variable", counting)
         seed = load_seed(Path(__file__).resolve().parent.parent / "fixtures" / name)
         assert all(c.ok for c in full_suite(seed))
-        assert counts == {"mutated_variable": variables, "cartan_matrix": 0}
+        assert len(calls) == variables
 
     def test_variables_unchanged_by_the_suite(self):
         rng = random.Random(23)
@@ -661,6 +607,78 @@ class TestCertificateDigest:
         assert {dict(c.params)["variant"] for c in certs if c.check == "lemma-sum"} == {"L32", "L41"}
         assert {c.check for c in certs} == {"serre", "serre-opposite", "higher", "lemma-sum"}
         assert hashlib.sha256(lines.encode()).hexdigest() == CERTIFICATE_DIGEST
+
+
+def compatible_principal_seed(rng, n):
+    """A principal seed whose Lambda has a random nonzero mutable block.
+
+    With B and D from `random_principal_seed` and Lambda11 random skew,
+    Lambda12 = -D - Lambda11 B, Lambda21 = -Lambda12^T and
+    Lambda22 = B^T D + B^T Lambda11 B make Btilde^T Lambda = [D 0].
+    """
+    base = random_principal_seed(rng, n, max_entry=2, max_d=2)
+    b, d = base.exchange.principal_part(), base.d
+    lam11 = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r + 1, n):
+            lam11[r][c] = rng.choice([v for v in range(-2, 3) if v])
+            lam11[c][r] = -lam11[r][c]
+    lam12 = [
+        [-(d[r] if r == c else 0) - sum(lam11[r][t] * b[t][c] for t in range(n)) for c in range(n)]
+        for r in range(n)
+    ]
+    lam22 = [
+        [
+            b[c][r] * d[c] + sum(b[s][r] * lam11[s][t] * b[t][c] for s in range(n) for t in range(n))
+            for c in range(n)
+        ]
+        for r in range(n)
+    ]
+    rows = [lam11[r] + lam12[r] for r in range(n)]
+    rows += [[-lam12[c][r] for c in range(n)] + lam22[r] for r in range(n)]
+    return seeds.QuantumSeed(form=SkewForm(rows), exchange=base.exchange, d=d)
+
+
+# sha256 of repr((check, params, ok, residue, terms)), one line per
+# certificate, over `_word_certificates()`: it pins every generator word
+# of the commutator witnesses and the power-product closed forms,
+# including their letter order, which matters once Lambda's mutable
+# block is nonzero.
+WORD_DIGEST = "092fd18d5c0d16f6611da6422a837d7c00f6861e79f865f5febb15f8cd1315e8"
+
+
+def _word_certificates():
+    """Every ordered-pair commutator check and every power-product check at
+    t = 1..3 on both sides, on 10 random principal seeds and 10 principal
+    seeds with a nonzero mutable Lambda block, of ranks 2-3."""
+    rng = random.Random(41)
+    certs = []
+    for make in (lambda n: random_principal_seed(rng, n), lambda n: compatible_principal_seed(rng, n)):
+        for _ in range(10):
+            seed = make(rng.choice([2, 3]))
+            assert seed.is_principal
+            for i in range(1, seed.n + 1):
+                for j in range(1, seed.n + 1):
+                    if i != j:
+                        certs.append(commutator_check(seed, i, j))
+                for t in range(1, 4):
+                    certs.extend(power_product_check(seed, i, t, side) for side in ("left", "right"))
+    return certs
+
+
+class TestWordDigest:
+    def test_pinned_digest(self):
+        certs = _word_certificates()
+        lines = "\n".join(repr((c.check, c.params, c.ok, c.residue, c.terms)) for c in certs)
+        assert len(certs) == 370
+        assert hashlib.sha256(lines.encode()).hexdigest() == WORD_DIGEST
+
+    def test_compatible_seeds_have_a_mutable_block(self):
+        rng = random.Random(41)
+        for _ in range(10):
+            seed = compatible_principal_seed(rng, rng.choice([2, 3]))
+            assert seed.is_principal
+            assert any(seed.form.entry(r, c) for r in range(1, seed.n + 1) for c in range(1, seed.n + 1))
 
 
 class TestRandomSweepSmall:

@@ -1,5 +1,6 @@
 """Smoke test: the bundled scripts run to completion on the relations API."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,21 @@ def test_script_exits_zero(argv):
         [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+# sha256 of the 66 lines `run_bundled_examples.py` prints: the matrices,
+# one-step variables, commutator witnesses and full suite of both fixtures.
+BUNDLED_EXAMPLES_SHA256 = "704139f501931426b500b55a8ded5c03551b7767ac52253edcd119bd2e47eec7"
+
+
+def test_bundled_examples_output_pinned():
+    result = subprocess.run(
+        [sys.executable, "scripts/run_bundled_examples.py"],
+        cwd=ROOT, capture_output=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 66
+    assert hashlib.sha256(result.stdout).hexdigest() == BUNDLED_EXAMPLES_SHA256
 
 
 @pytest.mark.parametrize(
