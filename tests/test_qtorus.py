@@ -97,6 +97,10 @@ class TestMonomials:
     def test_unit(self):
         assert TorusElem.monomial(LAM4, (0, 0, 0, 0), 1) == TorusElem.unit(LAM4)
 
+    def test_generator(self):
+        # the generator x2 is the one-letter word, i.e. X^(e_2)
+        assert ordered_product(LAM4, [(2, 1)]) == TorusElem.monomial(LAM4, (0, 1, 0, 0), 1)
+
     def test_zero_coefficient_gives_zero(self):
         assert TorusElem.monomial(LAM4, (1, 0, 0, 0), 0).is_zero()
 
