@@ -4,11 +4,10 @@ Each identity family expands both sides exactly and compares canonical
 forms; vanishing families compare against the zero polynomial.  Scalar
 families expand in QLaurent; the alternating q-binomial sums and the
 q-Vandermonde sum are summed as packed ints and decoded once.  The
-product expansions are polynomials in commuting indeterminates, expanded
-as TorusElem values over the zero skew form (one variable x, or x and y
-for the bivariate family).  Families carry their precondition ranges as
-data, so a single sweep can enumerate and report every instance
-uniformly.
+product expansions are polynomials in a commuting indeterminate x,
+expanded as lists of QLaurent coefficients of x^0 .. x^n.  Families
+carry their precondition ranges as data, so a single sweep can enumerate
+and report every instance uniformly.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .qarith import QLaurent, _height, _l1, _pack, _require_int, _slot_width, _unpack, q_binom, q_int
-from .qtorus import SkewForm, TorusElem
 
 
 @dataclass(frozen=True)
@@ -98,25 +96,15 @@ def _double_sum(n: int, shift: int, slope: int) -> tuple[QLaurent, QLaurent]:
     return _alternating_sum(n + 1, shift, slope), QLaurent.zero()
 
 
-_LINE = SkewForm([[0]])
-_PLANE = SkewForm([[0, 0], [0, 0]])
-
-
-def _product_expansion(n: int) -> tuple[TorusElem, TorusElem]:
-    # prod_{r=1}^{n} (1 + q^r x) in the commuting variable x = X^[1].
-    lhs = TorusElem.unit(_LINE)
+def _product_expansion(n: int) -> tuple[list[QLaurent], list[QLaurent]]:
+    # prod_{r=1}^{n} (1 + q^r x) as the coefficients of x^0 .. x^n: each
+    # factor adds q^r times coefficient k-1 to coefficient k, top down so
+    # that coefficient k-1 is still the one before this factor.
+    lhs = [QLaurent.one()] + [QLaurent.zero()] * n
     for r in range(1, n + 1):
-        lhs = lhs * TorusElem(_LINE, {(0,): 1, (1,): QLaurent.q_power(2 * r)})
-    rhs = TorusElem(_LINE, {(k,): q_binom(n, k).shift(k * (k + 1)) for k in range(n + 1)})
-    return lhs, rhs
-
-
-def _product_expansion_bivar(n: int) -> tuple[TorusElem, TorusElem]:
-    # Homogenized: prod_{r=1}^{n} (y + q^r x) with x = X^[1,0], y = X^[0,1].
-    lhs = TorusElem.unit(_PLANE)
-    for r in range(1, n + 1):
-        lhs = lhs * TorusElem(_PLANE, {(0, 1): 1, (1, 0): QLaurent.q_power(2 * r)})
-    rhs = TorusElem(_PLANE, {(k, n - k): q_binom(n, k).shift(k * (k + 1)) for k in range(n + 1)})
+        for k in range(r, 0, -1):
+            lhs[k] = lhs[k] + lhs[k - 1].shift(2 * r)
+    rhs = [q_binom(n, k).shift(k * (k + 1)) for k in range(n + 1)]
     return lhs, rhs
 
 
@@ -269,12 +257,14 @@ FAMILIES: dict[str, IdentityFamily] = {
             _product_expansion,
             _sweep_n(10),
         ),
+        # prod_{r=1}^{n} (y + q^r x) is homogeneous of degree n, so its
+        # x^k y^(n-k) coefficient is entry k of the one-variable expansion.
         IdentityFamily(
             "PRODUCT_EXPANSION_BIVAR",
             ("n",),
             "n >= 1",
             lambda n: n >= 1,
-            _product_expansion_bivar,
+            _product_expansion,
             _sweep_n(10),
         ),
         IdentityFamily(

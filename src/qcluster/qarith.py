@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from functools import lru_cache
 from itertools import repeat
 from math import comb
 from typing import Iterable, Mapping, Sequence, Tuple, Union
@@ -159,14 +158,6 @@ class QLaurent:
         out = QLaurent.__new__(QLaurent)
         out._terms = {h + half: coeff for h, coeff in self._terms.items()}
         return out
-
-    def __pow__(self, exponent: int) -> "QLaurent":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        acc = _ONE
-        for _ in range(exponent):
-            acc = acc * self
-        return acc
 
     # -- involutions and substitutions ----------------------------------
 
@@ -334,18 +325,13 @@ def _check_base(d: int) -> None:
         raise ValueError(f"base exponent d must be a positive integer, got {d!r}")
 
 
-@lru_cache(maxsize=None)
-def _q_int_base(n: int) -> QLaurent:
-    return QLaurent({2 * j: 1 for j in range(n)})
-
-
 def q_int(n: int, d: int = 1) -> QLaurent:
     """[n] at base q^d: 1 + q^d + ... + q^((n-1)d); zero when n = 0."""
     _check_base(d)
     _require_int("q_int's n", n)
     if n < 0:
         raise ValueError(f"q_int needs n >= 0, got {n!r}")
-    return _q_int_base(n).scale_exponents(d)
+    return QLaurent._raw({2 * d * j: 1 for j in range(n)})
 
 
 # A Gaussian binomial [k, s] = sum_j c_j q^j is stored packed, as the one

@@ -187,9 +187,7 @@ class TorusElem:
 
     # -- twisted multiplication -----------------------------------------
 
-    def __mul__(self, other: Union["TorusElem", CoeffLike]) -> "TorusElem":
-        if isinstance(other, (QLaurent, int)):
-            return self.scale(other)
+    def __mul__(self, other: "TorusElem") -> "TorusElem":
         if not isinstance(other, TorusElem):
             return NotImplemented
         self._check_form(other)
@@ -205,11 +203,6 @@ class TorusElem:
                 else:
                     del data[expo]
         return self._raw(form, data)
-
-    def __rmul__(self, other: CoeffLike) -> "TorusElem":
-        if isinstance(other, (QLaurent, int)):
-            return self.scale(other)
-        return NotImplemented
 
     def __pow__(self, exponent: int) -> "TorusElem":
         if not isinstance(exponent, int) or exponent < 0:

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .qarith import QLaurent, q_binom
+from .qarith import QLaurent, _require_int, q_binom
 from .qtorus import ExpVec, TorusElem, iterated_q_commutator, ordered_product, vec_add
 from .seeds import QuantumSeed, pos_part
 
@@ -89,6 +89,9 @@ class RelationInstance:
     def __post_init__(self):
         seed, i, j = self.seed, self.i, self.j
         _require_pair(seed, i, j)
+        _require_int("order l", self.l)
+        if self.m_exp is not None:
+            _require_int("outer exponent m_exp", self.m_exp)
         b = abs(seed.b_entry(i, j))
         if self.l < 1:
             raise ValueError(f"order l must be positive, got l={self.l}")
@@ -110,6 +113,8 @@ class RelationInstance:
 
 
 def _require_pair(seed: QuantumSeed, i: int, j: int) -> None:
+    _require_int("index i", i)
+    _require_int("index j", j)
     n = seed.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"indices (i, j) = ({i}, {j}) out of range [1, {n}]")
@@ -325,6 +330,8 @@ def power_product_check(seed: QuantumSeed, i: int, t: int, side: str = "left") -
     """
     started = time.perf_counter()
     ys = one_step_variables(seed)
+    _require_int("index i", i)
+    _require_int("power t", t)
     if not 1 <= i <= seed.n:
         raise ValueError(f"index i={i} out of range [1, {seed.n}]")
     if t < 1:
@@ -366,6 +373,10 @@ def lemma_sum_check(
     started = time.perf_counter()
     ys = one_step_variables(seed)
     _require_pair(seed, i, j)
+    if m_exp is not None:
+        _require_int("outer exponent m_exp", m_exp)
+    if t_shift is not None:
+        _require_int("t_shift", t_shift)
     if variant not in ("L32", "L41"):
         raise ValueError(f"variant must be 'L32' or 'L41', got {variant!r}")
     if variant == "L32" and (m_exp is not None or t_shift is not None):
@@ -461,6 +472,8 @@ def higher_verify(
     ys = one_step_variables(seed)
     if exploratory:
         _require_pair(seed, i, j)
+        _require_int("order l", l)
+        _require_int("outer exponent m_exp", m_exp)
         if l < 1 or m_exp < 0:
             raise ValueError("even exploratory instances need l >= 1 and m_exp >= 0")
     else:

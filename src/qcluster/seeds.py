@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .qarith import QLaurent
+from .qarith import QLaurent, _require_int
 from .qtorus import ExpVec, SkewForm, TorusElem
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -199,6 +199,7 @@ def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
     like every seed, the result is checked for compatibility when it is
     built.  Mutation is an involution.
     """
+    _require_int("mutation direction k", k)
     n, m = seed.n, seed.m
     if not 1 <= k <= n:
         raise ValueError(f"mutation direction {k} out of range [1, {n}]")
@@ -242,6 +243,7 @@ def mutated_variable(seed: QuantumSeed, k: int) -> TorusElem:
     Lives over the *original* seed's form; [.]_+ acts entrywise on
     column b_k.
     """
+    _require_int("variable index k", k)
     n, m = seed.n, seed.m
     if not 1 <= k <= n:
         raise ValueError(f"variable index {k} out of range [1, {n}]")

@@ -32,13 +32,20 @@ class TestSingleChecks:
         assert check_identity("SHIFTED_VANISHING", (1, 0)).verdict
 
     def test_product_expansion_matches_manual_fold(self):
-        n = 5
-        line = SkewForm([[0]])
-        lhs = TorusElem.unit(line)
-        for r in range(1, n + 1):
-            lhs = lhs * TorusElem(line, {(0,): 1, (1,): QLaurent.q_power(2 * r)})
-        assert check_identity("PRODUCT_EXPANSION", (n,)).verdict
-        assert FAMILIES["PRODUCT_EXPANSION"].expand(n)[0] == lhs
+        # The reference folds the products in the zero-form torus, where
+        # x = X^[1], or x = X^[1,0] and y = X^[0,1], commute.
+        line, plane = SkewForm([[0]]), SkewForm([[0, 0], [0, 0]])
+        univar, bivar = TorusElem.unit(line), TorusElem.unit(plane)
+        for n in range(1, 13):
+            univar = univar * TorusElem(line, {(0,): 1, (1,): QLaurent.q_power(2 * n)})
+            bivar = bivar * TorusElem(plane, {(0, 1): 1, (1, 0): QLaurent.q_power(2 * n)})
+            for family, fold, expo in (
+                ("PRODUCT_EXPANSION", univar, lambda k: (k,)),
+                ("PRODUCT_EXPANSION_BIVAR", bivar, lambda k: (k, n - k)),
+            ):
+                lhs, _ = FAMILIES[family].expand(n)
+                assert dict(fold.items()) == {expo(k): coeff for k, coeff in enumerate(lhs)}
+                assert check_identity(family, (n,)).verdict
 
     def test_report_rendering(self):
         assert check_identity("VANISHING", (3,)).render() == "VANISHING(d=3) = PASS"

@@ -432,6 +432,36 @@ class TestHigher:
         assert instance.m_exp == 4
 
 
+# Each entry point with one int parameter replaced by `value`, and the
+# name its TypeError gives that parameter.
+NON_INT_CALLS = {
+    "serre_verify-i": (lambda seed, v: serre_verify(seed, v, 2), "index i"),
+    "serre_verify-j": (lambda seed, v: serre_verify(seed, 2, v), "index j"),
+    "commutator_check-j": (lambda seed, v: commutator_check(seed, 2, v), "index j"),
+    "higher_verify-l": (lambda seed, v: higher_verify(seed, 2, 1, v, 2), "order l"),
+    "higher_verify-m": (lambda seed, v: higher_verify(seed, 1, 2, 1, v), "outer exponent m_exp"),
+    "exploratory-l": (lambda seed, v: higher_verify(seed, 1, 2, v, 2, exploratory=True), "order l"),
+    "exploratory-m": (lambda seed, v: higher_verify(seed, 1, 2, 1, v, exploratory=True), "outer exponent m_exp"),
+    "RelationInstance-l": (lambda seed, v: RelationInstance(seed, 2, 1, v), "order l"),
+    "lemma_sum_check-j": (lambda seed, v: lemma_sum_check(seed, 2, v), "index j"),
+    "lemma_sum_check-m": (lambda seed, v: lemma_sum_check(seed, 1, 2, "L41", m_exp=v), "outer exponent m_exp"),
+    "lemma_sum_check-t_shift": (lambda seed, v: lemma_sum_check(seed, 1, 2, "L41", t_shift=v), "t_shift"),
+    "power_product_check-i": (lambda seed, v: power_product_check(seed, v, 2), "index i"),
+    "power_product_check-t": (lambda seed, v: power_product_check(seed, 1, v), "power t"),
+    "mutate-k": (lambda seed, v: mutate(seed, v), "mutation direction k"),
+    "mutated_variable-k": (lambda seed, v: mutated_variable(seed, v), "variable index k"),
+}
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize("value", [True, 1.0])
+    @pytest.mark.parametrize("entry", NON_INT_CALLS)
+    def test_non_int_rejected(self, ex1, entry, value):
+        call, name = NON_INT_CALLS[entry]
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got {value!r}$"):
+            call(ex1, value)
+
+
 class TestSuites:
     def test_rank2_suite(self, ex1):
         certs = quantum_group_suite(ex1)
