@@ -2,10 +2,12 @@
 
 Each identity family expands both sides exactly and compares canonical
 forms; vanishing families compare against the zero polynomial.  Scalar
-families expand in QLaurent; the alternating q-binomial sums and the
-q-Vandermonde sum are summed as packed ints and decoded once.  The
-product expansions are polynomials in a commuting indeterminate x,
-expanded as lists of QLaurent coefficients of x^0 .. x^n.  Families
+families expand in QLaurent.  The alternating q-binomial sums and the
+q-Vandermonde sum add the q-binomial table's packed entries as they are
+stored, with each coefficient bound read from the entry's own slots, and
+decode the sum once.  The product expansions are polynomials in a
+commuting indeterminate x, expanded as lists of packed coefficients of
+x^0 .. x^n and compared packed, so a PASS decodes nothing.  Families
 carry their precondition ranges as data, so a single sweep can enumerate
 and report every instance uniformly.
 """
@@ -13,9 +15,21 @@ and report every instance uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Iterator, Sequence
 
-from .qarith import QLaurent, _height, _l1, _pack, _require_int, _slot_width, _unpack, q_binom, q_int
+from .qarith import (
+    QLaurent,
+    _q_binom_entry,
+    _require_int,
+    _respread,
+    _slot_bias,
+    _slot_width,
+    _slots,
+    _unpack,
+    q_binom,
+    q_int,
+)
 
 
 @dataclass(frozen=True)
@@ -36,31 +50,52 @@ class IdentityReport:
 # -- the expansions ----------------------------------------------------------
 
 
-# The alternating sums run on ints.  Each q-binomial operand is packed at
-# q = 2^W (qarith._pack), which is a ring map, so the packed sum of shifted
-# operands (for Vandermonde, of their products) is exactly the sum's value
-# at 2^W; qarith._unpack reads it back exactly when every coefficient of
-# the sum is below 2^(W-1) in absolute value.
+# The alternating sums run on ints.  Each q-binomial operand is read from
+# the table as it is stored (qarith._q_binom_entry): packed at q = 2^w, one
+# unsigned w-bit slot per coefficient, and never decoded.  Packing is a
+# ring map, so the packed sum of shifted operands (for Vandermonde, of
+# their products) at one width W is exactly the sum's value at 2^W;
+# qarith._unpack reads it back exactly when every coefficient of the sum
+# is below 2^(W-1) in absolute value.
 #
 # The bound: a coefficient of the sum is at most sum_r mult_r * height_r,
-# where height_r is the largest |coefficient| of term r (||a||_1 * max|b|
-# for a product a*b) and mult_r is how often term r is added (once, or for
-# a double sum once per prefix it lies in).  Each height is read from the
-# operands q_binom actually returned, never from C(n, r), so a wrong
-# q_binom cannot alias to a false PASS.  The bound grows as the terms
-# arrive; each term is packed at the width the bound so far needs, and when
-# that width grows, the running sums, whose coefficients are within the
-# bound so far, are decoded at the old width and packed again at the new.
-# For true q-binomials the heights of [top, r] sum to at most
-# sum_r C(top, r) = 2^top, so a single sum keeps W = 64 for every
+# where height_r is the largest coefficient of term r (||a||_1 * max b for
+# a product a*b) and mult_r is how often term r is added (once, or for a
+# double sum once per prefix it lies in).  Each height and l1 is read from
+# the slots of the entry actually returned, never from C(n, r), so a wrong
+# entry cannot alias to a false PASS.  The bound grows as the terms arrive;
+# each entry is moved to the width the bound so far needs (qarith._respread,
+# exact because its slots are at most the bound), and when that width
+# grows, the running sums, whose coefficients are within the bound so far,
+# are moved with it.  For true q-binomials the heights of [top, r] sum to
+# at most sum_r C(top, r) = 2^top, so a single sum keeps W = 64 for every
 # top <= 62.
+#
+# The product expansions keep no running bound and decode nothing: both
+# sides are lists of polynomials with nonnegative coefficients below 2^W,
+# packed at one width W, and compared as ints, which is exact by qarith's
+# argument for unsigned digits (see _product_expansion for the bound).
+
+
+def _entry(n: int, r: int) -> tuple[int, int, int]:
+    """[n, r] as _q_binom_entry returned it: packed, its slot width and its
+    slot count (read from the int, so no slot goes unread)."""
+    packed, width = _q_binom_entry(n, r)
+    if type(packed) is not int or packed < 0:
+        raise ArithmeticError(f"the packed q-binomial [{n}, {r}] must be a nonnegative int, got {packed!r}")
+    return packed, width, -(-packed.bit_length() // width)
 
 
 def _widen(width: int, bound: int, sums: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """The slot width `bound` needs, and `sums` moved to it from the
-    narrower `width` (decoded there, then packed again)."""
+    narrower `width`: biased into unsigned digits, respread, unbiased."""
     wider = _slot_width(bound)
-    return wider, tuple(_pack(_unpack(packed, width, 0), wider) for packed in sums)
+    moved = []
+    for packed in sums:
+        count = packed.bit_length() // width + 1
+        bias = _slot_bias(width, count)
+        moved.append(_respread(packed + bias, width, wider, count) - _respread(bias, width, wider, count))
+    return wider, tuple(moved)
 
 
 def _alternating_sum(top: int, shift: int, slope: int | None = None) -> QLaurent:
@@ -74,11 +109,11 @@ def _alternating_sum(top: int, shift: int, slope: int | None = None) -> QLaurent
     outer = 0 if slope is None else min(0, slope * (steps - 1))
     width, bound, inner, total = _slot_width(0), 0, 0, 0
     for t in range(steps):
-        term = q_binom(top, t)
-        bound += (1 if slope is None else steps - t) * _height(term)
+        entry, entry_width, count = _entry(top, t)
+        bound += (1 if slope is None else steps - t) * max(_slots(entry, entry_width, count), default=0)
         if bound >> (width - 1):
             width, (inner, total) = _widen(width, bound, (inner, total))
-        packed = _pack(term, width) << width * (t * (t - 1) // 2 - shift * t - low)
+        packed = _respread(entry, entry_width, width, count) << width * (t * (t - 1) // 2 - shift * t - low)
         inner = inner - packed if t % 2 else inner + packed
         if slope is not None:
             total += inner << width * (slope * t - outer)
@@ -96,15 +131,30 @@ def _double_sum(n: int, shift: int, slope: int) -> tuple[QLaurent, QLaurent]:
     return _alternating_sum(n + 1, shift, slope), QLaurent.zero()
 
 
-def _product_expansion(n: int) -> tuple[list[QLaurent], list[QLaurent]]:
-    # prod_{r=1}^{n} (1 + q^r x) as the coefficients of x^0 .. x^n: each
-    # factor adds q^r times coefficient k-1 to coefficient k, top down so
-    # that coefficient k-1 is still the one before this factor.
-    lhs = [QLaurent.one()] + [QLaurent.zero()] * n
+def _product_expansion(n: int) -> tuple[list[int], list[int]]:
+    """Both sides of prod_{r=1}^{n} (1 + q^r x) = sum_k q^(k(k+1)/2) [n, k] x^k
+    as the coefficients of x^0 .. x^n, each packed at q = 2^W.
+
+    W is the widest slot of the row's entries.  Left side: each factor
+    adds q^r times coefficient k-1 to coefficient k, top down so that
+    coefficient k-1 is still the one before this factor.  After r factors
+    coefficient k is q^(k(k+1)/2) [r, k], whose coefficients are
+    nonnegative and at most C(r, k) <= C(n, floor(n/2)) < 2^W (checked, not
+    assumed), and every entry's slots fit W, so both sides are nonnegative
+    polynomials within their slots and compare exactly as ints.
+    """
+    entries = [_entry(n, k) for k in range(n + 1)]
+    width = max(entry_width for _, entry_width, _ in entries)
+    if comb(n, n // 2) >> width:
+        raise ArithmeticError(f"{width}-bit slots cannot hold the coefficients of row {n}")
+    lhs = [1] + [0] * n
     for r in range(1, n + 1):
         for k in range(r, 0, -1):
-            lhs[k] = lhs[k] + lhs[k - 1].shift(2 * r)
-    rhs = [q_binom(n, k).shift(k * (k + 1)) for k in range(n + 1)]
+            lhs[k] += lhs[k - 1] << width * r
+    rhs = [
+        _respread(entry, entry_width, width, count) << width * (k * (k + 1) // 2)
+        for k, (entry, entry_width, count) in enumerate(entries)
+    ]
     return lhs, rhs
 
 
@@ -113,11 +163,16 @@ def _vandermonde(n: int, d: int, k: int) -> tuple[QLaurent, QLaurent]:
     low = min((d - r) * (k - r) for r in range(k + 1))
     width, bound, rhs = _slot_width(0), 0, 0
     for r in range(k + 1):
-        a, b = q_binom(d, r), q_binom(n - d, k - r)
-        bound += _l1(a) * _height(b)
+        (a, a_width, a_count), (b, b_width, b_count) = _entry(d, r), _entry(n - d, k - r)
+        if not a or not b:
+            # A zero product adds nothing, and the bound need not cover
+            # the other factor's slots.
+            continue
+        bound += sum(_slots(a, a_width, a_count)) * max(_slots(b, b_width, b_count))
         if bound >> (width - 1):
             width, (rhs,) = _widen(width, bound, (rhs,))
-        rhs += _pack(a, width) * _pack(b, width) << width * ((d - r) * (k - r) - low)
+        a, b = _respread(a, a_width, width, a_count), _respread(b, b_width, width, b_count)
+        rhs += a * b << width * ((d - r) * (k - r) - low)
     return lhs, _unpack(rhs, width, 2 * low)
 
 

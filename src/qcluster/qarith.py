@@ -377,22 +377,36 @@ def _fill_q_binom_table(n: int, r: int, width: int) -> int:
     return table[width, n, r]
 
 
+def _words(packed: int, count: int) -> array:
+    """The lowest `count` 64-bit words of a nonnegative int, lowest first."""
+    words = array("Q", packed.to_bytes(8 * count, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
 def _slots(packed: int, width: int, count: int) -> Sequence[int]:
     """The lowest `count` width-bit slots of a nonnegative int, as unsigned ints."""
+    if width == _SLOT_BITS:
+        return _words(packed, count)
     size = width // 8
     raw = packed.to_bytes(size * count, "little")
-    if width == _SLOT_BITS:
-        words = array("Q", raw)
-        if sys.byteorder == "big":
-            words.byteswap()
-        return words
     return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
 
 
-def _decode_q_binom(packed: int, width: int, count: int, d: int) -> QLaurent:
-    # Slot j of `packed` is the coefficient of q^(d j), half-exponent 2 d j.
-    step = 2 * d
-    return QLaurent._raw(dict(zip(range(0, step * count, step), _slots(packed, width, count))))
+def _q_binom_entry(n: int, r: int) -> tuple[int, int]:
+    """The Gaussian binomial [n choose r] as stored in the table, packed at
+    q = 2^W, and W; (0, 64) when r < 0 or r > n.  Nothing is decoded."""
+    if r < 0 or r > n:
+        return 0, _SLOT_BITS
+    if r == 0 or r == n:
+        return 1, _SLOT_BITS
+    width = _SLOT_BITS
+    packed = _Q_BINOM_TABLE.get((width, n, r))
+    if packed is None:
+        width = _SLOT_BITS * -(-comb(n, r).bit_length() // _SLOT_BITS)
+        packed = _Q_BINOM_TABLE.get((width, n, r)) or _fill_q_binom_table(n, r, width)
+    return packed, width
 
 
 def q_binom(n: int, r: int, d: int = 1) -> QLaurent:
@@ -406,14 +420,11 @@ def q_binom(n: int, r: int, d: int = 1) -> QLaurent:
     _require_int("q_binom's r", r)
     if r < 0 or r > n:
         return QLaurent.zero()
-    if r == 0 or r == n:
-        return _ONE
-    width = _SLOT_BITS
-    packed = _Q_BINOM_TABLE.get((width, n, r))
-    if packed is None:
-        width = _SLOT_BITS * -(-comb(n, r).bit_length() // _SLOT_BITS)
-        packed = _Q_BINOM_TABLE.get((width, n, r)) or _fill_q_binom_table(n, r, width)
-    return _decode_q_binom(packed, width, r * (n - r) + 1, d)
+    packed, width = _q_binom_entry(n, r)
+    # Slot j of the entry is the coefficient of q^(d j), half-exponent 2 d j.
+    step = 2 * d
+    count = r * (n - r) + 1
+    return QLaurent._raw(dict(zip(range(0, step * count, step), _slots(packed, width, count))))
 
 
 # -- polynomials in q packed as ints ------------------------------------------
@@ -429,6 +440,15 @@ def q_binom(n: int, r: int, d: int = 1) -> QLaurent:
 # c_j.  Two polynomials within the bound then pack to the same int only if
 # they are equal, and one packs to 0 only if it is 0.  W is a multiple of
 # 64, so the slots are whole 8-byte words and decoding runs over bytes.
+#
+# A polynomial whose coefficients are all nonnegative and below 2^W, such
+# as a Gaussian binomial from the table, needs no bias: its slots, read as
+# unsigned W-bit digits, are its coefficients.  The base-2^W digits of a
+# nonnegative int are unique, so two such polynomials are equal exactly
+# when their packed ints are, and packed ints of them can be compared
+# without decoding either.  _respread moves one to another slot width by
+# reading its digits at the one and writing them at the other, which is
+# exact while every digit fits the narrower width.
 
 
 def _slot_width(bound: int) -> int:
@@ -441,35 +461,28 @@ def _slot_bias(width: int, count: int) -> int:
     return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * count, "little")
 
 
-def _height(poly: QLaurent) -> int:
-    """The largest |coefficient| of poly; 0 for the zero polynomial."""
-    return max(map(abs, poly._terms.values()), default=0)
-
-
-def _l1(poly: QLaurent) -> int:
-    """The sum of the |coefficients| of poly."""
-    return sum(map(abs, poly._terms.values()))
+def _respread(packed: int, width: int, new_width: int, count: int) -> int:
+    """The nonnegative `packed`, read as `count` unsigned width-bit slots,
+    with each slot moved to a new_width-bit slot: the same polynomial with
+    nonnegative coefficients, packed at q = 2^new_width instead of 2^width.
+    A slot that does not fit in new_width bits raises ArithmeticError."""
+    if width == new_width:
+        return packed
+    step, new_step = width // _SLOT_BITS, new_width // _SLOT_BITS
+    words = _words(packed, step * count)
+    if any(any(words[j::step]) for j in range(new_step, step)):
+        raise ArithmeticError(f"a {width}-bit slot does not fit in {new_width} bits")
+    out = array("Q", bytes(8 * new_step * count))
+    for j in range(min(step, new_step)):
+        out[j::new_step] = words[j::step]
+    if sys.byteorder == "big":
+        out.byteswap()
+    return int.from_bytes(out.tobytes(), "little")
 
 
 def _pack(poly: QLaurent, width: int) -> int:
     """poly at q = 2^width, for any polynomial in q (ValueError otherwise)."""
     terms = poly._terms
-    try:
-        # Dense with coefficients in [0, 2^64), as a Gaussian binomial is:
-        # each coefficient is the low word of its slot.  A missing degree
-        # raises KeyError and a negative or too large coefficient
-        # OverflowError.
-        coeffs = array("Q", map(terms.__getitem__, range(0, 2 * len(terms), 2)))
-    except (KeyError, OverflowError):
-        pass
-    else:
-        if width > _SLOT_BITS:
-            words = array("Q", bytes(width // 8 * len(coeffs)))
-            words[::width // _SLOT_BITS] = coeffs
-            coeffs = words
-        if sys.byteorder == "big":
-            coeffs.byteswap()
-        return int.from_bytes(coeffs.tobytes(), "little")
     if any(half < 0 or half & 1 for half in terms):
         raise ValueError(f"only a polynomial in q can be packed, got {poly}")
     # Balanced digits, the inverse of _unpack: slot j holds c_j + 2^(W-1).

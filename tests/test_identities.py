@@ -4,10 +4,19 @@ from random import Random
 
 import pytest
 
-from qcluster import identities
+from qcluster import identities, qarith
 from qcluster.identities import FAMILIES, check_identity, sweep_reports
-from qcluster.qarith import QLaurent, q_binom, q_int
+from qcluster.qarith import QLaurent, q_binom
 from qcluster.qtorus import SkewForm, TorusElem
+
+
+def unsigned_digits(packed, width):
+    """The polynomial in q whose coefficients are the base-2^width digits of
+    the nonnegative int `packed`."""
+    size = width // 8
+    raw = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
+    digits = (int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size))
+    return QLaurent({2 * j: digit for j, digit in enumerate(digits) if digit})
 
 
 class TestSingleChecks:
@@ -33,18 +42,25 @@ class TestSingleChecks:
 
     def test_product_expansion_matches_manual_fold(self):
         # The reference folds the products in the zero-form torus, where
-        # x = X^[1], or x = X^[1,0] and y = X^[0,1], commute.
+        # x = X^[1], or x = X^[1,0] and y = X^[0,1], commute.  Both sides
+        # come packed at q = 2^W, W the slot width of the row's widest
+        # q-binomial entry; C(68, 34) is the first binomial past 2^64, so
+        # rows 68..70 fold at one width against 128-bit table entries.
         line, plane = SkewForm([[0]]), SkewForm([[0, 0], [0, 0]])
         univar, bivar = TorusElem.unit(line), TorusElem.unit(plane)
-        for n in range(1, 13):
+        for n in range(1, 71):
             univar = univar * TorusElem(line, {(0,): 1, (1,): QLaurent.q_power(2 * n)})
             bivar = bivar * TorusElem(plane, {(0, 1): 1, (1, 0): QLaurent.q_power(2 * n)})
+            if 12 < n < 66:
+                continue
+            width = qarith._q_binom_entry(n, n // 2)[1]
+            assert width == (128 if n >= 68 else 64)
             for family, fold, expo in (
                 ("PRODUCT_EXPANSION", univar, lambda k: (k,)),
                 ("PRODUCT_EXPANSION_BIVAR", bivar, lambda k: (k, n - k)),
             ):
                 lhs, _ = FAMILIES[family].expand(n)
-                assert dict(fold.items()) == {expo(k): coeff for k, coeff in enumerate(lhs)}
+                assert dict(fold.items()) == {expo(k): unsigned_digits(c, width) for k, c in enumerate(lhs)}
                 assert check_identity(family, (n,)).verdict
 
     def test_report_rendering(self):
@@ -109,19 +125,27 @@ class TestExhaustiveSweep:
 
 
 def _perturb_first_call(func):
-    """Wrap func so its first invocation returns the true value plus one."""
+    """Wrap func so its first invocation returns the true value plus one:
+    one more in the constant term of a decoded value, or in the lowest slot
+    of a packed q-binomial entry."""
     state = {"hit": False}
 
     def wrapped(*args, **kwargs):
         value = func(*args, **kwargs)
         if not state["hit"]:
             state["hit"] = True
-            value = value + QLaurent.one()
+            if isinstance(value, tuple):
+                packed, width = value
+                value = packed + 1, width
+            else:
+                value = value + QLaurent.one()
         return value
 
+    wrapped.state = state
     return wrapped
 
 
+# Each instance perturbs one q-binomial or one q-integer.
 PERTURBED_INSTANCES = [
     ("VANISHING", (4,), "q_binom"),
     ("SHIFTED_VANISHING", (4, 2), "q_binom"),
@@ -136,15 +160,29 @@ PERTURBED_INSTANCES = [
     ("BASE_CHANGE", (3, 2, 1), "q_int"),
 ]
 
+# These families read the q-binomials as the table's packed entries, through
+# _q_binom_entry; PASCAL and SYMMETRY read decoded q_binom values.
+READS_PACKED_ENTRIES = {
+    "VANISHING",
+    "SHIFTED_VANISHING",
+    "PRODUCT_EXPANSION",
+    "PRODUCT_EXPANSION_BIVAR",
+    "VANDERMONDE",
+    "DOUBLE_SUM_NEG",
+    "DOUBLE_SUM_POS",
+}
+
 
 class TestNotVacuous:
-    @pytest.mark.parametrize("family,params,hook", PERTURBED_INSTANCES)
-    def test_perturbed_instance_fails(self, family, params, hook, monkeypatch):
+    @pytest.mark.parametrize("family,params,quantity", PERTURBED_INSTANCES)
+    def test_perturbed_instance_fails(self, family, params, quantity, monkeypatch):
         # sanity: the honest instance passes
         assert check_identity(family, params).verdict
-        original = q_binom if hook == "q_binom" else q_int
-        monkeypatch.setattr(identities, hook, _perturb_first_call(original))
+        hook = "_q_binom_entry" if family in READS_PACKED_ENTRIES else quantity
+        perturbed = _perturb_first_call(getattr(qarith, hook))
+        monkeypatch.setattr(identities, hook, perturbed)
         assert not check_identity(family, params).verdict
+        assert perturbed.state["hit"]
 
 
 # The sums as QLaurent terms added one at a time, the way the identities
@@ -234,21 +272,45 @@ class TestPackedSums:
         assert widenings == [(64, 128)] * 5
 
     def test_large_coefficient_cannot_alias(self, monkeypatch, widenings):
-        # 2^64 - q packs to 0 in 64-bit slots, so a width fixed in advance
-        # would read the broken sum as zero and report PASS.
-        honest = q_binom
+        # Entry (4, 1) with its constant slot raised to 2^64 - 1, the largest
+        # a 64-bit slot holds.  The height is read from that slot, so the
+        # bound passes 2^63 and the sums move to 128-bit slots; a bound taken
+        # from C(4, 1) = 4 would keep them at 64 bits.
+        honest = qarith._q_binom_entry
         state = {"hit": False}
 
-        def broken(n, r, d=1):
-            value = honest(n, r, d)
+        def broken(n, r):
+            packed, width = honest(n, r)
             if (n, r) == (4, 1) and not state["hit"]:
                 state["hit"] = True
-                value = value + QLaurent({0: 2**64, 2: -1})
-            return value
+                assert width == 64
+                packed += 2**64 - 1 - (packed & (2**64 - 1))
+            return packed, width
 
-        monkeypatch.setattr(identities, "q_binom", broken)
+        monkeypatch.setattr(identities, "_q_binom_entry", broken)
         assert not check_identity("VANISHING", (4,)).verdict
         assert state["hit"] and widenings == [(64, 128)]
+
+    @pytest.mark.parametrize("entry", [-1, -(2**64), True, 1.0])
+    @pytest.mark.parametrize("family,params", [
+        ("VANISHING", (4,)),
+        ("DOUBLE_SUM_NEG", (4, 2)),
+        ("PRODUCT_EXPANSION", (4,)),
+        ("VANDERMONDE", (5, 2, 3)),
+    ])
+    def test_negative_entry_raises(self, monkeypatch, entry, family, params):
+        # Only a nonnegative int is read as unsigned slots.
+        monkeypatch.setattr(identities, "_q_binom_entry", lambda n, r: (entry, 64))
+        with pytest.raises(ArithmeticError, match="must be a nonnegative int"):
+            check_identity(family, params)
+
+    def test_row_past_its_slot_width_raises(self, monkeypatch):
+        # C(70, 35) > 2^64: a 64-bit fold of row 70 could carry between
+        # slots.  Row 67 still fits, so its wrong entries merely FAIL.
+        monkeypatch.setattr(identities, "_q_binom_entry", lambda n, r: (1, 64))
+        with pytest.raises(ArithmeticError, match="cannot hold the coefficients of row 70"):
+            check_identity("PRODUCT_EXPANSION", (70,))
+        assert not check_identity("PRODUCT_EXPANSION", (67,)).verdict
 
     def test_warm_vanishing_60_peak_memory(self):
         # Only packed ints are kept, never the decoded terms: a list of the

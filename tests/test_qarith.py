@@ -324,6 +324,16 @@ class TestQBinom:
                 tracemalloc.stop()
         assert size < 8 * 2**20
 
+    def test_packed_entry_is_the_undecoded_q_binom(self):
+        # Slot j of the entry is the coefficient of q^j, and the width is the
+        # least multiple of 64 above C(n, r).
+        assert qarith._q_binom_entry(4, 5) == qarith._q_binom_entry(4, -1) == (0, 64)
+        assert qarith._q_binom_entry(4, 0) == qarith._q_binom_entry(4, 4) == (1, 64)
+        for n, r, width in ((5, 2, 64), (67, 33, 64), (68, 34, 128), (70, 35, 128)):
+            packed, entry_width = qarith._q_binom_entry(n, r)
+            assert entry_width == width
+            assert packed == sum(c << width * (h // 2) for h, c in q_binom(n, r).items())
+
     @pytest.mark.parametrize("args", [(5, 2, True), (5, True), (True, 1), (5.0, 2), (5, 2.0), (5, 2, 1.0)])
     def test_rejects_non_int_arguments(self, args):
         with pytest.raises(TypeError, match="must be an int"):
@@ -384,10 +394,22 @@ class TestPacking:
     def test_slot_width(self, bound, width):
         assert qarith._slot_width(bound) == width
 
-    def test_norms(self):
-        poly = QLaurent({0: 3, 2: -5, 8: 1})
-        assert (qarith._height(poly), qarith._l1(poly)) == (5, 9)
-        assert (qarith._height(QLaurent.zero()), qarith._l1(QLaurent.zero())) == (0, 0)
+    @given(st.sampled_from([64, 128, 192]), st.sampled_from([64, 128, 192]), st.data())
+    @settings(max_examples=150)
+    def test_respread(self, width, new_width, data):
+        # Nonnegative coefficients that fit the narrower width, dense or sparse.
+        top = 1 << min(width, new_width)
+        coeffs = data.draw(st.lists(
+            st.one_of(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=top - 1)),
+            max_size=30,
+        ))
+        packed = sum(c << width * j for j, c in enumerate(coeffs))
+        moved = qarith._respread(packed, width, new_width, len(coeffs))
+        assert moved == sum(c << new_width * j for j, c in enumerate(coeffs))
+
+    def test_respread_slot_past_new_width(self):
+        with pytest.raises(ArithmeticError, match="128-bit slot does not fit in 64 bits"):
+            qarith._respread(5 | 1 << 64 | 7 << 128, 128, 64, 2)
 
 
 class TestPublishedIdentities:
