@@ -3,9 +3,12 @@
 
 For a chosen pair (i, j) this expands the order-l alternating sum for
 every l and outer exponent m in a grid and reports which instances
-vanish.  In-range instances must vanish; out-of-range instances are
-evaluated with the exploratory flag and usually leave a remainder, which
-makes the admissibility boundary visible.  A seed that does not load or
+vanish.  An instance is in range when `higher_verify` accepts it, and
+then it must vanish; `higher_verify` rejects an out-of-range instance
+with ValueError before expanding anything, and only then is it expanded
+with the exploratory flag, so each instance is expanded once.
+Out-of-range instances usually leave a remainder, which makes the
+admissibility boundary visible.  A seed that does not load or
 an index pair that is not two distinct mutable indices prints one
 `error: ...` line to stderr and exits 2.
 """
@@ -16,7 +19,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from qcluster.relations import RelationInstance, higher_verify
+from qcluster.relations import higher_verify
 from qcluster.seeds import load_seed
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -44,11 +47,11 @@ def main():
     for l in range(1, args.max_l + 1):
         for m in range(args.max_m + 1):
             try:
-                RelationInstance(seed, args.i, args.j, l, m)
+                cert = higher_verify(seed, args.i, args.j, l, m)
                 in_range = True
             except ValueError:
+                cert = higher_verify(seed, args.i, args.j, l, m, exploratory=True)
                 in_range = False
-            cert = higher_verify(seed, args.i, args.j, l, m, exploratory=True)
             marker = "yes" if in_range else " no"
             print(f"{l:>3} {m:>3}      {marker}       {'yes' if cert.ok else ' no'}")
             if in_range and not cert.ok:

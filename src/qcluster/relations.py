@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .qarith import QLaurent, _require_int, q_binom
-from .qtorus import ExpVec, TorusElem, iterated_q_commutator, ordered_product, vec_add
+from .qtorus import ExpVec, TorusElem, iterated_q_commutator, ordered_product
 from .seeds import QuantumSeed, pos_part
 
 
@@ -25,12 +25,13 @@ class VerificationCertificate:
     """Outcome of one exact relation check.
 
     `residue` is the canonical string of the element that must vanish
-    ("0" on a pass).  For the alternating sums (serre, serre-opposite,
-    higher, lemma-sum) `terms` is the summed term counts of the scaled
-    summands c_r A^(L-r) M A^r.  The q-adjoint kernel never builds them:
-    every summand has the support supp(M) + L*supp(A), which it counts
-    per line of direction f1 - f0 for the two exponents of A, as a union
-    of intervals (see `_sumset_size`).  The count is exact because A and M
+    ("0" on a pass).  The alternating sums (serre, serre-opposite, higher,
+    lemma-sum) each expand one validated plan (`_run`); their `terms` is
+    the summed term counts of the scaled summands c_r A^(L-r) M A^r.  The
+    q-adjoint kernel never builds them: every summand has the support
+    supp(M) + L*supp(A), which it counts per line of direction f1 - f0 for
+    the two exponents of the one-step variable A, as a union of intervals
+    (see `_sumset_size`).  The count is exact because A and M
     have nonnegative coefficients, so no product cancels (see
     `_q_adjoint`).  The commutator check reports the term count of
     y_i y_j - y_j y_i, and the power-product check the summed term counts
@@ -74,39 +75,16 @@ class VerificationCertificate:
 
 
 @dataclass(frozen=True)
-class RelationInstance:
-    """Validated parameters (i, j, l, m_exp) for a higher-order relation.
+class _Plan:
+    """A validated alternating-sum check: the arguments of `_q_adjoint`,
+    which `_run` expands.  Each family's builder applies its rules once."""
 
-    m_exp defaults to the minimal admissible outer exponent l*|b_ij|.
-    """
-
-    seed: QuantumSeed
-    i: int
-    j: int
-    l: int = 1
-    m_exp: int | None = None
-
-    def __post_init__(self):
-        seed, i, j = self.seed, self.i, self.j
-        _require_pair(seed, i, j)
-        _require_int("order l", self.l)
-        if self.m_exp is not None:
-            _require_int("outer exponent m_exp", self.m_exp)
-        b = abs(seed.b_entry(i, j))
-        if self.l < 1:
-            raise ValueError(f"order l must be positive, got l={self.l}")
-        if self.m_exp is None:
-            object.__setattr__(self, "m_exp", self.l * b)
-        if b == 0:
-            if self.m_exp < 0:
-                raise ValueError(f"b_ij = 0 needs m >= 0, got m={self.m_exp}")
-        else:
-            if self.l > b:
-                raise ValueError(f"order l={self.l} exceeds |b_ij| = {b}")
-            if self.m_exp < self.l * b:
-                raise ValueError(
-                    f"outer exponent m={self.m_exp} below the bound l*|b_ij| = {self.l * b}"
-                )
+    outer: TorusElem
+    middle: TorusElem
+    d: int
+    steps: int
+    first: int
+    opposite: bool = False
 
 
 # -- small helpers -----------------------------------------------------------
@@ -148,11 +126,12 @@ def _q_adjoint(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: i
         sum_r (-1)^r Q^(r(r-1)/2 + r*first) [L, r]_Q * A^(L-r) M A^r
 
     with L = steps (A^r M A^(L-r) when `opposite`).  With first = 0 this
-    is (ad_q A)^L (M).  Every product is by the two-term A of the callers,
-    and every twist is a single power of q.  The steps commute, so they
-    run in order of |first+k|, least twisted first: those steps cancel
-    most terms early and keep the intermediates small, and the order does
-    not change the result.
+    is (ad_q A)^L (M).  Every product is by A, which must have exactly
+    two terms (ArithmeticError otherwise), as every one-step variable of a
+    principal seed has; every twist is a single power of q.  The steps
+    commute, so they run in order of |first+k|, least twisted first: those
+    steps cancel most terms early and keep the intermediates small, and
+    the order does not change the result.
 
     Returns the result together with `terms`, the summed term counts of
     the L+1 scaled summands.  No summand is built: `outer` and `middle`
@@ -164,6 +143,8 @@ def _q_adjoint(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: i
     that sumset, counted from exponent vectors alone, times L+1 (see
     `_sumset_size`).
     """
+    if outer.term_count() != 2:
+        raise ArithmeticError(f"q-adjoint outer needs exactly two terms, got {outer.term_count()}")
     for elem in (outer, middle):
         for _, coeff in elem.items():
             if any(value < 0 for _, value in coeff.items()):
@@ -176,19 +157,15 @@ def _q_adjoint(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: i
 def _sumset_size(support: set[ExpVec], step_support: set[ExpVec], steps: int) -> int:
     """|support + steps*step_support|, the support of each summand of `_q_adjoint`.
 
-    For a two-term outer with exponents f0 and f1 = f0 + delta the sumset
-    is steps*f0 plus the points e + t*delta, e in `support`, 0 <= t <= steps.
-    Points e and e' reach the same such point only when e' - e is an
-    integer multiple of delta, so `support` splits into cosets of Z*delta
-    keyed by e - s*delta, with s = floor(e_c / delta_c) on a coordinate c
-    where delta is nonzero.  Each coset covers the union of the integer
-    intervals [s, s + steps], counted after sorting, in O(|M| log |M|).
-    Other sizes of outer are summed in `steps` passes.
+    The step support is the two exponents f0 and f1 = f0 + delta of the
+    outer, and the sumset is steps*f0 plus the points e + t*delta, e in
+    `support`, 0 <= t <= steps.  Points e and e' reach the same such point
+    only when e' - e is an integer multiple of delta, so `support` splits
+    into cosets of Z*delta keyed by e - s*delta, with s = floor(e_c / delta_c)
+    on a coordinate c where delta is nonzero.  Each coset covers the union
+    of the integer intervals [s, s + steps], counted after sorting, in
+    O(|M| log |M|).
     """
-    if len(step_support) != 2:
-        for _ in range(steps):
-            support = {vec_add(e, f) for e in support for f in step_support}
-        return len(support)
     f0, f1 = step_support
     delta = tuple(b - a for a, b in zip(f0, f1))
     c = next(t for t, v in enumerate(delta) if v)
@@ -203,14 +180,11 @@ def _sumset_size(support: set[ExpVec], step_support: set[ExpVec], steps: int) ->
     return total
 
 
-def _order_sum(seed: QuantumSeed, ys: Sequence[TorusElem], i: int, j: int, l: int, m_exp: int) -> tuple[TorusElem, int]:
-    """sum_r +/- [m+1, r] y_i^(m+1-r) y_j^l y_i^r at base q^(d_i), from ys = y_1 .. y_n.
-
-    The twist is q^(d_i * r(r-1)/2), times q^(-d_i * r * m) when b_ij > 0:
-    m+1 q-commutator steps, the first at q^(-d_i * m) when b_ij > 0.
-    """
-    first = -m_exp if seed.b_entry(i, j) > 0 else 0
-    return _q_adjoint(ys[i - 1], ys[j - 1] ** l, seed.d[i - 1], m_exp + 1, first)
+def _run(check: str, params: Sequence[tuple[str, object]], plan: _Plan, exploratory: bool = False) -> VerificationCertificate:
+    """Expand `plan` and certify it; `seconds` is the time of the expansion."""
+    started = time.perf_counter()
+    total, terms = _q_adjoint(plan.outer, plan.middle, plan.d, plan.steps, plan.first, plan.opposite)
+    return _certify(check, params, total, terms, started, exploratory)
 
 
 # -- one-step variables ------------------------------------------------------
@@ -355,22 +329,13 @@ def power_product_check(seed: QuantumSeed, i: int, t: int, side: str = "left") -
 # -- vanishing-sum lemmas ----------------------------------------------------
 
 
-def lemma_sum_check(
-    seed: QuantumSeed,
-    i: int,
-    j: int,
-    variant: str = "L32",
-    m_exp: int | None = None,
-    t_shift: int | None = None,
-) -> VerificationCertificate:
-    """The alternating vanishing sums feeding the relation proofs.
+def _lemma_plan(
+    seed: QuantumSeed, i: int, j: int, variant: str, m_exp: int | None, t_shift: int | None
+) -> tuple[tuple[tuple[str, object], ...], _Plan]:
+    """The certificate params and plan of a lemma sum, validated.
 
-    L32 is the one-step version and takes neither m_exp nor t_shift;
-    L41 generalizes it: t_shift >= 0 plays the inner-decomposition role
-    and the sum runs to m_exp.  L32 is L41 at t_shift = 0, m_exp = |b_ij|.
-    Requires b_ij != 0.
+    L32 is L41 at L41's defaults, t_shift = 0 and m_exp = (t_shift+1)*|b_ij|.
     """
-    started = time.perf_counter()
     ys = one_step_variables(seed)
     _require_pair(seed, i, j)
     if m_exp is not None:
@@ -388,23 +353,19 @@ def lemma_sum_check(
     if b == 0:
         raise ValueError("lemma sums need b_ij != 0")
     size = abs(b)
-    if variant == "L32":
-        m_exp, t_shift = size, 0
-        params: tuple[tuple[str, object], ...] = (("i", i), ("j", j), ("variant", "L32"))
-    else:
-        if t_shift is None:
-            t_shift = 0
-        if m_exp is None:
-            m_exp = (t_shift + 1) * size
-        if t_shift < 0 or t_shift + 1 > size:
-            raise ValueError(
-                f"L41 needs 0 <= t_shift <= |b_ij| - 1 = {size - 1}, got t_shift={t_shift}"
-            )
-        if m_exp < (t_shift + 1) * size:
-            raise ValueError(
-                f"L41 needs m_exp >= (t_shift+1)*|b_ij| = {(t_shift + 1) * size}, got m_exp={m_exp}"
-            )
-        params = (("i", i), ("j", j), ("variant", "L41"), ("m", m_exp), ("t", t_shift))
+    t_shift = 0 if t_shift is None else t_shift
+    m_exp = (t_shift + 1) * size if m_exp is None else m_exp
+    if t_shift < 0 or t_shift + 1 > size:
+        raise ValueError(
+            f"L41 needs 0 <= t_shift <= |b_ij| - 1 = {size - 1}, got t_shift={t_shift}"
+        )
+    if m_exp < (t_shift + 1) * size:
+        raise ValueError(
+            f"L41 needs m_exp >= (t_shift+1)*|b_ij| = {(t_shift + 1) * size}, got m_exp={m_exp}"
+        )
+    params: tuple[tuple[str, object], ...] = (("i", i), ("j", j), ("variant", variant))
+    if variant == "L41":
+        params += (("m", m_exp), ("t", t_shift))
     step = size * (1 + t_shift)
     # Summand t carries the partial sum of the order-sum coefficients 0..t,
     # twisted by q^(-d_i*t) when b_ij < 0 and by q^(d_i*t*step) when
@@ -414,11 +375,77 @@ def lemma_sum_check(
     # so the sum is m q-commutator steps, the first at Q^(step - m) when
     # b_ij > 0 and at Q^0 otherwise.
     first = step - m_exp if b > 0 else 0
-    total, terms = _q_adjoint(ys[i - 1], ordered_product(seed.form, [(i, step - 1)]), seed.d[i - 1], m_exp, first)
-    return _certify("lemma-sum", params, total, terms, started)
+    middle = ordered_product(seed.form, [(i, step - 1)])
+    return params, _Plan(ys[i - 1], middle, seed.d[i - 1], m_exp, first)
+
+
+def lemma_sum_check(
+    seed: QuantumSeed,
+    i: int,
+    j: int,
+    variant: str = "L32",
+    m_exp: int | None = None,
+    t_shift: int | None = None,
+) -> VerificationCertificate:
+    """The alternating vanishing sums feeding the relation proofs.
+
+    L32 is the one-step version and takes neither m_exp nor t_shift;
+    L41 generalizes it: t_shift >= 0 plays the inner-decomposition role
+    and the sum runs to m_exp.  L32 is L41 at t_shift = 0, m_exp = |b_ij|.
+    Requires b_ij != 0.
+    """
+    params, plan = _lemma_plan(seed, i, j, variant, m_exp, t_shift)
+    return _run("lemma-sum", params, plan)
 
 
 # -- fundamental (quantum Serre-type) relations ------------------------------
+
+
+def _order_plan(
+    seed: QuantumSeed, i: int, j: int, order: tuple[int, int] | None = None, exploratory: bool = False
+) -> _Plan:
+    """sum_r +/- [m+1, r] y_i^(m+1-r) y_j^l y_i^r at base q^(d_i), validated.
+
+    `order` is (l, m_exp), checked as `higher_verify` says; None is the
+    Serre relation, (1, |b_ij|), always in range.  The twist is
+    q^(d_i * r(r-1)/2), times q^(-d_i * r * m) when b_ij > 0: m+1
+    q-commutator steps, the first at q^(-d_i * m) when b_ij > 0.
+    """
+    ys = one_step_variables(seed)
+    _require_pair(seed, i, j)
+    b = seed.b_entry(i, j)
+    size = abs(b)
+    if order is None:
+        l, m_exp = 1, size
+    else:
+        l, m_exp = order
+        _require_int("order l", l)
+        _require_int("outer exponent m_exp", m_exp)
+        if exploratory:
+            if l < 1 or m_exp < 0:
+                raise ValueError("even exploratory instances need l >= 1 and m_exp >= 0")
+        elif l < 1:
+            raise ValueError(f"order l must be positive, got l={l}")
+        elif size == 0:
+            if m_exp < 0:
+                raise ValueError(f"b_ij = 0 needs m >= 0, got m={m_exp}")
+        elif l > size:
+            raise ValueError(f"order l={l} exceeds |b_ij| = {size}")
+        elif m_exp < l * size:
+            raise ValueError(f"outer exponent m={m_exp} below the bound l*|b_ij| = {l * size}")
+    first = -m_exp if b > 0 else 0
+    return _Plan(ys[i - 1], ys[j - 1] ** l, seed.d[i - 1], m_exp + 1, first)
+
+
+def _opposite_plan(seed: QuantumSeed, i: int, j: int) -> _Plan:
+    """sum_r +/- [b_ji+1, r] y_j^r y_i y_j^(b_ji+1-r) at base q^(d_j), validated (b_ij <= 0)."""
+    ys = one_step_variables(seed)
+    _require_pair(seed, i, j)
+    b_ij = seed.b_entry(i, j)
+    if b_ij > 0:
+        raise ValueError(f"reversed-side relation needs b_ij <= 0, got b_ij={b_ij}")
+    steps = 1 + abs(seed.b_entry(j, i))
+    return _Plan(ys[j - 1], ys[i - 1], seed.d[j - 1], steps, 0, opposite=True)
 
 
 def serre_verify(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
@@ -429,11 +456,7 @@ def serre_verify(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
     twist of step k being q^(d_i * k) for b_ij <= 0 and
     q^(d_i * (k - b_ij)) for b_ij > 0, on operands derived once per seed.
     """
-    started = time.perf_counter()
-    ys = one_step_variables(seed)
-    _require_pair(seed, i, j)
-    total, terms = _order_sum(seed, ys, i, j, 1, abs(seed.b_entry(i, j)))
-    return _certify("serre", (("i", i), ("j", j)), total, terms, started)
+    return _run("serre", (("i", i), ("j", j)), _order_plan(seed, i, j))
 
 
 def serre_verify_opposite(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
@@ -443,15 +466,7 @@ def serre_verify_opposite(seed: QuantumSeed, i: int, j: int) -> VerificationCert
     q^(d_j), on operands derived once per seed.  Obtained from the b_ij > 0
     relation through the bar involution; requires b_ij <= 0 (so b_ji >= 0).
     """
-    started = time.perf_counter()
-    ys = one_step_variables(seed)
-    _require_pair(seed, i, j)
-    b_ij = seed.b_entry(i, j)
-    if b_ij > 0:
-        raise ValueError(f"reversed-side relation needs b_ij <= 0, got b_ij={b_ij}")
-    steps = 1 + abs(seed.b_entry(j, i))
-    total, terms = _q_adjoint(ys[j - 1], ys[i - 1], seed.d[j - 1], steps, 0, opposite=True)
-    return _certify("serre-opposite", (("i", i), ("j", j)), total, terms, started)
+    return _run("serre-opposite", (("i", i), ("j", j)), _opposite_plan(seed, i, j))
 
 
 def higher_verify(
@@ -465,64 +480,40 @@ def higher_verify(
     """The order-l relation sum_r +/- [m+1, r] y_i^(m+1-r) y_j^l y_i^r.
 
     Admissible ranges: b_ij = 0 with m_exp >= 0, or 0 < l <= |b_ij| with
-    m_exp >= l*|b_ij|.  With exploratory=True an out-of-range instance is
-    expanded anyway and its remainder reported without any expectation.
+    m_exp >= l*|b_ij|; an instance outside them raises ValueError.  With
+    exploratory=True an out-of-range instance is expanded anyway and its
+    remainder reported without any expectation.
     """
-    started = time.perf_counter()
-    ys = one_step_variables(seed)
-    if exploratory:
-        _require_pair(seed, i, j)
-        _require_int("order l", l)
-        _require_int("outer exponent m_exp", m_exp)
-        if l < 1 or m_exp < 0:
-            raise ValueError("even exploratory instances need l >= 1 and m_exp >= 0")
-    else:
-        RelationInstance(seed, i, j, l, m_exp)
-    total, terms = _order_sum(seed, ys, i, j, l, m_exp)
-    params = (("i", i), ("j", j), ("l", l), ("m", m_exp))
-    return _certify("higher", params, total, terms, started, exploratory=exploratory)
+    plan = _order_plan(seed, i, j, (l, m_exp), exploratory)
+    return _run("higher", (("i", i), ("j", j), ("l", l), ("m", m_exp)), plan, exploratory)
 
 
-# -- the relation suites -----------------------------------------------------
+# -- the relation suite ------------------------------------------------------
 
 
-def quantum_group_suite(seed: QuantumSeed) -> list[VerificationCertificate]:
-    """Both defining-relation families on the images E_k -> y_k.
+def full_suite(seed: QuantumSeed) -> list[VerificationCertificate]:
+    """Both defining-relation families on E_k -> y_k, then the higher orders.
 
-    For every ordered pair (i, j) the quantum Serre relation
-    (ad_q y_i)^(1-c_ij)(y_j) = 0 is checked, with c_ij = -|b_ij|, plus the
-    reversed-side relation whenever b_ij <= 0, all on the y_k derived once
-    per seed.  Together they make E_k -> y_k a homomorphism from the
-    positive part of the quantum group of that Cartan matrix.
+    For every ordered pair (i, j): the quantum Serre relation
+    (ad_q y_i)^(1-c_ij)(y_j) = 0, c_ij = -|b_ij|, plus the reversed side
+    when b_ij <= 0.  Together they make E_k -> y_k a homomorphism from the
+    positive part of the quantum group of that Cartan matrix.  Then the
+    instances (i, j, l, l*|b_ij|), b_ij != 0, 1 <= l <= |b_ij|; the l = 1
+    plan is the Serre plan, so its certificate is the pair's `serre`
+    certificate relabelled (with that expansion's `seconds`).
     """
     one_step_variables(seed)  # the principal check, even when n = 1 gives no pair
-    certificates = []
+    certificates, higher = [], []
     for i in range(1, seed.n + 1):
         for j in range(1, seed.n + 1):
             if i == j:
                 continue
-            certificates.append(serre_verify(seed, i, j))
+            serre = serre_verify(seed, i, j)
+            certificates.append(serre)
             if seed.b_entry(i, j) <= 0:
                 certificates.append(serre_verify_opposite(seed, i, j))
-    return certificates
-
-
-def full_suite(seed: QuantumSeed) -> list[VerificationCertificate]:
-    """The relation suite: all direct and reversed-side relations plus the
-    higher-order instances at their minimal admissible outer exponents.
-
-    Those are (i, j, l, l*|b_ij|) with b_ij != 0 and 1 <= l <= |b_ij|.
-    The l = 1 instance is the Serre sum itself, so its certificate is the
-    pair's `serre` certificate relabelled, not a second expansion; its
-    `seconds` is the time of that shared expansion.
-    """
-    certificates = quantum_group_suite(seed)
-    for serre in [c for c in certificates if c.check == "serre"]:
-        (_, i), (_, j) = serre.params
-        size = abs(seed.b_entry(i, j))
-        if size:
-            params = serre.params + (("l", 1), ("m", size))
-            certificates.append(replace(serre, check="higher", params=params))
-        for l in range(2, size + 1):
-            certificates.append(higher_verify(seed, i, j, l, l * size))
-    return certificates
+            size = abs(seed.b_entry(i, j))
+            if size:
+                higher.append(replace(serre, check="higher", params=serre.params + (("l", 1), ("m", size))))
+            higher.extend(higher_verify(seed, i, j, l, l * size) for l in range(2, size + 1))
+    return certificates + higher

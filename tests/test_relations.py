@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcluster import seeds
+from qcluster import relations, seeds
 from qcluster.qarith import QLaurent, q_binom
 from qcluster.qtorus import SkewForm, TorusElem, ordered_product
 from qcluster.relations import (
+    _order_plan,
     _q_adjoint,
     _sumset_size,
-    RelationInstance,
     commutator_check,
     commutator_witness,
     full_suite,
@@ -21,7 +21,6 @@ from qcluster.relations import (
     lemma_sum_check,
     one_step_variables,
     power_product_check,
-    quantum_group_suite,
     serre_verify,
     serre_verify_opposite,
     witness_monomial,
@@ -93,9 +92,10 @@ def _lemma_coeffs(m_exp, d, step, positive):
 
 
 @st.composite
-def sandwich_operands(draw):
+def sandwich_operands(draw, outer_terms=(1, 3)):
     # a random skew form of dimension 2-3, outer and middle with nonnegative
-    # coefficients (1-3 terms each), and 1-5 signed coefficients, some zero
+    # coefficients (1-3 terms each, or `outer_terms` for the outer), and 1-5
+    # signed coefficients, some zero
     dim = draw(st.integers(min_value=2, max_value=3))
     rows = [[0] * dim for _ in range(dim)]
     for a in range(dim):
@@ -116,11 +116,11 @@ def sandwich_operands(draw):
         ).map(QLaurent),
     )
 
-    def element():
-        return TorusElem(form, draw(st.dictionaries(expo, positive, min_size=1, max_size=3)))
+    def element(sizes=(1, 3)):
+        return TorusElem(form, draw(st.dictionaries(expo, positive, min_size=sizes[0], max_size=sizes[1])))
 
     coeffs = draw(st.lists(signed, min_size=1, max_size=5))
-    return element(), element(), coeffs
+    return element(outer_terms), element(), coeffs
 
 
 class TestSandwichKernel:
@@ -137,14 +137,15 @@ class TestSandwichKernel:
             direct = direct + summand
         assert _sandwich(outer, middle, coeffs) == (direct, terms)
 
-    @given(sandwich_operands(), st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=4))
+    @given(sandwich_operands(outer_terms=(2, 2)), st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=4))
     @settings(max_examples=60, deadline=None)
     def test_q_adjoint_matches_oracle(self, operands, d, m_exp):
         # each caller's step count and first twist against the oracle fed
         # the q-binomial coefficients it replaced: the order sum (serre and
         # higher) for b_ij <= 0 and b_ij > 0, the reversed side, and the
-        # lemma partial sums for both signs.  The operands are generic, so
-        # most sums are nonzero, as exploratory remainders are.
+        # lemma partial sums for both signs.  The outers have two terms, as
+        # every one-step variable does; the operands are otherwise generic,
+        # so most sums are nonzero, as exploratory remainders are.
         outer, middle, _ = operands
         for shift in (0, m_exp):
             assert _q_adjoint(outer, middle, d, m_exp + 1, -shift) == _sandwich(
@@ -167,6 +168,15 @@ class TestSandwichKernel:
             _q_adjoint(-y1, y2, 1, 2, 0)
         with pytest.raises(ArithmeticError, match="nonnegative"):
             _q_adjoint(y1, y2.scale(QLaurent({0: 2, 1: -1})), 1, 2, 0)
+
+    @given(sandwich_operands(outer_terms=(1, 1)), sandwich_operands(outer_terms=(3, 3)))
+    @settings(max_examples=20, deadline=None)
+    def test_outer_without_two_terms_refused(self, one_term, three_terms):
+        for outer, middle, _ in (one_term, three_terms):
+            with pytest.raises(ArithmeticError, match="exactly two terms"):
+                _q_adjoint(outer, middle, 1, 2, 0)
+            with pytest.raises(ArithmeticError, match="exactly two terms"):
+                _q_adjoint(outer, middle, 1, 2, 0, opposite=True)
 
     def test_heavy_instance(self):
         seed = principal_seed([[0, 4], [-4, 0]], (1, 1))
@@ -427,10 +437,6 @@ class TestHigher:
     def test_exploratory_in_range_still_passes(self, ex1):
         assert higher_verify(ex1, 2, 1, 2, 4, exploratory=True).ok
 
-    def test_instance_defaults(self, ex1):
-        instance = RelationInstance(ex1, 2, 1, l=2)
-        assert instance.m_exp == 4
-
 
 # Each entry point with one int parameter replaced by `value`, and the
 # name its TypeError gives that parameter.
@@ -442,7 +448,6 @@ NON_INT_CALLS = {
     "higher_verify-m": (lambda seed, v: higher_verify(seed, 1, 2, 1, v), "outer exponent m_exp"),
     "exploratory-l": (lambda seed, v: higher_verify(seed, 1, 2, v, 2, exploratory=True), "order l"),
     "exploratory-m": (lambda seed, v: higher_verify(seed, 1, 2, 1, v, exploratory=True), "outer exponent m_exp"),
-    "RelationInstance-l": (lambda seed, v: RelationInstance(seed, 2, 1, v), "order l"),
     "lemma_sum_check-j": (lambda seed, v: lemma_sum_check(seed, 2, v), "index j"),
     "lemma_sum_check-m": (lambda seed, v: lemma_sum_check(seed, 1, 2, "L41", m_exp=v), "outer exponent m_exp"),
     "lemma_sum_check-t_shift": (lambda seed, v: lemma_sum_check(seed, 1, 2, "L41", t_shift=v), "t_shift"),
@@ -462,22 +467,33 @@ class TestIntegerParameters:
             call(ex1, value)
 
 
+def _serre_certificates(seed):
+    return [c for c in full_suite(seed) if c.check in ("serre", "serre-opposite")]
+
+
 class TestSuites:
     def test_rank2_suite(self, ex1):
-        certs = quantum_group_suite(ex1)
+        certs = _serre_certificates(ex1)
         assert len(certs) == 3  # two direct relations, one reversed side
         assert all(c.ok for c in certs)
 
     def test_rank3_suite(self, ex3):
-        certs = quantum_group_suite(ex3)
+        certs = _serre_certificates(ex3)
         assert len(certs) == 9  # six direct, three reversed
         assert all(c.ok for c in certs)
 
     def test_zero_matrix_suite(self):
         seed = principal_seed([[0, 0], [0, 0]], (1, 1))
-        certs = quantum_group_suite(seed)
+        certs = _serre_certificates(seed)
         assert len(certs) == 4  # commutator both ways, reversed both ways
         assert all(c.ok for c in certs)
+
+    def test_rank1_suite_checks_the_seed(self):
+        # n = 1 gives no pair, so no certificate, but the seed must still be principal
+        seed = principal_seed([[0]], (1,))
+        assert full_suite(seed) == []
+        with pytest.raises(ValueError, match="not principal"):
+            full_suite(mutate(seed, 1))
 
     def test_default_higher_instances(self, ex1):
         higher = [dict(c.params) for c in full_suite(ex1) if c.check == "higher"]
@@ -491,13 +507,42 @@ class TestSuites:
         certs = full_suite(ex1)
         assert len(certs) == 6
         assert all(c.ok for c in certs)
-        # the l = 1 instance at m = |b_ij| is the Serre sum of its pair
+        # the l = 1 instance at m = |b_ij| is the Serre sum of its pair,
+        # and its relabelled certificate is what higher_verify gives
         serre = {c.params: c for c in certs if c.check == "serre"}
         order_one = [c for c in certs if c.check == "higher" and dict(c.params)["l"] == 1]
         assert len(order_one) == 2
         for cert in order_one:
             pair = serre[cert.params[:2]]
             assert (cert.ok, cert.residue, cert.terms) == (pair.ok, pair.residue, pair.terms)
+            i, j = dict(cert.params)["i"], dict(cert.params)["j"]
+            direct = higher_verify(ex1, i, j, 1, abs(ex1.b_entry(i, j)))
+            assert (cert.ok, cert.residue, cert.terms) == (direct.ok, direct.residue, direct.terms)
+
+    def test_serre_plan_is_the_order_one_plan(self, ex1, ex3):
+        # why full_suite may relabel the serre certificate as higher at l = 1
+        zero = principal_seed([[0, 0], [0, 0]], (1, 2))
+        for seed in (ex1, ex3, zero):
+            for i in range(1, seed.n + 1):
+                for j in range(1, seed.n + 1):
+                    if i != j:
+                        order_one = (1, abs(seed.b_entry(i, j)))
+                        assert _order_plan(seed, i, j) == _order_plan(seed, i, j, order_one)
+
+    def test_one_kernel_pass_per_distinct_plan(self, monkeypatch):
+        passes = []
+
+        def counting(*args):
+            passes.append(args)
+            return original(*args)
+
+        original = relations.iterated_q_commutator
+        monkeypatch.setattr(relations, "iterated_q_commutator", counting)
+        seed = load_seed(Path(__file__).resolve().parent.parent / "fixtures" / "exam1.json")
+        certs = full_suite(seed)
+        # serre (1, 2), (2, 1), serre-opposite (2, 1) and higher (2, 1, 2, 4);
+        # the two l = 1 higher instances reuse their serre expansions
+        assert (len(certs), len(passes)) == (6, 4)
 
     def test_certificate_rendering(self, ex1):
         cert = serre_verify(ex1, 2, 1)
