@@ -8,9 +8,9 @@ then it must vanish; `higher_verify` rejects an out-of-range instance
 with ValueError before expanding anything, and only then is it expanded
 with the exploratory flag, so each instance is expanded once.
 Out-of-range instances usually leave a remainder, which makes the
-admissibility boundary visible.  A seed that does not load or
-an index pair that is not two distinct mutable indices prints one
-`error: ...` line to stderr and exits 2.
+admissibility boundary visible.  A seed that does not load or is not
+principal, or an index pair that is not two distinct mutable indices,
+prints one `error: ...` line to stderr and exits 2.
 """
 
 import argparse
@@ -38,6 +38,8 @@ def main():
         seed = load_seed(args.seed)
     except (ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
+    if not seed.is_principal:
+        parser.exit(2, "error: seed is not principal (m = 2n with identity coefficient block)\n")
     if not (1 <= args.i <= seed.n and 1 <= args.j <= seed.n) or args.i == args.j:
         parser.exit(2, f"error: need two distinct indices in [1, {seed.n}], got i={args.i}, j={args.j}\n")
     b = seed.b_entry(args.i, args.j)

@@ -2,14 +2,14 @@
 
 Each identity family expands both sides exactly and compares canonical
 forms; vanishing families compare against the zero polynomial.  Scalar
-families expand in QLaurent.  The alternating q-binomial sums and the
-q-Vandermonde sum add the q-binomial table's packed entries as they are
-stored, with each coefficient bound read from the entry's own slots, and
-decode the sum once.  The product expansions are polynomials in a
+families expand in QLaurent.  The alternating q-binomial sums, the
+q-Vandermonde sum and the product expansions work on the q-binomial
+table's packed entries as they are stored, at one slot width per check
+bounded by the entries' own slots, and compare packed ints, so none of
+them decodes anything.  The product expansions are polynomials in a
 commuting indeterminate x, expanded as lists of packed coefficients of
-x^0 .. x^n and compared packed, so a PASS decodes nothing.  Families
-carry their precondition ranges as data, so a single sweep can enumerate
-and report every instance uniformly.
+x^0 .. x^n.  Families carry their precondition ranges as data, so a
+single sweep can enumerate and report every instance uniformly.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ from .qarith import (
     _q_binom_entry,
     _require_int,
     _respread,
-    _slot_bias,
     _slot_width,
     _slots,
-    _unpack,
     q_binom,
     q_int,
 )
@@ -54,27 +52,26 @@ class IdentityReport:
 # the table as it is stored (qarith._q_binom_entry): packed at q = 2^w, one
 # unsigned w-bit slot per coefficient, and never decoded.  Packing is a
 # ring map, so the packed sum of shifted operands (for Vandermonde, of
-# their products) at one width W is exactly the sum's value at 2^W;
-# qarith._unpack reads it back exactly when every coefficient of the sum
-# is below 2^(W-1) in absolute value.
+# their products) at one width W is exactly the sum's value at 2^W, times
+# a power of 2^W.  Every entry is read before anything is added, and W is
+# chosen once, by qarith._slot_width, from a bound on the coefficients of
+# the sum; each entry is moved to W (qarith._respread, exact because its
+# slots are at most the bound).
 #
 # The bound: a coefficient of the sum is at most sum_r mult_r * height_r,
 # where height_r is the largest coefficient of term r (||a||_1 * max b for
 # a product a*b) and mult_r is how often term r is added (once, or for a
 # double sum once per prefix it lies in).  Each height and l1 is read from
 # the slots of the entry actually returned, never from C(n, r), so a wrong
-# entry cannot alias to a false PASS.  The bound grows as the terms arrive;
-# each entry is moved to the width the bound so far needs (qarith._respread,
-# exact because its slots are at most the bound), and when that width
-# grows, the running sums, whose coefficients are within the bound so far,
-# are moved with it.  For true q-binomials the heights of [top, r] sum to
-# at most sum_r C(top, r) = 2^top, so a single sum keeps W = 64 for every
-# top <= 62.
+# entry cannot alias to a false PASS.  For true q-binomials the heights of
+# [top, r] sum to at most sum_r C(top, r) = 2^top, so a single sum keeps
+# W = 64 for every top <= 62.
 #
-# The product expansions keep no running bound and decode nothing: both
-# sides are lists of polynomials with nonnegative coefficients below 2^W,
-# packed at one width W, and compared as ints, which is exact by qarith's
-# argument for unsigned digits (see _product_expansion for the bound).
+# A vanishing sum is then decided by comparing its packed int with 0, which
+# is exact for coefficients of either sign within the bound (see
+# qarith._slot_width).  Both sides of q-Vandermonde and of the product
+# expansions are polynomials with nonnegative coefficients below 2^W,
+# compared as ints, which is exact by qarith's argument for unsigned digits.
 
 
 def _entry(n: int, r: int) -> tuple[int, int, int]:
@@ -86,49 +83,37 @@ def _entry(n: int, r: int) -> tuple[int, int, int]:
     return packed, width, -(-packed.bit_length() // width)
 
 
-def _widen(width: int, bound: int, sums: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """The slot width `bound` needs, and `sums` moved to it from the
-    narrower `width`: biased into unsigned digits, respread, unbiased."""
-    wider = _slot_width(bound)
-    moved = []
-    for packed in sums:
-        count = packed.bit_length() // width + 1
-        bias = _slot_bias(width, count)
-        moved.append(_respread(packed + bias, width, wider, count) - _respread(bias, width, wider, count))
-    return wider, tuple(moved)
-
-
-def _alternating_sum(top: int, shift: int, slope: int | None = None) -> QLaurent:
-    """sum_{r=0}^{top} (-1)^r q^(r(r-1)/2 - shift*r) [top, r].
+def _alternating_sum(top: int, shift: int, slope: int | None = None) -> int:
+    """sum_{r=0}^{top} (-1)^r q^(r(r-1)/2 - shift*r) [top, r], packed, times
+    a power of q that makes every term a polynomial: 0 exactly when the
+    sum is.
 
     With a slope: sum_{t=0}^{top-1} q^(slope*t) times that sum cut after
     r = t.
     """
     steps = top + 1 if slope is None else top
+    entries = [_entry(top, t) for t in range(steps)]
+    width = _slot_width(sum(
+        (1 if slope is None else steps - t) * max(_slots(*entry), default=0) for t, entry in enumerate(entries)
+    ))
     low = min(r * (r - 1) // 2 - shift * r for r in range(steps))
     outer = 0 if slope is None else min(0, slope * (steps - 1))
-    width, bound, inner, total = _slot_width(0), 0, 0, 0
-    for t in range(steps):
-        entry, entry_width, count = _entry(top, t)
-        bound += (1 if slope is None else steps - t) * max(_slots(entry, entry_width, count), default=0)
-        if bound >> (width - 1):
-            width, (inner, total) = _widen(width, bound, (inner, total))
+    inner = total = 0
+    for t, (entry, entry_width, count) in enumerate(entries):
         packed = _respread(entry, entry_width, width, count) << width * (t * (t - 1) // 2 - shift * t - low)
         inner = inner - packed if t % 2 else inner + packed
         if slope is not None:
             total += inner << width * (slope * t - outer)
-    if slope is None:
-        return _unpack(inner, width, 2 * low)
-    return _unpack(total, width, 2 * (low + outer))
+    return inner if slope is None else total
 
 
-def _shifted_vanishing(d: int, c: int) -> tuple[QLaurent, QLaurent]:
-    return _alternating_sum(d, c), QLaurent.zero()
+def _shifted_vanishing(d: int, c: int) -> tuple[int, int]:
+    return _alternating_sum(d, c), 0
 
 
-def _double_sum(n: int, shift: int, slope: int) -> tuple[QLaurent, QLaurent]:
+def _double_sum(n: int, shift: int, slope: int) -> tuple[int, int]:
     """sum_{t=0}^{n} q^(slope*t) sum_{r=0}^{t} (-1)^r q^(r(r-1)/2 - shift*r) [n+1, r]."""
-    return _alternating_sum(n + 1, shift, slope), QLaurent.zero()
+    return _alternating_sum(n + 1, shift, slope), 0
 
 
 def _product_expansion(n: int) -> tuple[list[int], list[int]]:
@@ -158,22 +143,26 @@ def _product_expansion(n: int) -> tuple[list[int], list[int]]:
     return lhs, rhs
 
 
-def _vandermonde(n: int, d: int, k: int) -> tuple[QLaurent, QLaurent]:
-    lhs = q_binom(n, k)
-    low = min((d - r) * (k - r) for r in range(k + 1))
-    width, bound, rhs = _slot_width(0), 0, 0
-    for r in range(k + 1):
-        (a, a_width, a_count), (b, b_width, b_count) = _entry(d, r), _entry(n - d, k - r)
-        if not a or not b:
-            # A zero product adds nothing, and the bound need not cover
-            # the other factor's slots.
-            continue
-        bound += sum(_slots(a, a_width, a_count)) * max(_slots(b, b_width, b_count))
-        if bound >> (width - 1):
-            width, (rhs,) = _widen(width, bound, (rhs,))
+def _vandermonde(n: int, d: int, k: int) -> tuple[int, int]:
+    """Both sides of [n, k] = sum_r q^((d-r)(k-r)) [d, r] [n-d, k-r], packed
+    at one width W.
+
+    A product with a zero factor adds nothing, and is skipped: the bound
+    need not cover the other factor's slots, and in every product left
+    r <= d and r <= k, so each shift is nonnegative.
+    """
+    lhs, lhs_width, lhs_count = _entry(n, k)
+    products = [(r, _entry(d, r), _entry(n - d, k - r)) for r in range(k + 1)]
+    products = [(r, a, b) for r, a, b in products if a[0] and b[0]]
+    width = _slot_width(
+        max(_slots(lhs, lhs_width, lhs_count), default=0)
+        + sum(sum(_slots(*a)) * max(_slots(*b)) for _, a, b in products)
+    )
+    rhs = 0
+    for r, (a, a_width, a_count), (b, b_width, b_count) in products:
         a, b = _respread(a, a_width, width, a_count), _respread(b, b_width, width, b_count)
-        rhs += a * b << width * ((d - r) * (k - r) - low)
-    return lhs, _unpack(rhs, width, 2 * low)
+        rhs += a * b << width * (d - r) * (k - r)
+    return _respread(lhs, lhs_width, width, lhs_count), rhs
 
 
 def _pascal(n: int, r: int, d: int) -> tuple[QLaurent, QLaurent]:

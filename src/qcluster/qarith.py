@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from itertools import repeat
 from math import comb
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
@@ -433,18 +432,12 @@ def q_binom(n: int, r: int, d: int = 1) -> QLaurent:
 # W-bit slot per degree.  Evaluation at q = 2^W is a ring map, so sums,
 # products and shifts (q^e P is P(2^W) << W e) of packed values are exactly
 # the packed sums, products and shifts of the polynomials, whatever the
-# coefficients.  Only decoding needs a bound: when every |c_j| < 2^(W-1),
-# adding the bias 2^(W-1) to every slot puts each slot's digit
-# c_j + 2^(W-1) in [1, 2^W - 1], so no slot borrows from or carries into
-# its neighbour, and reading the slots back and subtracting the bias gives
-# c_j.  Two polynomials within the bound then pack to the same int only if
-# they are equal, and one packs to 0 only if it is 0.  W is a multiple of
-# 64, so the slots are whole 8-byte words and decoding runs over bytes.
+# coefficients.  W is a multiple of 64, so the slots are whole 8-byte words.
 #
 # A polynomial whose coefficients are all nonnegative and below 2^W, such
-# as a Gaussian binomial from the table, needs no bias: its slots, read as
-# unsigned W-bit digits, are its coefficients.  The base-2^W digits of a
-# nonnegative int are unique, so two such polynomials are equal exactly
+# as a Gaussian binomial from the table, is read back from its slots: read
+# as unsigned W-bit digits, they are its coefficients.  The base-2^W digits
+# of a nonnegative int are unique, so two such polynomials are equal exactly
 # when their packed ints are, and packed ints of them can be compared
 # without decoding either.  _respread moves one to another slot width by
 # reading its digits at the one and writing them at the other, which is
@@ -452,13 +445,13 @@ def q_binom(n: int, r: int, d: int = 1) -> QLaurent:
 
 
 def _slot_width(bound: int) -> int:
-    """The least multiple of 64, W, with bound < 2^(W-1)."""
+    """The least multiple of 64, W, with bound < 2^(W-1).
+
+    A polynomial S whose coefficients are all below 2^(W-1) in absolute
+    value, of either sign, packs to 0 only if it is 0: if c q^j is its
+    lowest nonzero term, S(2^W) / 2^(W j) is c modulo 2^W, and 0 < |c| < 2^W.
+    So a signed packed sum is tested for zero without decoding it."""
     return _SLOT_BITS * (bound.bit_length() // _SLOT_BITS + 1)
-
-
-def _slot_bias(width: int, count: int) -> int:
-    # 2^(width-1) in each of `count` slots.
-    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * count, "little")
 
 
 def _respread(packed: int, width: int, new_width: int, count: int) -> int:
@@ -479,34 +472,3 @@ def _respread(packed: int, width: int, new_width: int, count: int) -> int:
         out.byteswap()
     return int.from_bytes(out.tobytes(), "little")
 
-
-def _pack(poly: QLaurent, width: int) -> int:
-    """poly at q = 2^width, for any polynomial in q (ValueError otherwise)."""
-    terms = poly._terms
-    if any(half < 0 or half & 1 for half in terms):
-        raise ValueError(f"only a polynomial in q can be packed, got {poly}")
-    # Balanced digits, the inverse of _unpack: slot j holds c_j + 2^(W-1).
-    count = max(terms, default=0) // 2 + 1
-    size, bias = width // 8, 1 << (width - 1)
-    digits = map(bias.__add__, map(terms.get, range(0, 2 * count, 2), repeat(0)))
-    try:
-        slots = b"".join(map(int.to_bytes, digits, repeat(size), repeat("little")))
-    except OverflowError:
-        # A coefficient past its slot still packs exactly, by shifts.
-        return sum(coeff << width * (half // 2) for half, coeff in terms.items())
-    return int.from_bytes(slots, "little") - _slot_bias(width, count)
-
-
-def _unpack(packed: int, width: int, low: int) -> QLaurent:
-    """q^(low/2) times the polynomial P with P(2^width) = packed, read as
-    balanced digits: exact when every |coefficient| of P is below
-    2^(width-1)."""
-    if not packed:
-        return _ZERO
-    # If P has degree m - 1, its top digit puts |packed| above
-    # 2^(width (m-1) - 1) and below 2^(width m), so this count is m or
-    # m + 1; an extra slot decodes as 0.
-    count = packed.bit_length() // width + 1
-    bias = 1 << (width - 1)
-    digits = _slots(packed + _slot_bias(width, count), width, count)
-    return QLaurent._raw({low + 2 * j: digit - bias for j, digit in enumerate(digits) if digit != bias})

@@ -360,6 +360,16 @@ class TestSuite:
         status, _, err = run(capsys, "suite", "--seed", CORRUPTED)
         assert status == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_non_principal_prints_nothing(self, capsys, tmp_path, fmt):
+        # exam1 mutated at 1 loads and validates, but the suite needs a
+        # principal seed: exit 2 with one error line and nothing on stdout.
+        target = tmp_path / "mutated.json"
+        seeds.dump_seed(seeds.mutate(seeds.load_seed(EXAM1), 1), target)
+        status, out, err = run(capsys, "suite", "--seed", str(target), "--format", fmt)
+        assert status == 2 and out == ""
+        assert err.startswith("error: seed is not principal") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("path, golden", [(EXAM1, EXAM1_SUITE_JSON), (EXAM3, EXAM3_SUITE_JSON)])
     def test_json_golden(self, capsys, path, golden):
         status, out, _ = run(capsys, "suite", "--seed", path, "--format", "json")

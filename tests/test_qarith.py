@@ -348,45 +348,6 @@ class TestQBinom:
 
 
 class TestPacking:
-    @given(st.sampled_from([64, 128]), st.data())
-    @settings(max_examples=150)
-    def test_round_trip(self, width, data):
-        # Any coefficients within the balanced-digit bound, dense or sparse.
-        top = 1 << (width - 1)
-        coeffs = data.draw(st.dictionaries(
-            st.integers(min_value=0, max_value=40),
-            st.one_of(st.integers(min_value=0, max_value=3), st.integers(min_value=1 - top, max_value=top - 1)),
-            max_size=41,
-        ))
-        low = data.draw(st.integers(min_value=-60, max_value=60))
-        poly = QLaurent({2 * j: c for j, c in coeffs.items()})
-        packed = qarith._pack(poly, width)
-        assert packed == sum(c << width * j for j, c in coeffs.items())
-        assert qarith._unpack(packed, width, low) == poly.shift(low)
-
-    @pytest.mark.parametrize("width", [64, 128])
-    def test_dense_nonnegative_round_trip(self, width):
-        # A q-binomial's shape: every degree present, coefficients >= 0,
-        # one of them the largest a 64-bit word holds.
-        poly = QLaurent({**dict(q_binom(12, 5).items()), 10: 2**64 - 1})
-        packed = qarith._pack(poly, width)
-        assert packed == sum(c << width * (h // 2) for h, c in poly.items())
-        if width == 128:
-            assert qarith._unpack(packed, width, 0) == poly
-
-    def test_coefficient_past_its_slot_still_packs_exactly(self):
-        poly = QLaurent({0: -(2**70), 2: 2**64, 6: 3})
-        assert qarith._pack(poly, 64) == -(2**70) + (2**64 << 64) + (3 << 192)
-
-    def test_zero(self):
-        assert qarith._pack(QLaurent.zero(), 64) == 0
-        assert qarith._unpack(0, 128, -7) is QLaurent.zero()
-
-    @pytest.mark.parametrize("poly", [qp(1), qp(-2), QLaurent({0: 1, 3: -1})])
-    def test_only_polynomials_in_q_pack(self, poly):
-        with pytest.raises(ValueError, match="polynomial in q"):
-            qarith._pack(poly, 64)
-
     @pytest.mark.parametrize(
         "bound,width",
         [(0, 64), (2**63 - 1, 64), (2**63, 128), (2**127 - 1, 128), (2**127, 192)],

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from qcluster.seeds import dump_seed, load_seed, mutate
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -53,4 +55,19 @@ def test_explore_rejects_bad_index_pair(pair):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: need two distinct indices in [1, 2]")
+    assert len(result.stderr.splitlines()) == 1
+
+
+def test_explore_rejects_non_principal_seed(tmp_path):
+    # exam1 mutated at 1 loads, but is not principal: one error line on
+    # stderr and exit 2, no traceback
+    target = tmp_path / "mutated.json"
+    dump_seed(mutate(load_seed(ROOT / "fixtures" / "exam1.json"), 1), target)
+    result = subprocess.run(
+        [sys.executable, "scripts/explore_higher_orders.py", "--seed", str(target)],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: seed is not principal")
     assert len(result.stderr.splitlines()) == 1
