@@ -16,7 +16,7 @@ from __future__ import annotations
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
-from .qarith import QLaurent, parse_qlaurent
+from .qarith import QLaurent, _require_int, parse_qlaurent
 
 ExpVec = Tuple[int, ...]
 
@@ -205,8 +205,9 @@ class TorusElem:
         return self._raw(form, data)
 
     def __pow__(self, exponent: int) -> "TorusElem":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("torus powers need a nonnegative integer exponent")
+        _require_int("torus power exponent", exponent)
+        if exponent < 0:
+            raise ValueError(f"torus powers need a nonnegative exponent, got {exponent}")
         if not exponent:
             return TorusElem.unit(self.form)
         acc = self

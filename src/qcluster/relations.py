@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .qarith import QLaurent, _require_int, q_binom
-from .qtorus import ExpVec, TorusElem, iterated_q_commutator, ordered_product
+from .qtorus import TorusElem, iterated_q_commutator, ordered_product
 from .seeds import QuantumSeed, pos_part
 
 
@@ -27,15 +27,12 @@ class VerificationCertificate:
     `residue` is the canonical string of the element that must vanish
     ("0" on a pass).  The alternating sums (serre, serre-opposite, higher,
     lemma-sum) each expand one validated plan (`_run`); their `terms` is
-    the summed term counts of the scaled summands c_r A^(L-r) M A^r.  The
-    q-adjoint kernel never builds them: every summand has the support
-    supp(M) + L*supp(A), which it counts per line of direction f1 - f0 for
-    the two exponents of the one-step variable A, as a union of intervals
-    (see `_sumset_size`).  The count is exact because A and M
-    have nonnegative coefficients, so no product cancels (see
-    `_q_adjoint`).  The commutator check reports the term count of
-    y_i y_j - y_j y_i, and the power-product check the summed term counts
-    of its three expansions.  `seconds` is wall time.
+    the summed term counts of the scaled summands c_r A^(L-r) M A^r, which
+    the kernel never builds.  It is the closed form |supp M| * (L+1)^2,
+    known from the plan before any coefficient work (see `_plan`).  The
+    commutator check reports the term count of y_i y_j - y_j y_i, one
+    kernel step, and the power-product check the summed term counts of its
+    three expansions.  `seconds` is wall time.
     """
 
     check: str
@@ -76,15 +73,15 @@ class VerificationCertificate:
 
 @dataclass(frozen=True)
 class _Plan:
-    """A validated alternating-sum check: the arguments of `_q_adjoint`,
-    which `_run` expands.  Each family's builder applies its rules once."""
+    """A validated alternating-sum check, built by `_plan`: the arguments
+    of `qtorus.iterated_q_commutator`, which `_run` expands, and the
+    `terms` of its certificate."""
 
     outer: TorusElem
     middle: TorusElem
-    d: int
-    steps: int
-    first: int
-    opposite: bool = False
+    halves: tuple[int, ...]
+    terms: int
+    opposite: bool
 
 
 # -- small helpers -----------------------------------------------------------
@@ -112,8 +109,8 @@ def _certify(check: str, params: Sequence[tuple[str, object]], residue: TorusEle
     )
 
 
-def _q_adjoint(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: int, opposite: bool = False) -> tuple[TorusElem, int]:
-    """The iterated q-commutator of `middle` with A = `outer`.
+def _plan(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: int, opposite: bool = False) -> _Plan:
+    """The iterated q-commutator of `middle` with A = `outer`, validated.
 
     Starting from M = middle, there is one step for each k = 0 .. steps-1,
     and step k replaces M by A*M - q^(d(first+k)) * (M*A), or by
@@ -126,65 +123,43 @@ def _q_adjoint(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: i
         sum_r (-1)^r Q^(r(r-1)/2 + r*first) [L, r]_Q * A^(L-r) M A^r
 
     with L = steps (A^r M A^(L-r) when `opposite`).  With first = 0 this
-    is (ad_q A)^L (M).  Every product is by A, which must have exactly
-    two terms (ArithmeticError otherwise), as every one-step variable of a
-    principal seed has; every twist is a single power of q.  The steps
-    commute, so they run in order of |first+k|, least twisted first: those
-    steps cancel most terms early and keep the intermediates small, and
-    the order does not change the result.
+    is (ad_q A)^L (M).  The steps commute, so `halves` holds their twists
+    2d(first+k) in order of |first+k|, least twisted first: those steps
+    cancel most terms early and keep the intermediates small, and the
+    order does not change the result.
 
-    Returns the result together with `terms`, the summed term counts of
-    the L+1 scaled summands.  No summand is built: `outer` and `middle`
-    must have coefficients with nonnegative integer coefficients
-    (ArithmeticError otherwise).  Then no product cancels, so the support
-    of every summand is the sumset supp(middle) + L*supp(outer), and
-    scaling by a nonzero q-binomial multiple keeps it, since
-    Z[q^(1/2), q^(-1/2)] has no zero divisors.  So `terms` is the size of
-    that sumset, counted from exponent vectors alone, times L+1 (see
-    `_sumset_size`).
+    `terms` counts the terms of the L+1 scaled summands without building
+    them.  A must have exactly two terms X^f0 and X^f1, as every one-step
+    variable of a principal seed has; A and M must have nonnegative
+    coefficients; and some coordinate c with f0_c != f1_c must be constant
+    on supp(M).  For A = y_i that is x_(n+i), which no exponent of y_j^l,
+    y_i or x_i^k contains.  (ArithmeticError otherwise.)  Then no product
+    cancels, so every summand has the support
+    {e + L*f0 + t*(f1 - f0) : e in supp(M), 0 <= t <= L}, where coordinate
+    c reads off t and then e: |supp(M)| * (L+1) points.  Scaling by a
+    nonzero q-binomial multiple keeps them, since Z[q^(1/2), q^(-1/2)] has
+    no zero divisors, so `terms` is |supp(M)| * (L+1)^2.
     """
+    outer._check_form(middle)
     if outer.term_count() != 2:
         raise ArithmeticError(f"q-adjoint outer needs exactly two terms, got {outer.term_count()}")
     for elem in (outer, middle):
         for _, coeff in elem.items():
             if any(value < 0 for _, value in coeff.items()):
                 raise ArithmeticError("q-adjoint operands need nonnegative coefficients")
-    halves = sorted((2 * d * (first + k) for k in range(steps)), key=abs)
-    acc = iterated_q_commutator(outer, middle, halves, opposite)
-    return acc, _sumset_size(middle.support(), outer.support(), steps) * (steps + 1)
-
-
-def _sumset_size(support: set[ExpVec], step_support: set[ExpVec], steps: int) -> int:
-    """|support + steps*step_support|, the support of each summand of `_q_adjoint`.
-
-    The step support is the two exponents f0 and f1 = f0 + delta of the
-    outer, and the sumset is steps*f0 plus the points e + t*delta, e in
-    `support`, 0 <= t <= steps.  Points e and e' reach the same such point
-    only when e' - e is an integer multiple of delta, so `support` splits
-    into cosets of Z*delta keyed by e - s*delta, with s = floor(e_c / delta_c)
-    on a coordinate c where delta is nonzero.  Each coset covers the union
-    of the integer intervals [s, s + steps], counted after sorting, in
-    O(|M| log |M|).
-    """
-    f0, f1 = step_support
-    delta = tuple(b - a for a, b in zip(f0, f1))
-    c = next(t for t, v in enumerate(delta) if v)
-    cosets: dict[ExpVec, list[int]] = {}
-    for e in support:
-        s = e[c] // delta[c]
-        cosets.setdefault(tuple(v - s * w for v, w in zip(e, delta)), []).append(s)
-    total = 0
-    for params in cosets.values():
-        params.sort()
-        total += steps + 1 + sum(min(steps + 1, b - a) for a, b in zip(params, params[1:]))
-    return total
+    f0, f1 = outer.support()
+    support = middle.support()
+    if not any(a != b and len({e[c] for e in support}) == 1 for c, (a, b) in enumerate(zip(f0, f1))):
+        raise ArithmeticError("q-adjoint middle needs a coordinate of f1 - f0 that is constant on its support")
+    halves = tuple(sorted((2 * d * (first + k) for k in range(steps)), key=abs))
+    return _Plan(outer, middle, halves, middle.term_count() * (steps + 1) ** 2, opposite)
 
 
 def _run(check: str, params: Sequence[tuple[str, object]], plan: _Plan, exploratory: bool = False) -> VerificationCertificate:
     """Expand `plan` and certify it; `seconds` is the time of the expansion."""
     started = time.perf_counter()
-    total, terms = _q_adjoint(plan.outer, plan.middle, plan.d, plan.steps, plan.first, plan.opposite)
-    return _certify(check, params, total, terms, started, exploratory)
+    total = iterated_q_commutator(plan.outer, plan.middle, plan.halves, plan.opposite)
+    return _certify(check, params, total, plan.terms, started, exploratory)
 
 
 # -- one-step variables ------------------------------------------------------
@@ -262,7 +237,7 @@ def commutator_check(seed: QuantumSeed, i: int, j: int) -> VerificationCertifica
     ys = one_step_variables(seed)
     _require_pair(seed, i, j)
     y_i, y_j = ys[i - 1], ys[j - 1]
-    commutator = y_i * y_j - y_j * y_i
+    commutator = iterated_q_commutator(y_i, y_j, (0,))
     residue = commutator - commutator_witness(seed, i, j)
     terms = commutator.term_count()
     return _certify("commutator", (("i", i), ("j", j)), residue, terms, started)
@@ -376,7 +351,7 @@ def _lemma_plan(
     # b_ij > 0 and at Q^0 otherwise.
     first = step - m_exp if b > 0 else 0
     middle = ordered_product(seed.form, [(i, step - 1)])
-    return params, _Plan(ys[i - 1], middle, seed.d[i - 1], m_exp, first)
+    return params, _plan(ys[i - 1], middle, seed.d[i - 1], m_exp, first)
 
 
 def lemma_sum_check(
@@ -434,7 +409,7 @@ def _order_plan(
         elif m_exp < l * size:
             raise ValueError(f"outer exponent m={m_exp} below the bound l*|b_ij| = {l * size}")
     first = -m_exp if b > 0 else 0
-    return _Plan(ys[i - 1], ys[j - 1] ** l, seed.d[i - 1], m_exp + 1, first)
+    return _plan(ys[i - 1], ys[j - 1] ** l, seed.d[i - 1], m_exp + 1, first)
 
 
 def _opposite_plan(seed: QuantumSeed, i: int, j: int) -> _Plan:
@@ -445,7 +420,7 @@ def _opposite_plan(seed: QuantumSeed, i: int, j: int) -> _Plan:
     if b_ij > 0:
         raise ValueError(f"reversed-side relation needs b_ij <= 0, got b_ij={b_ij}")
     steps = 1 + abs(seed.b_entry(j, i))
-    return _Plan(ys[j - 1], ys[i - 1], seed.d[j - 1], steps, 0, opposite=True)
+    return _plan(ys[j - 1], ys[i - 1], seed.d[j - 1], steps, 0, opposite=True)
 
 
 def serre_verify(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:

@@ -46,6 +46,8 @@ class ExchangeMatrix:
     m: int
 
     def __post_init__(self):
+        _json_int(self.n, "n")
+        _json_int(self.m, "m")
         # Rows passed as lists would leave the matrix unhashable and unequal
         # to the same matrix given as tuples.
         object.__setattr__(self, "btilde", _freeze_matrix(self.btilde))
@@ -112,6 +114,8 @@ class QuantumSeed:
             object.__setattr__(self, "labels", tuple(f"x{i}" for i in range(1, m + 1)))
         elif len(self.labels) != m:
             raise SeedFormatError(f"labels must have length m={m}")
+        elif not all(isinstance(label, str) for label in self.labels):
+            raise SeedFormatError(f"labels must be strings, got {list(self.labels)!r}")
         validate_compatibility(self)
 
     @property

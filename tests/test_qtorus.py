@@ -193,6 +193,17 @@ class TestTwistedProduct:
         assert mono ** 3 == TorusElem.monomial(LAM4, (3, -3, 6, 0), 1)
         assert mono ** 0 == TorusElem.unit(LAM4)
 
+    @pytest.mark.parametrize("exponent", [True, 1.0, "2"])
+    def test_power_rejects_non_int_exponent(self, exponent):
+        # y ** True once returned y, and y ** 1.0 raised ValueError
+        mono = TorusElem.monomial(LAM4, (1, -1, 2, 0), 1)
+        with pytest.raises(TypeError, match=f"^torus power exponent must be an int, got {exponent!r}$"):
+            mono ** exponent
+
+    def test_power_rejects_negative_exponent(self):
+        with pytest.raises(ValueError, match="nonnegative exponent, got -1"):
+            TorusElem.unit(LAM4) ** -1
+
     def test_power_takes_one_product_fewer(self, monkeypatch):
         x = TorusElem(LAM4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): QLaurent.q_power(1)})
         expected = x * x * x

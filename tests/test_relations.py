@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from qcluster import relations, seeds
 from qcluster.qarith import QLaurent, q_binom
-from qcluster.qtorus import SkewForm, TorusElem, ordered_product
+from qcluster.qtorus import SkewForm, TorusElem, iterated_q_commutator, ordered_product
 from qcluster.relations import (
+    _lemma_plan,
+    _opposite_plan,
     _order_plan,
-    _q_adjoint,
-    _sumset_size,
+    _plan,
     commutator_check,
     commutator_witness,
     full_suite,
@@ -54,8 +55,8 @@ def xword(seed, half, exponents):
 
 def _sandwich(outer, middle, coeffs):
     """Reference oracle: sum_r coeffs[r] * outer^(L-r) * middle * outer^r
-    with L = len(coeffs) - 1, by Horner's scheme, with `terms` as
-    `_q_adjoint` defines it (|supp(middle * outer^L)| per nonzero c_r).
+    with L = len(coeffs) - 1, by Horner's scheme, with `terms` the summed
+    term counts of the summands (|supp(middle * outer^L)| per nonzero c_r).
 
     The q-adjoint kernel is checked against it.  With R_r = middle * outer^r, T_0 = c_0 R_0 and
     T_r = outer * T_(r-1) + c_r R_r, the sum is T_L.
@@ -140,43 +141,47 @@ class TestSandwichKernel:
     @given(sandwich_operands(outer_terms=(2, 2)), st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=4))
     @settings(max_examples=60, deadline=None)
     def test_q_adjoint_matches_oracle(self, operands, d, m_exp):
-        # each caller's step count and first twist against the oracle fed
-        # the q-binomial coefficients it replaced: the order sum (serre and
-        # higher) for b_ij <= 0 and b_ij > 0, the reversed side, and the
-        # lemma partial sums for both signs.  The outers have two terms, as
-        # every one-step variable does; the operands are otherwise generic,
-        # so most sums are nonzero, as exploratory remainders are.
+        # each builder's step count and first twist, in `_plan`'s twist
+        # order, against the oracle fed the q-binomial coefficients they
+        # replace: the order sum (serre and higher) for b_ij <= 0 and
+        # b_ij > 0, the reversed side, and the lemma partial sums for both
+        # signs.  The outers have two terms, as every one-step variable
+        # does; the middles are otherwise generic, so most sums are nonzero,
+        # as exploratory remainders are.  A generic middle need not have the
+        # shape `_plan` admits, so the twists come from a plan on one of its
+        # terms: the Gauss-binomial identity holds for every middle.
         outer, middle, _ = operands
+        probe = TorusElem.monomial(outer.form, min(middle.support()))
+
+        def kernel(steps, first, opposite=False):
+            halves = _plan(outer, probe, d, steps, first, opposite).halves
+            return iterated_q_commutator(outer, middle, halves, opposite)
+
+        def oracle(coeffs):
+            return _sandwich(outer, middle, coeffs)[0]
+
         for shift in (0, m_exp):
-            assert _q_adjoint(outer, middle, d, m_exp + 1, -shift) == _sandwich(
-                outer, middle, _alternating_coeffs(m_exp + 1, d, shift)
-            )
-        assert _q_adjoint(outer, middle, d, m_exp + 1, 0, opposite=True) == _sandwich(
-            outer, middle, _alternating_coeffs(m_exp + 1, d, 0)[::-1]
-        )
+            assert kernel(m_exp + 1, -shift) == oracle(_alternating_coeffs(m_exp + 1, d, shift))
+        assert kernel(m_exp + 1, 0, opposite=True) == oracle(_alternating_coeffs(m_exp + 1, d, 0)[::-1])
         for step in range(1, 4):
-            assert _q_adjoint(outer, middle, d, m_exp, step - m_exp) == _sandwich(
-                outer, middle, _lemma_coeffs(m_exp, d, step, positive=True)
-            )
-        assert _q_adjoint(outer, middle, d, m_exp, 0) == _sandwich(
-            outer, middle, _lemma_coeffs(m_exp, d, 1, positive=False)
-        )
+            assert kernel(m_exp, step - m_exp) == oracle(_lemma_coeffs(m_exp, d, step, positive=True))
+        assert kernel(m_exp, 0) == oracle(_lemma_coeffs(m_exp, d, 1, positive=False))
 
     def test_negative_coefficient_refused(self, ex1):
         y1, y2 = one_step_variables(ex1)
         with pytest.raises(ArithmeticError, match="nonnegative"):
-            _q_adjoint(-y1, y2, 1, 2, 0)
+            _plan(-y1, y2, 1, 2, 0)
         with pytest.raises(ArithmeticError, match="nonnegative"):
-            _q_adjoint(y1, y2.scale(QLaurent({0: 2, 1: -1})), 1, 2, 0)
+            _plan(y1, y2.scale(QLaurent({0: 2, 1: -1})), 1, 2, 0)
 
     @given(sandwich_operands(outer_terms=(1, 1)), sandwich_operands(outer_terms=(3, 3)))
     @settings(max_examples=20, deadline=None)
     def test_outer_without_two_terms_refused(self, one_term, three_terms):
         for outer, middle, _ in (one_term, three_terms):
             with pytest.raises(ArithmeticError, match="exactly two terms"):
-                _q_adjoint(outer, middle, 1, 2, 0)
+                _plan(outer, middle, 1, 2, 0)
             with pytest.raises(ArithmeticError, match="exactly two terms"):
-                _q_adjoint(outer, middle, 1, 2, 0, opposite=True)
+                _plan(outer, middle, 1, 2, 0, opposite=True)
 
     def test_heavy_instance(self):
         seed = principal_seed([[0, 4], [-4, 0]], (1, 1))
@@ -185,8 +190,9 @@ class TestSandwichKernel:
 
     @pytest.mark.parametrize("m_exp, terms", [(400, 323208), (1000, 2008008)])
     def test_long_line_instances(self, m_exp, terms):
-        # m+1 steps by y_1 of exam1: many overlapping intervals on each
-        # line of direction b_1, counted per line
+        # m+1 steps by y_1 of exam1 on the two terms of y_2: each line of
+        # direction b_1 holds one interval of m+2 points, one line per term,
+        # so terms = 2 * (m+2)^2
         seed = load_seed(Path(__file__).resolve().parent.parent / "fixtures" / "exam1.json")
         cert = higher_verify(seed, 1, 2, 1, m_exp)
         assert (cert.ok, cert.residue, cert.terms) == (True, "0", terms)
@@ -194,25 +200,72 @@ class TestSandwichKernel:
     def test_cross_form_refused(self, ex1, ex3):
         y1 = mutated_variable(ex1, 1)
         with pytest.raises(ValueError, match="different skew forms"):
-            _q_adjoint(y1, mutated_variable(mutate(ex1, 1), 2), 1, 2, 0)
+            _plan(y1, mutated_variable(mutate(ex1, 1), 2), 1, 2, 0)
         with pytest.raises(ValueError, match="different skew forms"):
-            _q_adjoint(y1, mutated_variable(ex3, 1), 1, 1, 0, opposite=True)
+            _plan(y1, mutated_variable(ex3, 1), 1, 1, 0, opposite=True)
 
-    @given(sandwich_operands(), st.integers(min_value=0, max_value=6), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_sumset_size_by_lines(self, operands, steps, data):
-        # the per-line count against the sumset built step by step, on
-        # random two-term steps (deltas with entries of size 2 and more
-        # split a line into several cosets); the step support is drawn with
-        # exactly two terms, so no example is discarded
-        _, middle, _ = operands
-        support = middle.support()
-        expo = st.tuples(*[st.integers(min_value=-2, max_value=2)] * middle.form.dim)
-        step_support = data.draw(st.sets(expo, min_size=2, max_size=2))
-        expected = support
-        for _ in range(steps):
-            expected = {tuple(a + b for a, b in zip(e, f)) for e in expected for f in step_support}
-        assert _sumset_size(support, step_support, steps) == len(expected)
+    def test_middle_without_constant_separating_coordinate_refused(self, ex1, ex3):
+        # with middle = outer every coordinate on which the outer's two
+        # exponents differ takes both values on the middle's support, so
+        # the summands' supports may overlap and the closed form is unproved
+        for seed in (ex1, ex3):
+            for y in one_step_variables(seed):
+                for opposite in (False, True):
+                    with pytest.raises(ArithmeticError, match="constant on its support"):
+                        _plan(y, y, 1, 2, 0, opposite)
+
+
+def _gauss_coeffs(halves, opposite):
+    """The coefficients c_r of A^(L-r) M A^r in the steps M <- A*M - q^(h/2) M*A,
+    h in `halves` (M*A - q^(h/2) A*M when `opposite`): Gauss's binomial
+    formula, multiplied out one step at a time."""
+    coeffs = [QLaurent.one()]
+    for half in halves:
+        twist = QLaurent.q_power(half)
+        coeffs = [a - twist * b for a, b in zip(coeffs + [QLaurent.zero()], [QLaurent.zero()] + coeffs)]
+    return coeffs[::-1] if opposite else coeffs
+
+
+def _every_plan(seed):
+    """Every plan of `seed`: serre, serre-opposite, admissible and
+    exploratory higher (one order past |b_ij| among them), L32 and L41."""
+    plans = []
+    for i in range(1, seed.n + 1):
+        for j in range(1, seed.n + 1):
+            if i == j:
+                continue
+            size = abs(seed.b_entry(i, j))
+            plans.append(_order_plan(seed, i, j))
+            if seed.b_entry(i, j) <= 0:
+                plans.append(_opposite_plan(seed, i, j))
+            if size == 0:
+                plans.extend(_order_plan(seed, i, j, (l, l)) for l in (1, 2))
+                continue
+            for l in range(1, size + 1):
+                plans.append(_order_plan(seed, i, j, (l, l * size)))
+                plans.append(_order_plan(seed, i, j, (l, l * size - 1), exploratory=True))
+            plans.append(_order_plan(seed, i, j, (size + 1, (size + 1) * size + 2), exploratory=True))
+            plans.append(_lemma_plan(seed, i, j, "L32", None, None)[1])
+            plans.extend(_lemma_plan(seed, i, j, "L41", None, t)[1] for t in range(size))
+    return plans
+
+
+class TestPlanTerms:
+    def test_terms_is_the_summed_term_count(self):
+        # each plan's closed form |supp M| * (L+1)^2 against the summands
+        # built and counted by the oracle, whose sum is also the kernel's
+        # element; on seeds with a nonzero mutable Lambda block many sums
+        # are nonzero
+        rng = random.Random(29)
+        count = 0
+        for make in (random_principal_seed, compatible_principal_seed):
+            for _ in range(3):
+                for plan in _every_plan(make(rng, rng.choice([2, 3]))):
+                    total, terms = _sandwich(plan.outer, plan.middle, _gauss_coeffs(plan.halves, plan.opposite))
+                    assert plan.terms == terms
+                    assert iterated_q_commutator(plan.outer, plan.middle, plan.halves, plan.opposite) == total
+                    count += 1
+        assert count > 100
 
 
 class TestOneStepVariables:

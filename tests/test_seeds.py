@@ -134,6 +134,13 @@ class TestCompatibility:
         assert seed.d == ex1.d and seed.labels == ex1.labels
         assert seed == ex1 and hash(seed) == hash(ex1)
 
+    @pytest.mark.parametrize("labels", [(1, 2, 3, 4), ("x1", "x2", "x3", None)])
+    def test_rejects_non_string_labels(self, ex1, labels):
+        # int labels once built a seed that mutate could not relabel and
+        # that dump_seed wrote to a file load_seed refused
+        with pytest.raises(SeedFormatError, match="labels must be strings"):
+            QuantumSeed(ex1.form, ex1.exchange, ex1.d, labels=labels)
+
     def test_symmetrizer_helpers(self):
         assert is_skew_symmetrizer((2, 1), EX1_B)
         assert not is_skew_symmetrizer((1, 1), EX1_B)
@@ -327,6 +334,14 @@ class TestExchangeMatrix:
         # 1.0 and True once built a valid seed with exam1's form
         with pytest.raises(SeedFormatError, match="field 'btilde' must hold integers"):
             ExchangeMatrix(((0, entry), (-2, 0), (1, 0), (0, 1)), n=2, m=4)
+
+    @pytest.mark.parametrize("field, value", [("n", 2.0), ("n", True), ("n", "2"), ("m", 4.0), ("m", True)])
+    def test_rejects_non_int_shape(self, ex1, field, value):
+        # n = 2.0 (or m = 4.0) was once accepted, and a seed built on the
+        # matrix then failed with a bare TypeError
+        shape = {"n": 2, "m": 4, field: value}
+        with pytest.raises(SeedFormatError, match=f"field '{field}' must hold integers"):
+            ExchangeMatrix(ex1.exchange.btilde, **shape)
 
     def test_list_rows_are_frozen(self, ex1):
         # List rows were once kept as is, which left the matrix unhashable.
