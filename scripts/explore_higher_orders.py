@@ -9,8 +9,9 @@ with ValueError before expanding anything, and only then is it expanded
 with the exploratory flag, so each instance is expanded once.
 Out-of-range instances usually leave a remainder, which makes the
 admissibility boundary visible.  A seed that does not load or is not
-principal, or an index pair that is not two distinct mutable indices,
-prints one `error: ...` line to stderr and exits 2.
+principal, an index pair that is not two distinct mutable indices, or an
+empty grid (--max-l below 1 or --max-m below 0) prints one `error: ...`
+line to stderr and exits 2.
 """
 
 import argparse
@@ -34,6 +35,8 @@ def main():
     parser.add_argument("--max-m", type=int, default=8)
     args = parser.parse_args()
 
+    if args.max_l < 1 or args.max_m < 0:
+        parser.exit(2, f"error: need --max-l >= 1 and --max-m >= 0, got --max-l {args.max_l}, --max-m {args.max_m}\n")
     try:
         seed = load_seed(args.seed)
     except (ValueError, OSError) as exc:

@@ -3,7 +3,10 @@
 
 Generates skew-symmetrizable exchange matrices with bounded entries and
 symmetrizers, then runs every direct, reversed-side, and minimal
-higher-order relation check on each.
+higher-order relation check on each.  Exits 0 when every relation holds
+and 1 when one fails.  A negative --count, or a bound that
+`random_principal_seed` refuses (--max-d below 1, a negative
+--max-entry), prints one `error: ...` line to stderr and exits 2.
 """
 
 import argparse
@@ -27,6 +30,8 @@ def main():
     parser.add_argument("--max-d", type=int, default=3)
     parser.add_argument("--rng-seed", type=int, default=0)
     args = parser.parse_args()
+    if args.count < 0:
+        parser.exit(2, f"error: --count must be >= 0, got {args.count}\n")
 
     rng = random.Random(args.rng_seed)
     started = time.perf_counter()
@@ -34,7 +39,10 @@ def main():
     failures = 0
     for index in range(args.count):
         rank = args.rank or rng.choice([2, 3])
-        seed = random_principal_seed(rng, rank, max_entry=args.max_entry, max_d=args.max_d)
+        try:
+            seed = random_principal_seed(rng, rank, max_entry=args.max_entry, max_d=args.max_d)
+        except ValueError as exc:
+            parser.exit(2, f"error: {exc}\n")
         certificates = full_suite(seed)
         total += len(certificates)
         bad = [c for c in certificates if not c.ok]

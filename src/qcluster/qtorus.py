@@ -7,8 +7,8 @@ length m) with QLaurent coefficients, multiplied by the twist rule
 
 Exponent vectors are plain int tuples.  Elements are immutable, pinned to
 the SkewForm they were built over, and refuse cross-form arithmetic.
-`iterated_q_commutator` fuses the two products and the difference of
-each q-commutator step into a single pass.
+`iterated_q_commutator` fuses the two products and the difference of each
+q-commutator step into one pass; `TorusElem.bar` gives the mirrored step.
 """
 
 from __future__ import annotations
@@ -185,6 +185,12 @@ class TorusElem:
             return TorusElem.zero(self.form)
         return self._raw(self.form, {e: c * coeff for e, c in self._terms.items()})
 
+    def bar(self) -> "TorusElem":
+        """The bar involution q^(1/2) -> q^(-1/2), X^e fixed.  It reverses
+        products: X^e * X^f = q^(p/2) X^(e+f), p = pairing(e, f), goes to
+        q^(-p/2) X^(e+f) = X^f * X^e, since the form is skew-symmetric."""
+        return self._raw(self.form, {e: c.bar() for e, c in self._terms.items()})
+
     # -- twisted multiplication -----------------------------------------
 
     def __mul__(self, other: "TorusElem") -> "TorusElem":
@@ -238,24 +244,21 @@ class TorusElem:
     __repr__ = __str__
 
 
-def iterated_q_commutator(outer: TorusElem, middle: TorusElem, halves: Iterable[int], opposite: bool = False) -> TorusElem:
+def iterated_q_commutator(outer: TorusElem, middle: TorusElem, halves: Iterable[int]) -> TorusElem:
     """Starting from M = middle, M <- outer*M - q^(h/2) * (M*outer) for each h in `halves`.
 
-    With `opposite` the two products trade places:
-    M*outer - q^(h/2) * (outer*M).  For a term X^f of `outer` and X^e of
-    M, p = e . (Lambda f) is the only twist: X^f * X^e = q^(-p/2) X^(e+f)
-    and X^e * X^f = q^(p/2) X^(e+f) by skew-symmetry.  So Lambda f is
-    computed once per term of `outer` for all steps, each term pair costs
-    one dot product, and each step builds one map of integer coefficient
-    maps whose zeros are dropped once at its end.  A unit coefficient of
-    `outer` needs no coefficient multiply.
+    For a term X^f of `outer` and X^e of M, p = e . (Lambda f) is the only
+    twist: X^f * X^e = q^(-p/2) X^(e+f) and X^e * X^f = q^(p/2) X^(e+f) by
+    skew-symmetry.  So Lambda f is computed once per term of `outer` for
+    all steps, each term pair costs one dot product, and each step builds
+    one map of integer coefficient maps whose zeros are dropped once at
+    its end.  A unit coefficient of `outer` needs no coefficient multiply.
     """
     outer._check_form(middle)
     rows = outer.form.rows()
-    sign = -1 if opposite else 1
-    # (f, sign * Lambda f, the coefficient of X^f or None when it is 1)
+    # (f, Lambda f, the coefficient of X^f or None when it is 1)
     factors = [
-        (f, tuple(sign * sum(map(mul, row, f)) for row in rows), None if a == 1 else a)
+        (f, tuple(sum(map(mul, row, f)) for row in rows), None if a == 1 else a)
         for f, a in outer._terms.items()
     ]
     terms = middle._terms

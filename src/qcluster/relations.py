@@ -29,7 +29,8 @@ class VerificationCertificate:
     lemma-sum) each expand one validated plan (`_run`); their `terms` is
     the summed term counts of the scaled summands c_r A^(L-r) M A^r, which
     the kernel never builds.  It is the closed form |supp M| * (L+1)^2,
-    known from the plan before any coefficient work (see `_plan`).  The
+    known from the plan before any coefficient work (see `_plan`);
+    serre-opposite bars serre(j, i)'s plan and has its `terms`.  The
     commutator check reports the term count of y_i y_j - y_j y_i, one
     kernel step, and the power-product check the summed term counts of its
     three expansions.  `seconds` is wall time.
@@ -81,7 +82,6 @@ class _Plan:
     middle: TorusElem
     halves: tuple[int, ...]
     terms: int
-    opposite: bool
 
 
 # -- small helpers -----------------------------------------------------------
@@ -109,24 +109,21 @@ def _certify(check: str, params: Sequence[tuple[str, object]], residue: TorusEle
     )
 
 
-def _plan(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: int, opposite: bool = False) -> _Plan:
+def _plan(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: int) -> _Plan:
     """The iterated q-commutator of `middle` with A = `outer`, validated.
 
-    Starting from M = middle, there is one step for each k = 0 .. steps-1,
-    and step k replaces M by A*M - q^(d(first+k)) * (M*A), or by
-    M*A - q^(d(first+k)) * (A*M) when `opposite`;
-    `qtorus.iterated_q_commutator` does each step in one pass.  Left and
-    right multiplication by A commute as operators and q is central, so
-    by Gauss's binomial formula at Q = q^d the result is the alternating
-    sum
+    Starting from M = middle, step k = 0 .. steps-1 replaces M by
+    A*M - q^(d(first+k)) * (M*A), in one pass of
+    `qtorus.iterated_q_commutator`.  Left and right multiplication by A
+    commute as operators and q is central, so by Gauss's binomial formula
+    at Q = q^d the result is the alternating sum
 
         sum_r (-1)^r Q^(r(r-1)/2 + r*first) [L, r]_Q * A^(L-r) M A^r
 
-    with L = steps (A^r M A^(L-r) when `opposite`).  With first = 0 this
-    is (ad_q A)^L (M).  The steps commute, so `halves` holds their twists
-    2d(first+k) in order of |first+k|, least twisted first: those steps
-    cancel most terms early and keep the intermediates small, and the
-    order does not change the result.
+    with L = steps; with first = 0 it is (ad_q A)^L (M).  The steps
+    commute, so `halves` holds their twists 2d(first+k) in order of
+    |first+k|, least twisted first: those steps cancel most terms early
+    and keep the intermediates small; their order does not change the sum.
 
     `terms` counts the terms of the L+1 scaled summands without building
     them.  A must have exactly two terms X^f0 and X^f1, as every one-step
@@ -152,13 +149,13 @@ def _plan(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: int, o
     if not any(a != b and len({e[c] for e in support}) == 1 for c, (a, b) in enumerate(zip(f0, f1))):
         raise ArithmeticError("q-adjoint middle needs a coordinate of f1 - f0 that is constant on its support")
     halves = tuple(sorted((2 * d * (first + k) for k in range(steps)), key=abs))
-    return _Plan(outer, middle, halves, middle.term_count() * (steps + 1) ** 2, opposite)
+    return _Plan(outer, middle, halves, middle.term_count() * (steps + 1) ** 2)
 
 
 def _run(check: str, params: Sequence[tuple[str, object]], plan: _Plan, exploratory: bool = False) -> VerificationCertificate:
     """Expand `plan` and certify it; `seconds` is the time of the expansion."""
     started = time.perf_counter()
-    total = iterated_q_commutator(plan.outer, plan.middle, plan.halves, plan.opposite)
+    total = iterated_q_commutator(plan.outer, plan.middle, plan.halves)
     return _certify(check, params, total, plan.terms, started, exploratory)
 
 
@@ -412,17 +409,6 @@ def _order_plan(
     return _plan(ys[i - 1], ys[j - 1] ** l, seed.d[i - 1], m_exp + 1, first)
 
 
-def _opposite_plan(seed: QuantumSeed, i: int, j: int) -> _Plan:
-    """sum_r +/- [b_ji+1, r] y_j^r y_i y_j^(b_ji+1-r) at base q^(d_j), validated (b_ij <= 0)."""
-    ys = one_step_variables(seed)
-    _require_pair(seed, i, j)
-    b_ij = seed.b_entry(i, j)
-    if b_ij > 0:
-        raise ValueError(f"reversed-side relation needs b_ij <= 0, got b_ij={b_ij}")
-    steps = 1 + abs(seed.b_entry(j, i))
-    return _plan(ys[j - 1], ys[i - 1], seed.d[j - 1], steps, 0, opposite=True)
-
-
 def serre_verify(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
     """The quantum Serre relation (ad_q y_i)^(1-c_ij)(y_j) = 0.
 
@@ -437,11 +423,19 @@ def serre_verify(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
 def serre_verify_opposite(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
     """The reversed-side relation sum_r +/- [b_ji+1, r] y_j^r y_i y_j^(b_ji+1-r).
 
-    The right q-adjoint action of y_j, 1 - c_ji = 1 + |b_ji| steps at base
-    q^(d_j), on operands derived once per seed.  Obtained from the b_ij > 0
-    relation through the bar involution; requires b_ij <= 0 (so b_ji >= 0).
+    The right q-adjoint action of y_j, 1 + |b_ji| steps at base q^(d_j);
+    requires b_ij <= 0 (so b_ji >= 0).  Bar reverses products, fixes every
+    y_k and negates the twists into serre(j, i)'s, so this is serre(j, i)'s
+    plan expanded once and barred.
     """
-    return _run("serre-opposite", (("i", i), ("j", j)), _opposite_plan(seed, i, j))
+    one_step_variables(seed)
+    _require_pair(seed, i, j)
+    if seed.b_entry(i, j) > 0:
+        raise ValueError(f"reversed-side relation needs b_ij <= 0, got b_ij={seed.b_entry(i, j)}")
+    plan = _order_plan(seed, j, i)
+    started = time.perf_counter()
+    total = iterated_q_commutator(plan.outer, plan.middle, plan.halves).bar()
+    return _certify("serre-opposite", (("i", i), ("j", j)), total, plan.terms, started)
 
 
 def higher_verify(
@@ -473,22 +467,23 @@ def full_suite(seed: QuantumSeed) -> list[VerificationCertificate]:
     (ad_q y_i)^(1-c_ij)(y_j) = 0, c_ij = -|b_ij|, plus the reversed side
     when b_ij <= 0.  Together they make E_k -> y_k a homomorphism from the
     positive part of the quantum group of that Cartan matrix.  Then the
-    instances (i, j, l, l*|b_ij|), b_ij != 0, 1 <= l <= |b_ij|; the l = 1
-    plan is the Serre plan, so its certificate is the pair's `serre`
-    certificate relabelled (with that expansion's `seconds`).
+    instances (i, j, l, l*|b_ij|), b_ij != 0, 1 <= l <= |b_ij|.  Each
+    `serre` sum is expanded once: the l = 1 plan is the Serre plan, and the
+    reversed side is bar of serre(j, i), with the same `terms` and
+    bar(0) = 0.  So both relabel a `serre` certificate, `seconds` included,
+    unless serre(j, i) fails; then `serre_verify_opposite` bars it.
     """
     one_step_variables(seed)  # the principal check, even when n = 1 gives no pair
+    serre = {(i, j): serre_verify(seed, i, j) for i in range(1, seed.n + 1) for j in range(1, seed.n + 1) if i != j}
     certificates, higher = [], []
-    for i in range(1, seed.n + 1):
-        for j in range(1, seed.n + 1):
-            if i == j:
-                continue
-            serre = serre_verify(seed, i, j)
-            certificates.append(serre)
-            if seed.b_entry(i, j) <= 0:
-                certificates.append(serre_verify_opposite(seed, i, j))
-            size = abs(seed.b_entry(i, j))
-            if size:
-                higher.append(replace(serre, check="higher", params=serre.params + (("l", 1), ("m", size))))
-            higher.extend(higher_verify(seed, i, j, l, l * size) for l in range(2, size + 1))
+    for (i, j), cert in serre.items():
+        certificates.append(cert)
+        if seed.b_entry(i, j) <= 0:
+            mirror = serre[j, i]
+            relabelled = replace(mirror, check="serre-opposite", params=cert.params)
+            certificates.append(relabelled if mirror.ok else serre_verify_opposite(seed, i, j))
+        size = abs(seed.b_entry(i, j))
+        if size:
+            higher.append(replace(cert, check="higher", params=cert.params + (("l", 1), ("m", size))))
+        higher.extend(higher_verify(seed, i, j, l, l * size) for l in range(2, size + 1))
     return certificates + higher

@@ -229,7 +229,6 @@ def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
         value = -lam[kk][j] + sum(pos_part(old_b[t][kk]) * lam[t][j] for t in range(m))
         new_lam[kk][j] = value
         new_lam[j][kk] = -value
-    new_lam[kk][kk] = 0
 
     new_labels = list(seed.labels)
     new_labels[kk] = seed.labels[kk] + "'"
@@ -263,7 +262,9 @@ def mutated_variable(seed: QuantumSeed, k: int) -> TorusElem:
 
 
 def random_principal_seed(rng: random.Random, n: int, max_entry: int = 3, max_d: int = 3) -> QuantumSeed:
-    """A random principal seed with |b_ij| <= max_entry and d_i <= max_d."""
+    """A random principal seed with |b_ij| <= max_entry (>= 0) and 1 <= d_i <= max_d."""
+    if max_d < 1 or max_entry < 0:
+        raise ValueError(f"random seeds need max_d >= 1 and max_entry >= 0, got max_d={max_d}, max_entry={max_entry}")
     d = [rng.randint(1, max_d) for _ in range(n)]
     b = [[0] * n for _ in range(n)]
     for i in range(n):

@@ -187,6 +187,16 @@ class TestTwistedProduct:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
 
+    @given(skew_forms(3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bar_is_an_anti_involution(self, form, data):
+        # bar inverts q^(1/2) and fixes X^e: an involution that reverses
+        # products, which the reversed-side relations rest on
+        a = data.draw(elements(form))
+        b = data.draw(elements(form))
+        assert a.bar().bar() == a
+        assert (a * b).bar() == b.bar() * a.bar()
+
     def test_power_of_monomial(self):
         e = (1, -1, 2, 0)
         mono = TorusElem.monomial(LAM4, e, 1)
@@ -233,7 +243,9 @@ class TestIteratedQCommutator:
             left = outer * left - (left * outer).scale(twist)
             right = right * outer - (outer * right).scale(twist)
         assert iterated_q_commutator(outer, middle, halves) == left
-        assert iterated_q_commutator(outer, middle, halves, opposite=True) == right
+        # the mirrored steps are the bar image of the forward ones on the
+        # barred operands at the negated twists
+        assert iterated_q_commutator(outer.bar(), middle.bar(), [-h for h in halves]).bar() == right
 
     def test_commuting_pair_cancels(self):
         x2, x4 = ordered_product(LAM4, [(2, 1)]), ordered_product(LAM4, [(4, 1)])

@@ -71,3 +71,37 @@ def test_explore_rejects_non_principal_seed(tmp_path):
     assert result.stdout == ""
     assert result.stderr.startswith("error: seed is not principal")
     assert len(result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--max-d", "0"], "error: random seeds need max_d >= 1 and max_entry >= 0, got max_d=0, max_entry=3"),
+        (["--max-entry", "-1"], "error: random seeds need max_d >= 1 and max_entry >= 0, got max_d=3, max_entry=-1"),
+        (["--count", "-2"], "error: --count must be >= 0, got -2"),
+    ],
+)
+def test_sweep_rejects_bad_bounds(argv, message):
+    # exit 1 means a relation failed, so a bad argument exits 2 with one
+    # error line: --max-d 0 and --max-entry -1 once ended in tracebacks
+    # (exit 1) and --count -2 in an empty sweep (exit 0)
+    result = subprocess.run(
+        [sys.executable, "scripts/random_relation_sweep.py", *argv],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == message + "\n"
+
+
+@pytest.mark.parametrize("argv", [["--max-l", "0"], ["--max-m", "-3"]])
+def test_explore_rejects_empty_grid(argv):
+    # an empty grid once printed only its header and exited 0
+    result = subprocess.run(
+        [sys.executable, "scripts/explore_higher_orders.py", *argv],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: need --max-l >= 1 and --max-m >= 0")
+    assert len(result.stderr.splitlines()) == 1

@@ -105,6 +105,20 @@ class TestPrincipalSeed:
                     for word in itertools.permutations(letters):
                         assert ordered_product(seed.form, word) == expected
 
+    @pytest.mark.parametrize("bounds, message", [
+        ({"max_d": 0}, "got max_d=0, max_entry=3$"),
+        ({"max_entry": -1}, "got max_d=3, max_entry=-1$"),
+    ])
+    def test_random_seed_bounds_named(self, bounds, message):
+        # max_d = 0 once ended in randrange's ValueError and max_entry = -1
+        # in an IndexError from an empty choice
+        with pytest.raises(ValueError, match="^random seeds need max_d >= 1 and max_entry >= 0, " + message):
+            random_principal_seed(random.Random(0), 2, **bounds)
+
+    def test_random_seed_smallest_bounds(self):
+        seed = random_principal_seed(random.Random(0), 3, max_entry=0, max_d=1)
+        assert seed.d == (1, 1, 1) and seed.exchange.principal_part() == ((0, 0, 0),) * 3
+
 
 class TestCompatibility:
     def test_examples_pass(self, ex1, ex3):
