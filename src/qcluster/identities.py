@@ -8,15 +8,16 @@ table's packed entries as they are stored, at one slot width per check
 bounded by the entries' own slots, and compare packed ints, so none of
 them decodes anything.  The product expansions are polynomials in a
 commuting indeterminate x, expanded as lists of packed coefficients of
-x^0 .. x^n.  Families carry their precondition ranges as data, so a
-single sweep can enumerate and report every instance uniformly.
+x^0 .. x^n.  A family's sweep is data: one range per parameter, each a
+function of the parameters before it, which `_grid` walks, so one sweep
+enumerates and reports every instance of every family the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .qarith import (
     QLaurent,
@@ -107,15 +108,6 @@ def _alternating_sum(top: int, shift: int, slope: int | None = None) -> int:
     return inner if slope is None else total
 
 
-def _shifted_vanishing(d: int, c: int) -> tuple[int, int]:
-    return _alternating_sum(d, c), 0
-
-
-def _double_sum(n: int, shift: int, slope: int) -> tuple[int, int]:
-    """sum_{t=0}^{n} q^(slope*t) sum_{r=0}^{t} (-1)^r q^(r(r-1)/2 - shift*r) [n+1, r]."""
-    return _alternating_sum(n + 1, shift, slope), 0
-
-
 def _product_expansion(n: int) -> tuple[list[int], list[int]]:
     """Both sides of prod_{r=1}^{n} (1 + q^r x) = sum_k q^(k(k+1)/2) [n, k] x^k
     as the coefficients of x^0 .. x^n, each packed at q = 2^W.
@@ -200,79 +192,33 @@ def _base_change(n: int, r: int, d: int) -> tuple[QLaurent, QLaurent]:
 
 @dataclass(frozen=True)
 class IdentityFamily:
+    """One identity family.  `sweep` holds one range per parameter, each a
+    function of the parameters before it; `_grid` walks them."""
+
     name: str
     param_names: tuple[str, ...]
     precondition: str
     validate: Callable[..., bool]
     expand: Callable[..., tuple[object, object]]
-    sweep: Callable[[], Iterator[tuple[int, ...]]]
+    sweep: tuple[Callable[..., range], ...]
 
 
-def _sweep_vanishing() -> Iterator[tuple[int, ...]]:
-    for d in range(1, 11):
-        yield (d,)
+def _grid(ranges: Sequence[Callable[..., range]]) -> list[tuple[int, ...]]:
+    """Every parameter tuple of a sweep, in lexicographic order."""
+    points: list[tuple[int, ...]] = [()]
+    for values in ranges:
+        points = [p + (v,) for p in points for v in values(*p)]
+    return points
 
 
-def _sweep_shifted() -> Iterator[tuple[int, ...]]:
-    for d in range(1, 11):
-        for c in range(d):
-            yield (d, c)
-
-
-def _sweep_n(top: int) -> Callable[[], Iterator[tuple[int, ...]]]:
-    def gen() -> Iterator[tuple[int, ...]]:
-        for n in range(1, top + 1):
-            yield (n,)
-
-    return gen
-
-
-def _sweep_vandermonde() -> Iterator[tuple[int, ...]]:
-    for n in range(9):
-        for d in range(n + 1):
-            for k in range(9):
-                yield (n, d, k)
-
-
-def _sweep_double_neg() -> Iterator[tuple[int, ...]]:
-    for n in range(1, 9):
-        for k in range(1, n + 1):
-            yield (n, k)
-
-
-def _sweep_double_pos() -> Iterator[tuple[int, ...]]:
-    for n in range(1, 9):
-        for v in range(1, n + 1):
-            for k in range(v):
-                yield (n, v, k)
-
-
-def _sweep_pascal() -> Iterator[tuple[int, ...]]:
-    for n in range(12):
-        for r in range(n + 2):
-            for d in range(1, 4):
-                yield (n, r, d)
-
-
-def _sweep_reversal() -> Iterator[tuple[int, ...]]:
-    for n in range(13):
-        for d in range(1, 4):
-            yield (n, d)
-
-
-def _sweep_symmetry() -> Iterator[tuple[int, ...]]:
-    for n in range(11):
-        for r in range(n + 1):
-            for d in range(1, 4):
-                yield (n, r, d)
-
-
-def _sweep_base_change() -> Iterator[tuple[int, ...]]:
-    for n in range(1, 9):
-        for r in range(1, 9):
-            for d in range(1, 4):
-                yield (n, r, d)
-
+_PRODUCT_EXPANSION = IdentityFamily(
+    "PRODUCT_EXPANSION",
+    ("n",),
+    "n >= 1",
+    lambda n: n >= 1,
+    _product_expansion,
+    (lambda: range(1, 11),),
+)
 
 FAMILIES: dict[str, IdentityFamily] = {
     family.name: family
@@ -282,66 +228,55 @@ FAMILIES: dict[str, IdentityFamily] = {
             ("d",),
             "d >= 1",
             lambda d: d >= 1,
-            lambda d: _shifted_vanishing(d, 0),
-            _sweep_vanishing,
+            lambda d: (_alternating_sum(d, 0), 0),
+            (lambda: range(1, 11),),
         ),
         IdentityFamily(
             "SHIFTED_VANISHING",
             ("d", "c"),
             "d >= 1 and 0 <= c <= d-1",
             lambda d, c: d >= 1 and 0 <= c <= d - 1,
-            _shifted_vanishing,
-            _sweep_shifted,
+            lambda d, c: (_alternating_sum(d, c), 0),
+            (lambda: range(1, 11), lambda d: range(d)),
         ),
-        IdentityFamily(
-            "PRODUCT_EXPANSION",
-            ("n",),
-            "n >= 1",
-            lambda n: n >= 1,
-            _product_expansion,
-            _sweep_n(10),
-        ),
+        _PRODUCT_EXPANSION,
         # prod_{r=1}^{n} (y + q^r x) is homogeneous of degree n, so its
         # x^k y^(n-k) coefficient is entry k of the one-variable expansion.
-        IdentityFamily(
-            "PRODUCT_EXPANSION_BIVAR",
-            ("n",),
-            "n >= 1",
-            lambda n: n >= 1,
-            _product_expansion,
-            _sweep_n(10),
-        ),
+        replace(_PRODUCT_EXPANSION, name="PRODUCT_EXPANSION_BIVAR"),
         IdentityFamily(
             "VANDERMONDE",
             ("n", "d", "k"),
             "k >= 0 and 0 <= d <= n",
             lambda n, d, k: k >= 0 and 0 <= d <= n,
             _vandermonde,
-            _sweep_vandermonde,
+            (lambda: range(9), lambda n: range(n + 1), lambda n, d: range(9)),
         ),
+        # The double sums: sum_{t=0}^{n} q^(slope*t) sum_{r=0}^{t} (-1)^r
+        # q^(r(r-1)/2 - shift*r) [n+1, r], (shift, slope) = (0, -k) or (n, v-k).
         IdentityFamily(
             "DOUBLE_SUM_NEG",
             ("n", "k"),
             "1 <= k <= n",
             lambda n, k: 1 <= k <= n,
-            lambda n, k: _double_sum(n, 0, -k),
-            _sweep_double_neg,
+            lambda n, k: (_alternating_sum(n + 1, 0, -k), 0),
+            (lambda: range(1, 9), lambda n: range(1, n + 1)),
         ),
         IdentityFamily(
             "DOUBLE_SUM_POS",
             ("n", "v", "k"),
             "v <= n and 0 <= k <= v-1",
             lambda n, v, k: v <= n and 0 <= k <= v - 1,
-            lambda n, v, k: _double_sum(n, n, v - k),
-            _sweep_double_pos,
+            lambda n, v, k: (_alternating_sum(n + 1, n, v - k), 0),
+            (lambda: range(1, 9), lambda n: range(1, n + 1), lambda n, v: range(v)),
         ),
+        # r <= n+1 bounds the sweep only: [n+1, r] is zero beyond it.
         IdentityFamily(
             "PASCAL",
             ("n", "r", "d"),
             "n >= 0 and r >= 0 and d >= 1",
             lambda n, r, d: n >= 0 and r >= 0 and d >= 1,
             _pascal,
-            _sweep_pascal,
+            (lambda: range(12), lambda n: range(n + 2), lambda n, r: range(1, 4)),
         ),
         IdentityFamily(
             "REVERSAL",
@@ -349,7 +284,7 @@ FAMILIES: dict[str, IdentityFamily] = {
             "n >= 0 and d >= 1",
             lambda n, d: n >= 0 and d >= 1,
             _reversal,
-            _sweep_reversal,
+            (lambda: range(13), lambda n: range(1, 4)),
         ),
         IdentityFamily(
             "SYMMETRY",
@@ -357,7 +292,7 @@ FAMILIES: dict[str, IdentityFamily] = {
             "0 <= r <= n and d >= 1",
             lambda n, r, d: 0 <= r <= n and d >= 1,
             _symmetry,
-            _sweep_symmetry,
+            (lambda: range(11), lambda n: range(n + 1), lambda n, r: range(1, 4)),
         ),
         IdentityFamily(
             "BASE_CHANGE",
@@ -365,7 +300,7 @@ FAMILIES: dict[str, IdentityFamily] = {
             "n >= 1 and r >= 1 and d >= 1",
             lambda n, r, d: n >= 1 and r >= 1 and d >= 1,
             _base_change,
-            _sweep_base_change,
+            (lambda: range(1, 9), lambda n: range(1, 9), lambda n, r: range(1, 4)),
         ),
     )
 }
@@ -402,6 +337,6 @@ def sweep_reports(families: Sequence[str] | None = None) -> list[IdentityReport]
     for name in chosen:
         if name not in FAMILIES:
             raise ValueError(f"unknown identity family {name!r}")
-        for params in sorted(FAMILIES[name].sweep()):
+        for params in _grid(FAMILIES[name].sweep):
             reports.append(check_identity(name, params))
     return reports

@@ -158,26 +158,12 @@ class QLaurent:
         out._terms = {h + half: coeff for h, coeff in self._terms.items()}
         return out
 
-    # -- involutions and substitutions ----------------------------------
+    # -- the bar involution ---------------------------------------------
 
     def bar(self) -> "QLaurent":
         """The bar involution q^(k/2) -> q^(-k/2); coefficients unchanged."""
         out = QLaurent.__new__(QLaurent)
         out._terms = {-half: coeff for half, coeff in self._terms.items()}
-        return out
-
-    def scale_exponents(self, factor: int) -> "QLaurent":
-        """Substitute q -> q^factor (half-exponent k -> factor*k).
-
-        factor may be negative (base inversion) but not zero, which
-        would collapse distinct monomials.
-        """
-        if not isinstance(factor, int) or factor == 0:
-            raise ValueError("exponent scale factor must be a nonzero integer")
-        if factor == 1:
-            return self
-        out = QLaurent.__new__(QLaurent)
-        out._terms = {factor * half: coeff for half, coeff in self._terms.items()}
         return out
 
     # -- comparisons ----------------------------------------------------

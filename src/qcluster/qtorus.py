@@ -69,13 +69,7 @@ class SkewForm:
         """The bilinear value e^T * Lambda * f."""
         if len(left) != self.dim or len(right) != self.dim:
             raise ValueError("exponent vector length does not match the form")
-        total = 0
-        for i, a in enumerate(left):
-            if not a:
-                continue
-            row = self._rows[i]
-            total += a * sum(row[j] * b for j, b in enumerate(right) if b)
-        return total
+        return sum(a * sum(map(mul, row, right)) for a, row in zip(left, self._rows) if a)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SkewForm):

@@ -34,6 +34,11 @@ class VerificationCertificate:
     commutator check reports the term count of y_i y_j - y_j y_i, one
     kernel step, and the power-product check the summed term counts of its
     three expansions.  `seconds` is wall time.
+
+    An alternating sum whose plan twists every step by a nonzero shift
+    (see `_plan`) reports it as a last param ("twist", shift); a principal
+    seed whose Lambda has a zero mutable block has none.  serre-opposite
+    reports serre(j, i)'s twist negated, as bar negates it.
     """
 
     check: str
@@ -82,6 +87,7 @@ class _Plan:
     middle: TorusElem
     halves: tuple[int, ...]
     terms: int
+    twist: int
 
 
 # -- small helpers -----------------------------------------------------------
@@ -109,7 +115,16 @@ def _certify(check: str, params: Sequence[tuple[str, object]], residue: TorusEle
     )
 
 
-def _plan(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: int) -> _Plan:
+def _free_exponent(seed: QuantumSeed, k: int) -> tuple[int, ...]:
+    """g(y_k) = -e_k + [-b_k]_+, the exponent of the term of y_k without x_(n+k)."""
+    return next(e for e in seed.one_step[k - 1].support() if not e[seed.n + k - 1])
+
+
+def _twisted(params: Sequence[tuple[str, object]], twist: int) -> tuple[tuple[str, object], ...]:
+    return tuple(params) + ((("twist", twist),) if twist else ())
+
+
+def _plan(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: int, shift: int = 0) -> _Plan:
     """The iterated q-commutator of `middle` with A = `outer`, validated.
 
     Starting from M = middle, step k = 0 .. steps-1 replaces M by
@@ -120,10 +135,14 @@ def _plan(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: int) -
 
         sum_r (-1)^r Q^(r(r-1)/2 + r*first) [L, r]_Q * A^(L-r) M A^r
 
-    with L = steps; with first = 0 it is (ad_q A)^L (M).  The steps
-    commute, so `halves` holds their twists 2d(first+k) in order of
-    |first+k|, least twisted first: those steps cancel most terms early
-    and keep the intermediates small; their order does not change the sum.
+    with L = steps; with first = 0 it is (ad_q A)^L (M).  `shift` is added
+    to every twist.  The builders pass 2*lambda(g(A), g(M)), g the exponent
+    of the coefficient-free term: X^g(A) X^g(M) = q^(shift/2) X^g(M) X^g(A),
+    so a step twisted by it q-commutes those terms, and the sum above gains
+    the factor q^(r*shift/2).  It is 0 when Lambda's mutable block is.  The
+    steps commute, so `halves` holds their twists 2d(first+k) + shift,
+    least twisted first: those steps cancel most terms early and keep the
+    intermediates small; their order does not change the sum.
 
     `terms` counts the terms of the L+1 scaled summands without building
     them.  A must have exactly two terms X^f0 and X^f1, as every one-step
@@ -148,15 +167,16 @@ def _plan(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: int) -
     support = middle.support()
     if not any(a != b and len({e[c] for e in support}) == 1 for c, (a, b) in enumerate(zip(f0, f1))):
         raise ArithmeticError("q-adjoint middle needs a coordinate of f1 - f0 that is constant on its support")
-    halves = tuple(sorted((2 * d * (first + k) for k in range(steps)), key=abs))
-    return _Plan(outer, middle, halves, middle.term_count() * (steps + 1) ** 2)
+    halves = tuple(sorted((2 * d * (first + k) + shift for k in range(steps)), key=abs))
+    return _Plan(outer, middle, halves, middle.term_count() * (steps + 1) ** 2, shift)
 
 
 def _run(check: str, params: Sequence[tuple[str, object]], plan: _Plan, exploratory: bool = False) -> VerificationCertificate:
-    """Expand `plan` and certify it; `seconds` is the time of the expansion."""
+    """Expand `plan` and certify it, its twist last in `params`; `seconds`
+    is the time of the expansion."""
     started = time.perf_counter()
     total = iterated_q_commutator(plan.outer, plan.middle, plan.halves)
-    return _certify(check, params, total, plan.terms, started, exploratory)
+    return _certify(check, _twisted(params, plan.twist), total, plan.terms, started, exploratory)
 
 
 # -- one-step variables ------------------------------------------------------
@@ -348,7 +368,9 @@ def _lemma_plan(
     # b_ij > 0 and at Q^0 otherwise.
     first = step - m_exp if b > 0 else 0
     middle = ordered_product(seed.form, [(i, step - 1)])
-    return params, _plan(ys[i - 1], middle, seed.d[i - 1], m_exp, first)
+    e_i = tuple(int(t == i - 1) for t in range(seed.m))
+    shift = 2 * (step - 1) * seed.form.pairing(_free_exponent(seed, i), e_i)
+    return params, _plan(ys[i - 1], middle, seed.d[i - 1], m_exp, first, shift)
 
 
 def lemma_sum_check(
@@ -406,7 +428,8 @@ def _order_plan(
         elif m_exp < l * size:
             raise ValueError(f"outer exponent m={m_exp} below the bound l*|b_ij| = {l * size}")
     first = -m_exp if b > 0 else 0
-    return _plan(ys[i - 1], ys[j - 1] ** l, seed.d[i - 1], m_exp + 1, first)
+    shift = 2 * l * seed.form.pairing(_free_exponent(seed, i), _free_exponent(seed, j))
+    return _plan(ys[i - 1], ys[j - 1] ** l, seed.d[i - 1], m_exp + 1, first, shift)
 
 
 def serre_verify(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
@@ -435,7 +458,7 @@ def serre_verify_opposite(seed: QuantumSeed, i: int, j: int) -> VerificationCert
     plan = _order_plan(seed, j, i)
     started = time.perf_counter()
     total = iterated_q_commutator(plan.outer, plan.middle, plan.halves).bar()
-    return _certify("serre-opposite", (("i", i), ("j", j)), total, plan.terms, started)
+    return _certify("serre-opposite", _twisted((("i", i), ("j", j)), -plan.twist), total, plan.terms, started)
 
 
 def higher_verify(
@@ -471,19 +494,22 @@ def full_suite(seed: QuantumSeed) -> list[VerificationCertificate]:
     `serre` sum is expanded once: the l = 1 plan is the Serre plan, and the
     reversed side is bar of serre(j, i), with the same `terms` and
     bar(0) = 0.  So both relabel a `serre` certificate, `seconds` included,
-    unless serre(j, i) fails; then `serre_verify_opposite` bars it.
+    the reversed side with its twist negated, unless serre(j, i) fails;
+    then `serre_verify_opposite` bars it.
     """
     one_step_variables(seed)  # the principal check, even when n = 1 gives no pair
     serre = {(i, j): serre_verify(seed, i, j) for i in range(1, seed.n + 1) for j in range(1, seed.n + 1) if i != j}
     certificates, higher = [], []
     for (i, j), cert in serre.items():
         certificates.append(cert)
+        pair, twist = cert.params[:2], cert.params[2:]
         if seed.b_entry(i, j) <= 0:
             mirror = serre[j, i]
-            relabelled = replace(mirror, check="serre-opposite", params=cert.params)
+            negated = tuple((name, -value) for name, value in mirror.params[2:])
+            relabelled = replace(mirror, check="serre-opposite", params=pair + negated)
             certificates.append(relabelled if mirror.ok else serre_verify_opposite(seed, i, j))
         size = abs(seed.b_entry(i, j))
         if size:
-            higher.append(replace(cert, check="higher", params=cert.params + (("l", 1), ("m", size))))
+            higher.append(replace(cert, check="higher", params=pair + (("l", 1), ("m", size)) + twist))
         higher.extend(higher_verify(seed, i, j, l, l * size) for l in range(2, size + 1))
     return certificates + higher

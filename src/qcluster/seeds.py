@@ -77,7 +77,7 @@ class ExchangeMatrix:
 def is_skew_symmetrizer(d: Sequence[int], b: Sequence[Sequence[int]]) -> bool:
     """Whether diag(d) * b is skew-symmetric with every d_i positive."""
     n = len(b)
-    if len(d) != n or any(not isinstance(v, int) or v <= 0 for v in d):
+    if len(d) != n or any(isinstance(v, bool) or not isinstance(v, int) or v <= 0 for v in d):
         return False
     return all(d[i] * b[i][j] == -d[j] * b[j][i] for i in range(n) for j in range(n))
 

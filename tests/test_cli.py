@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 EXAM1 = "fixtures/exam1.json"
 EXAM3 = "fixtures/exam3.json"
 CORRUPTED = "fixtures/corrupted.json"
+LAMBDA11 = "fixtures/lambda11.json"
 
 # sha256 of the whole `identities` sweep output, json and text.
 SWEEP_JSON_SHA256 = "33fb6b30e38a7ef9e70d1fb9a1ebadb754107986bde809fbeceee70ff2af28cc"
@@ -359,6 +360,18 @@ class TestSuite:
     def test_corrupted(self, capsys):
         status, _, err = run(capsys, "suite", "--seed", CORRUPTED)
         assert status == 2
+
+    def test_nonzero_mutable_lambda_block(self, capsys):
+        # a principal seed whose Lambda11 is nonzero: every relation holds
+        # once its sum carries the twist read from Lambda
+        seed = seeds.load_seed(LAMBDA11)
+        assert seed.is_principal and any(seed.form.entry(1, c) for c in (2, 3))
+        status, out, _ = run(capsys, "suite", "--seed", LAMBDA11)
+        lines = out.splitlines()
+        assert status == 0 and len(lines) == 1 + 9 + 8
+        assert all(", twist=" in line and ": PASS [terms=" in line for line in lines[1:])
+        status, out, _ = run(capsys, "verify-lemmas", "--seed", LAMBDA11, "--i", "2", "--j", "1", "--variant", "L41", "--t", "1")
+        assert (status, out) == (0, "lemma-sum(i=2, j=1, variant=L41, m=4, t=1, twist=-12): PASS [terms=25]\n")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_non_principal_prints_nothing(self, capsys, tmp_path, fmt):

@@ -123,6 +123,21 @@ class TestExhaustiveSweep:
         keys = [(r.family, r.params) for r in reports]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_precondition_text_is_the_validator(self, name):
+        # The precondition string is the message check_identity shows and
+        # a Python expression: it must accept exactly what `validate` does,
+        # on a box two wider on each side than the family's sweep grid.
+        family = FAMILIES[name]
+        grid = identities._grid(family.sweep)
+        assert grid and all(family.validate(*p) for p in grid)
+        box = [()]
+        for axis in zip(*grid):
+            box = [p + (v,) for p in box for v in range(min(axis) - 2, max(axis) + 3)]
+        for p in box:
+            expected = eval(family.precondition, {}, dict(zip(family.param_names, p)))
+            assert family.validate(*p) == expected, p
+
 
 def _perturb_first_call(func):
     """Wrap func so its first invocation returns the true value plus one:
@@ -247,19 +262,18 @@ class TestPackedSums:
         # By Gauss's binomial formula the sum is prod_{i<d} (1 - q^(i-c)),
         # which is zero exactly for 0 <= c < d.
         for c in (-3, -1, d, d + 2, 2 * d + 5):
-            value, zero = identities._shifted_vanishing(d, c)
+            value = identities._alternating_sum(d, c)
             assert without_low_slots(value, widths[-1]) == at_two_to_the(qlaurent_shifted_vanishing(d, c), widths[-1])
-            assert value != 0 and zero == 0
+            assert value != 0
 
     def test_double_sums(self, widths):
         rng = Random(2)
         nonzero = 0
         for _ in range(60):
             n, shift, slope = rng.randint(1, 12), rng.randint(-6, 16), rng.randint(-9, 9)
-            value, zero = identities._double_sum(n, shift, slope)
+            value = identities._alternating_sum(n + 1, shift, slope)
             reference = at_two_to_the(qlaurent_double_sum(n, shift, slope), widths[-1])
             assert without_low_slots(value, widths[-1]) == reference, (n, shift, slope)
-            assert zero == 0
             nonzero += value != 0
         assert nonzero > 40
 
@@ -276,10 +290,10 @@ class TestPackedSums:
     def test_sums_past_64_bit_slots(self, widths):
         # The coefficient bound of these sums passes 2^63, so they are
         # added in 128-bit slots.
-        value = identities._shifted_vanishing(80, 81)[0]
+        value = identities._alternating_sum(80, 81)
         assert widths == [128]
         assert without_low_slots(value, 128) == at_two_to_the(qlaurent_shifted_vanishing(80, 81), 128)
-        value = identities._double_sum(66, 5, -3)[0]
+        value = identities._alternating_sum(67, 5, -3)
         assert without_low_slots(value, 128) == at_two_to_the(qlaurent_double_sum(66, 5, -3), 128)
         assert check_identity("VANISHING", (80,)).verdict
         assert check_identity("DOUBLE_SUM_POS", (66, 9, 4)).verdict

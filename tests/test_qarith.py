@@ -36,7 +36,7 @@ def q_factorial(n, d=1):
     table = _Q_FACTORIAL_TABLE
     while len(table) <= n:
         table.append(table[-1] * q_int(len(table)))
-    return table[n].scale_exponents(d)
+    return QLaurent({d * half: coeff for half, coeff in table[n].items()})
 
 
 def exact_div(numerator, denominator):
@@ -82,7 +82,7 @@ def q_binom_factorial(n, r, d=1):
         return QLaurent.zero()
     numerator = q_factorial(n)
     denominator = q_factorial(r) * q_factorial(n - r)
-    return exact_div(numerator, denominator).scale_exponents(d)
+    return QLaurent({d * half: coeff for half, coeff in exact_div(numerator, denominator).items()})
 
 
 def factorial_quotient_row(n):

@@ -169,6 +169,12 @@ class TestSandwichKernel:
         for step in range(1, 4):
             assert kernel(m_exp, step - m_exp) == oracle(_lemma_coeffs(m_exp, d, step, positive=True))
         assert kernel(m_exp, 0) == oracle(_lemma_coeffs(m_exp, d, 1, positive=False))
+        # a shift on every step multiplies coefficient r by q^(r*shift/2)
+        for shift in (-3, 2):
+            halves = _plan(outer, probe, d, m_exp + 1, 0, shift).halves
+            coeffs = _alternating_coeffs(m_exp + 1, d, 0)
+            twisted = [c * QLaurent.q_power(r * shift) for r, c in enumerate(coeffs)]
+            assert iterated_q_commutator(outer, middle, halves) == oracle(twisted)
 
     def test_negative_coefficient_refused(self, ex1):
         y1, y2 = one_step_variables(ex1)
@@ -770,34 +776,133 @@ def _record(cert):
     return (cert.check, cert.params, cert.ok, cert.residue, cert.terms)
 
 
+def _free_term(seed, k):
+    """g(y_k) = -e_k + [-b_k]_+, from the exchange matrix."""
+    column = seed.exchange.column(k)
+    return tuple(max(-b, 0) - (t == k - 1) for t, b in enumerate(column))
+
+
+def _twist(seed, i, j):
+    """s_ij = 2*lambda(g(y_i), g(y_j)), g the exponent `_free_term` reads."""
+    return 2 * seed.form.pairing(_free_term(seed, i), _free_term(seed, j))
+
+
+def _move_twists(monkeypatch, moved):
+    """Make every plan's builder pass its shift moved by `moved`."""
+    plan = relations._plan
+    monkeypatch.setattr(
+        relations, "_plan", lambda outer, middle, d, steps, first, shift: plan(outer, middle, d, steps, first, shift + moved)
+    )
+
+
 class TestReversedSide:
-    def test_barred_serre_matches_direct_expansion(self):
-        # serre_verify_opposite bars serre(j, i)'s expansion; the oracle
-        # expands sum_r c_r y_j^(L-r) y_i y_j^r with the reversed Gauss
-        # coefficients directly.  full_suite relabels a passing serre(j, i)
-        # and calls serre_verify_opposite on a failing one.  Reversed sides
-        # fail on many seeds with a nonzero mutable Lambda block, and no
-        # digest holds a failing one, so this is the fallback's only check.
-        rng = random.Random(31)
-        verdicts = []
+    def test_barred_serre_matches_direct_expansion(self, monkeypatch):
+        # serre_verify_opposite bars serre(j, i)'s expansion, twisted by
+        # s_ji; the oracle expands sum_r c_r q^((L-r)t/2) y_j^(L-r) y_i y_j^r
+        # with the reversed Gauss coefficients c_r and t = -s_ji = s_ij
+        # directly.  full_suite relabels a passing serre(j, i) and calls
+        # serre_verify_opposite on a failing one.  Every relation holds at
+        # its twist, so a second pass moves the twists by 2 to make
+        # serre(j, i) fail; no digest holds a failing reversed side, so
+        # that pass is the fallback's only check.
+        for moved in (0, 2):
+            with monkeypatch.context() as patch:
+                _move_twists(patch, moved)
+                rng = random.Random(31)
+                verdicts = set()
+                for make in (random_principal_seed, compatible_principal_seed):
+                    for _ in range(3):
+                        seed = make(rng, rng.choice([2, 3]))
+                        verdicts |= self._check_reversed_sides(seed, moved)
+                assert verdicts == {not moved}
+
+    @staticmethod
+    def _check_reversed_sides(seed, moved):
+        ys = one_step_variables(seed)
+        suite = {c.params: c for c in full_suite(seed) if c.check == "serre-opposite"}
+        verdicts = set()
+        for i in range(1, seed.n + 1):
+            for j in range(1, seed.n + 1):
+                if i == j or seed.b_entry(i, j) > 0:
+                    continue
+                top, twist = 1 + seed.b_entry(j, i), _twist(seed, i, j) - moved
+                coeffs = _alternating_coeffs(top, seed.d[j - 1], 0)[::-1]
+                coeffs = [c * QLaurent.q_power((top - r) * twist) for r, c in enumerate(coeffs)]
+                total, terms = _sandwich(ys[j - 1], ys[i - 1], coeffs)
+                params = (("i", i), ("j", j)) + ((("twist", twist),) if twist else ())
+                expected = ("serre-opposite", params, total.is_zero(), str(total), terms)
+                cert = serre_verify_opposite(seed, i, j)
+                assert _record(cert) == expected
+                assert _record(suite.pop(cert.params)) == expected
+                verdicts.add(cert.ok)
+        assert not suite
+        return verdicts
+
+
+def _lemma_instances(seed, i, j, past=(0, 1)):
+    """L32, and L41 at every t, each `past` the minimal m."""
+    size = abs(seed.b_entry(i, j))
+    yield lemma_sum_check(seed, i, j, "L32")
+    for t in range(size):
+        for extra in past:
+            yield lemma_sum_check(seed, i, j, "L41", m_exp=(t + 1) * size + extra, t_shift=t)
+
+
+class TestTwist:
+    # Principal seeds whose Lambda has a nonzero mutable block: every
+    # alternating sum carries the twist its plan reads from Lambda.
+
+    def test_every_relation_holds_at_its_twist(self):
+        rng = random.Random(11)
+        for _ in range(8):
+            seed = compatible_principal_seed(rng, rng.choice([2, 3, 4]))
+            certs = full_suite(seed)
+            for i in range(1, seed.n + 1):
+                e_i = tuple(int(t == i - 1) for t in range(seed.m))
+                lean = seed.form.pairing(_free_term(seed, i), e_i)
+                for j in range(1, seed.n + 1):
+                    if i != j and seed.b_entry(i, j):
+                        for cert in _lemma_instances(seed, i, j):
+                            certs.append(cert)
+                            step = abs(seed.b_entry(i, j)) * (1 + dict(cert.params).get("t", 0))
+                            assert dict(cert.params).get("twist", 0) == 2 * (step - 1) * lean
+            for cert in certs:
+                assert cert.ok, cert.render()
+                assert cert.params[-1][0] != "twist" or cert.params[-1][1]
+
+    def test_relabelled_certificates_are_the_direct_ones(self):
+        # full_suite relabels serre(i, j) as higher(i, j, 1, |b_ij|) and
+        # serre(j, i) as serre-opposite(i, j); each must be what the direct
+        # call reports, its twist l*s_ij for higher and s_ij for both sides
+        rng = random.Random(13)
+        for _ in range(4):
+            seed = compatible_principal_seed(rng, rng.choice([2, 3]))
+            for cert in full_suite(seed):
+                named = dict(cert.params)
+                i, j = named["i"], named["j"]
+                if cert.check == "higher":
+                    direct = higher_verify(seed, i, j, named["l"], named["m"])
+                else:
+                    direct = {"serre": serre_verify, "serre-opposite": serre_verify_opposite}[cert.check](seed, i, j)
+                assert _record(cert) == _record(direct)
+                assert named.get("twist", 0) == named.get("l", 1) * _twist(seed, i, j)
+
+    @pytest.mark.parametrize("moved", [-2, 2])
+    def test_a_moved_twist_fails_every_check(self, monkeypatch, moved):
+        # at the minimal outer exponent, which full_suite uses throughout;
+        # past it the extra steps can absorb a moved twist
+        _move_twists(monkeypatch, moved)
+        rng = random.Random(17)
         for make in (random_principal_seed, compatible_principal_seed):
             for _ in range(3):
                 seed = make(rng, rng.choice([2, 3]))
-                ys = one_step_variables(seed)
-                suite = {c.params: c for c in full_suite(seed) if c.check == "serre-opposite"}
+                certs = full_suite(seed)
                 for i in range(1, seed.n + 1):
                     for j in range(1, seed.n + 1):
-                        if i == j or seed.b_entry(i, j) > 0:
-                            continue
-                        coeffs = _alternating_coeffs(1 + seed.b_entry(j, i), seed.d[j - 1], 0)[::-1]
-                        total, terms = _sandwich(ys[j - 1], ys[i - 1], coeffs)
-                        expected = ("serre-opposite", (("i", i), ("j", j)), total.is_zero(), str(total), terms)
-                        cert = serre_verify_opposite(seed, i, j)
-                        assert _record(cert) == expected
-                        assert _record(suite.pop(cert.params)) == expected
-                        verdicts.append(cert.ok)
-                assert not suite
-        assert True in verdicts and False in verdicts
+                        if i != j and seed.b_entry(i, j):
+                            certs.extend(_lemma_instances(seed, i, j, past=(0,)))
+                for cert in certs:
+                    assert not cert.ok, cert.render()
 
 
 # sha256 of repr((check, params, ok, residue, terms)), one line per

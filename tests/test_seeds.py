@@ -158,6 +158,9 @@ class TestCompatibility:
     def test_symmetrizer_helpers(self):
         assert is_skew_symmetrizer((2, 1), EX1_B)
         assert not is_skew_symmetrizer((1, 1), EX1_B)
+        # bool is an int subclass, but no seed field takes one
+        assert is_skew_symmetrizer((1,), [[0]])
+        assert not is_skew_symmetrizer((True,), [[0]])
 
 
 class TestMutation:
