@@ -9,6 +9,11 @@ Exponent vectors are plain int tuples.  Elements are immutable, pinned to
 the SkewForm they were built over, and refuse cross-form arithmetic.
 `iterated_q_commutator` fuses the two products and the difference of each
 q-commutator step into one pass; `TorusElem.bar` gives the mirrored step.
+The pass holds every coefficient as one signed int, its value at
+q^(1/2) = 2^W, with W chosen from the operands' l1 norms so that every
+coefficient of every step stays below 2^(W-1) in absolute value.  Then an
+int is 0 exactly when its polynomial is, so a step drops vanished terms
+without decoding them, and a result that vanishes decodes nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
-from .qarith import QLaurent, _require_int, parse_qlaurent
+from .qarith import QLaurent, _require_int, _slot_width, _slots, parse_qlaurent
 
 ExpVec = Tuple[int, ...]
 
@@ -191,18 +196,20 @@ class TorusElem:
         if not isinstance(other, TorusElem):
             return NotImplemented
         self._check_form(other)
-        form = self.form
+        rows = self.form.rows()
+        # pairing(ea, eb) = ea . (Lambda eb), with Lambda eb computed once per term of `other`
+        right = [(eb, cb, [sum(map(mul, row, eb)) for row in rows]) for eb, cb in other._terms.items()]
         data: dict[ExpVec, QLaurent] = {}
         for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
+            for eb, cb, lam_b in right:
                 expo = vec_add(ea, eb)
-                contrib = (ca * cb).shift(form.pairing(ea, eb))
+                contrib = (ca * cb).shift(sum(map(mul, ea, lam_b)))
                 merged = data[expo] + contrib if expo in data else contrib
                 if merged:
                     data[expo] = merged
                 else:
                     del data[expo]
-        return self._raw(form, data)
+        return self._raw(self.form, data)
 
     def __pow__(self, exponent: int) -> "TorusElem":
         _require_int("torus power exponent", exponent)
@@ -238,43 +245,96 @@ class TorusElem:
     __repr__ = __str__
 
 
+def _pack(coeff: QLaurent, width: int) -> tuple[int, int]:
+    """(lo, P) with lo the lowest half-exponent of `coeff` and P its packed
+    value sum_h c_h 2^(width (h - lo)), a signed int."""
+    lo = min(coeff._terms)
+    return lo, sum(value << width * (half - lo) for half, value in coeff._terms.items())
+
+
+def _unpack(lo: int, packed: int, width: int) -> QLaurent:
+    """The nonzero polynomial that (lo, packed) encodes, every coefficient
+    below 2^(width-1) in absolute value.  Biased by 2^(width-1), each slot
+    is a digit in [1, 2^width - 1] that borrows nothing from the next, so
+    one read of the biased int's bytes gives every coefficient."""
+    count = abs(packed).bit_length() // width + 1
+    bias = 1 << (width - 1)
+    biased = packed + int.from_bytes(bias.to_bytes(width // 8, "little") * count, "little")
+    return QLaurent._raw({lo + j: v - bias for j, v in enumerate(_slots(biased, width, count)) if v != bias})
+
+
 def iterated_q_commutator(outer: TorusElem, middle: TorusElem, halves: Iterable[int]) -> TorusElem:
     """Starting from M = middle, M <- outer*M - q^(h/2) * (M*outer) for each h in `halves`.
 
-    For a term X^f of `outer` and X^e of M, p = e . (Lambda f) is the only
-    twist: X^f * X^e = q^(-p/2) X^(e+f) and X^e * X^f = q^(p/2) X^(e+f) by
-    skew-symmetry.  So Lambda f is computed once per term of `outer` for
-    all steps, each term pair costs one dot product, and each step builds
-    one map of integer coefficient maps whose zeros are dropped once at
-    its end.  A unit coefficient of `outer` needs no coefficient multiply.
+    For a term a X^f of `outer` and c X^e of M, p = e . (Lambda f) is the
+    only twist: X^f * X^e = q^(-p/2) X^(e+f) and X^e * X^f = q^(p/2) X^(e+f)
+    by skew-symmetry, so the pair adds a*c*(q^(-p/2) - q^((p+h)/2)) to
+    X^(e+f).  Lambda f is computed once per term of `outer` for all steps,
+    and each term pair costs one dot product.
+
+    Every coefficient is held packed at q^(1/2) = 2^W, which is a ring map:
+    c = sum_h c_h q^(h/2) is the pair (lo, P), P = sum_h c_h 2^(W(h-lo)) a
+    signed int.  The pair's contribution is then one shift and one
+    subtraction of P (after one multiply by the packed a, unless a = 1), and
+    merging it into X^(e+f) is one shift that aligns the two lo's.
+
+    Why W = _slot_width((2 ||A||_1)^L * ||M||_1), L = len(halves), is wide
+    enough, with ||x||_1 the sum of the absolute values of every
+    coefficient of x: each of A*M and M*A has l1 norm at most
+    ||A||_1 ||M||_1, so ||A*M - q^(h/2) M*A||_1 <= 2 ||A||_1 ||M||_1, and
+    after k steps the l1 norm is at most (2 ||A||_1)^k ||M||_1.  ||A||_1 is
+    an integer: when it is 0 every step gives 0, and otherwise the power
+    grows with k, so for every k <= L each coefficient is at most the bound
+    in absolute value, hence below 2^(W-1).  A polynomial with every
+    coefficient below 2^(W-1) in absolute value packs to 0 only if it is 0
+    (see qarith._slot_width).  So after each step a key whose int is 0 is
+    dropped, exactly, and a result that vanishes is returned with nothing
+    decoded.  The keys left at the end are decoded once each, in time
+    linear in their size (`_unpack`).  Twists must be ints (TypeError
+    otherwise, bool included).
     """
     outer._check_form(middle)
+    halves = tuple(halves)
+    for half in halves:
+        _require_int("q-commutator twist", half)
+    norm_a = sum(abs(v) for a in outer._terms.values() for v in a._terms.values())
+    norm_m = sum(abs(v) for c in middle._terms.values() for v in c._terms.values())
+    width = _slot_width((2 * norm_a) ** len(halves) * norm_m)
     rows = outer.form.rows()
-    # (f, Lambda f, the coefficient of X^f or None when it is 1)
+    # (f, Lambda f, the packed coefficient of X^f or None when it is 1)
     factors = [
-        (f, tuple(sum(map(mul, row, f)) for row in rows), None if a == 1 else a)
+        (f, [sum(map(mul, row, f)) for row in rows], None if a == 1 else _pack(a, width))
         for f, a in outer._terms.items()
     ]
-    terms = middle._terms
+    terms = {e: _pack(c, width) for e, c in middle._terms.items()}
     for half in halves:
-        data: dict[ExpVec, dict[int, int]] = {}
+        data: dict[ExpVec, tuple[int, int]] = {}
         for f, lam_f, a in factors:
-            for e, c in terms.items():
+            for e, (lo, packed) in terms.items():
                 p = sum(map(mul, e, lam_f))
-                lead, trail = -p, p + half
-                expo = vec_add(e, f)
-                acc = data.get(expo)
-                if acc is None:
-                    acc = data[expo] = {}
-                for h, v in (c if a is None else a * c)._terms.items():
-                    acc[h + lead] = acc.get(h + lead, 0) + v
-                    acc[h + trail] = acc.get(h + trail, 0) - v
-        terms = {}
-        for expo, acc in data.items():
-            coeffs = {h: v for h, v in acc.items() if v}
-            if coeffs:
-                terms[expo] = QLaurent._raw(coeffs)
-    return TorusElem._raw(outer.form, terms)
+                if a is not None:
+                    lo += a[0]
+                    packed *= a[1]
+                # q^(-p/2) - q^((p+h)/2) is q^(-p/2) (1 - q^(span/2)), span = 2p + h
+                span = 2 * p + half
+                if span >= 0:
+                    lo -= p
+                    packed -= packed << width * span
+                else:
+                    lo += p + half
+                    packed = (packed << -width * span) - packed
+                expo = tuple(map(add, e, f))
+                held = data.get(expo)
+                if held is not None:
+                    held_lo, held_packed = held
+                    if held_lo < lo:
+                        packed = held_packed + (packed << width * (lo - held_lo))
+                        lo = held_lo
+                    else:
+                        packed += held_packed << width * (held_lo - lo)
+                data[expo] = lo, packed
+        terms = {expo: held for expo, held in data.items() if held[1]}
+    return TorusElem._raw(outer.form, {e: _unpack(lo, packed, width) for e, (lo, packed) in terms.items()})
 
 
 def ordered_product(form: SkewForm, letters: Iterable[Tuple[int, int]]) -> TorusElem:
@@ -283,13 +343,16 @@ def ordered_product(form: SkewForm, letters: Iterable[Tuple[int, int]]) -> Torus
     Indices are 1-based and may repeat; the letters multiply in the order
     given.  x_i^p = X^(p*e_i), so by the twist rule the word is the single
     term q^(1/2 * sum_{s<t} p_s p_t lambda_{i_s i_t}) * X^(sum_s p_s e_{i_s}),
-    built without a torus product.
+    built without a torus product.  Indices and powers must be ints
+    (TypeError otherwise, bool included).
     """
     rows = form.rows()
     dim = len(rows)
     expo = [0] * dim
     half = 0
     for index, power in letters:
+        _require_int("generator index", index)
+        _require_int("generator power", power)
         if not 1 <= index <= dim:
             raise ValueError(f"generator index {index} out of range [1, {dim}]")
         # the letters so far, summed into expo, pair with this one

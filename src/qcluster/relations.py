@@ -117,7 +117,7 @@ def _certify(check: str, params: Sequence[tuple[str, object]], residue: TorusEle
 
 def _free_exponent(seed: QuantumSeed, k: int) -> tuple[int, ...]:
     """g(y_k) = -e_k + [-b_k]_+, the exponent of the term of y_k without x_(n+k)."""
-    return next(e for e in seed.one_step[k - 1].support() if not e[seed.n + k - 1])
+    return next(e for e in seed.one_step[k - 1]._terms if not e[seed.n + k - 1])
 
 
 def _twisted(params: Sequence[tuple[str, object]], twist: int) -> tuple[tuple[str, object], ...]:
@@ -160,11 +160,11 @@ def _plan(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: int, s
     if outer.term_count() != 2:
         raise ArithmeticError(f"q-adjoint outer needs exactly two terms, got {outer.term_count()}")
     for elem in (outer, middle):
-        for _, coeff in elem.items():
-            if any(value < 0 for _, value in coeff.items()):
+        for coeff in elem._terms.values():
+            if any(value < 0 for value in coeff._terms.values()):
                 raise ArithmeticError("q-adjoint operands need nonnegative coefficients")
-    f0, f1 = outer.support()
-    support = middle.support()
+    f0, f1 = outer._terms
+    support = middle._terms
     if not any(a != b and len({e[c] for e in support}) == 1 for c, (a, b) in enumerate(zip(f0, f1))):
         raise ArithmeticError("q-adjoint middle needs a coordinate of f1 - f0 that is constant on its support")
     halves = tuple(sorted((2 * d * (first + k) + shift for k in range(steps)), key=abs))

@@ -1,4 +1,6 @@
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from qcluster.qtorus import (
     render_torus_elem,
     vec_add,
 )
+from qcluster.seeds import load_seed
 
 # the skew form of the rank-2 principal example, used as a workhorse
 LAM4 = SkewForm([
@@ -259,6 +262,59 @@ class TestIteratedQCommutator:
         with pytest.raises(ValueError, match="different skew forms"):
             iterated_q_commutator(TorusElem.unit(LAM4), TorusElem.unit(other), [0])
 
+    @pytest.mark.parametrize("half", [0.5, True])
+    def test_rejects_non_int_twists(self, half):
+        # 0.5 would give the non-canonical coefficient -q^(-0.5/2) + q^(1/2)
+        # and True would be read as 1
+        x1, x2 = ordered_product(LAM4, [(1, 1)]), ordered_product(LAM4, [(2, 1)])
+        with pytest.raises(TypeError, match="q-commutator twist must be an int"):
+            iterated_q_commutator(x1, x2, [0, half])
+
+    @staticmethod
+    def _by_products(outer, middle, halves):
+        for half in halves:
+            middle = outer * middle - (middle * outer).scale(QLaurent.q_power(half))
+        return middle
+
+    def test_wide_signed_coefficients_match_products(self):
+        # Coefficients +-(2^k + delta) sit on and beside the 64-bit slot
+        # edges, and up to four steps grow them further, so a slot width
+        # chosen from the operands' size alone, without the growth over the
+        # steps, lets slots carry into each other and decodes them wrong.
+        rng = random.Random(25)
+        bits = (0, 1, 62, 63, 64, 70, 127, 128, 200)
+
+        def element(form):
+            return TorusElem(form, [
+                (
+                    tuple(rng.randint(-2, 2) for _ in range(form.dim)),
+                    QLaurent([
+                        (rng.randint(-4, 4), rng.choice((1, -1)) * ((1 << rng.choice(bits)) + rng.randint(-3, 3)))
+                        for _ in range(rng.randint(1, 2))
+                    ]),
+                )
+                for _ in range(rng.randint(1, 3))
+            ])
+
+        for trial in range(200):
+            entries = [rng.randint(-3, 3) for _ in range(3)]
+            form = SkewForm([[0, entries[0], entries[1]], [-entries[0], 0, entries[2]], [-entries[1], -entries[2], 0]])
+            outer, middle = element(form), element(form)
+            halves = [rng.randint(-6, 6) for _ in range(rng.randint(0, 4))]
+            assert iterated_q_commutator(outer, middle, halves) == self._by_products(outer, middle, halves), trial
+
+    def test_exam1_forty_steps_match_products(self, kernel_widths):
+        # 40 untwisted steps of y_1 on y_2 of exam1: a nonzero result whose
+        # coefficients reach 50 bits, packed at W = 128 since the bound is
+        # (2 * 2)^40 * 2 = 2^81
+        seed = load_seed(Path(__file__).resolve().parent.parent / "fixtures" / "exam1.json")
+        y1, y2 = seed.one_step
+        result = iterated_q_commutator(y1, y2, [0] * 40)
+        assert result == self._by_products(y1, y2, [0] * 40)
+        assert result.term_count() == 40
+        assert max(abs(v).bit_length() for _, c in result.items() for _, v in c.items()) == 50
+        assert kernel_widths == [128]
+
 
 @st.composite
 def forms_and_letters(draw):
@@ -317,6 +373,12 @@ class TestOrderedProduct:
         )
         assert ordered_product(LAM4, []) == TorusElem.unit(LAM4)
         assert ordered_product(LAM4, [(3, 0)]) == TorusElem.unit(LAM4)
+
+    @pytest.mark.parametrize("letter", [(True, 2), (1, True), (1.0, 1), (1, 0.5)])
+    def test_rejects_non_int_letters(self, letter):
+        # bool is an int subclass, but True is neither index 1 nor power 1
+        with pytest.raises(TypeError, match=r"generator (index|power) must be an int"):
+            ordered_product(LAM4, [(1, 1), letter])
 
     def test_rejects_index_out_of_range(self):
         for index in (0, 5, -1):

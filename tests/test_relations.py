@@ -190,10 +190,13 @@ class TestSandwichKernel:
             with pytest.raises(ArithmeticError, match="exactly two terms"):
                 _plan(outer, middle, 1, 2, 0)
 
-    def test_heavy_instance(self):
-        seed = principal_seed([[0, 4], [-4, 0]], (1, 1))
-        cert = higher_verify(seed, 1, 2, 4, 16)
-        assert (cert.ok, cert.residue, cert.terms) == (True, "0", 1620)
+    def test_heavy_instance(self, kernel_widths):
+        # 101 steps of y_1 on y_2^10, whose l1 norm is 2^10: coefficients are
+        # bounded by (2 * 2)^101 * 2^10 = 2^212, which needs W = 256
+        seed = principal_seed([[0, 10], [-10, 0]], (1, 1))
+        cert = higher_verify(seed, 1, 2, 10, 100)
+        assert (cert.ok, cert.residue, cert.terms) == (True, "0", 114444)
+        assert kernel_widths == [256]
 
     @pytest.mark.parametrize("m_exp, terms", [(400, 323208), (1000, 2008008)])
     def test_long_line_instances(self, m_exp, terms):
