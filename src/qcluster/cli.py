@@ -174,7 +174,7 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    if args.family and args.params is not None:
+    if args.family is not None and args.params is not None:
         try:
             params = tuple(int(v) for v in args.params.split(",")) if args.params else ()
         except ValueError:
@@ -185,7 +185,7 @@ def _cmd_identities(args) -> int:
     elif args.params is not None:
         raise ValueError("--params needs --family: parameters belong to one family")
     else:
-        reports = sweep_reports([args.family] if args.family else None)
+        reports = sweep_reports([args.family] if args.family is not None else None)
     for report in reports:
         if args.format == "json":
             print(json.dumps({

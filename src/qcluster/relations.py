@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .qarith import QLaurent, _require_int, q_binom
-from .qtorus import TorusElem, iterated_q_commutator, ordered_product
+from .qtorus import TorusElem, iterated_q_commutator, vec_add
 from .seeds import QuantumSeed, pos_part
 
 
@@ -31,14 +31,16 @@ class VerificationCertificate:
     the kernel never builds.  It is the closed form |supp M| * (L+1)^2,
     known from the plan before any coefficient work (see `_plan`);
     serre-opposite bars serre(j, i)'s plan and has its `terms`.  The
-    commutator check reports the term count of y_i y_j - y_j y_i, one
-    kernel step, and the power-product check the summed term counts of its
-    three expansions.  `seconds` is wall time.
+    commutator check reports the term count of y_i y_j - q^(s/2) y_j y_i,
+    one kernel step at twist s = 2*lambda(g(y_i), g(y_j)), and the
+    power-product check the summed term counts of its three expansions.
+    `seconds` is wall time.
 
     An alternating sum whose plan twists every step by a nonzero shift
-    (see `_plan`) reports it as a last param ("twist", shift); a principal
-    seed whose Lambda has a zero mutable block has none.  serre-opposite
-    reports serre(j, i)'s twist negated, as bar negates it.
+    (see `_plan`), or a commutator check at a nonzero s, reports it as a
+    last param ("twist", shift); a principal seed whose Lambda has a zero
+    mutable block has none.  serre-opposite reports serre(j, i)'s twist
+    negated, as bar negates it.
     """
 
     check: str
@@ -193,106 +195,71 @@ def one_step_variables(seed: QuantumSeed) -> tuple[TorusElem, ...]:
     return seed.one_step
 
 
-# -- commutator closed form --------------------------------------------------
+# -- closed forms on based monomials ----------------------------------------
 
 
-def witness_scalar(seed: QuantumSeed, i: int, j: int) -> QLaurent:
-    """The scalar multiplying the commutator witness monomial.
+def _power_terms(seed: QuantumSeed, k: int, t: int) -> list[tuple[tuple[int, ...], QLaurent]]:
+    """The t+1 terms (e, c) of y_k^t, built without a torus product:
 
-    q^(-d_i/2 - d_i*b_ij) - q^(-d_i/2) when b_ij < 0, and
-    q^(-d_j/2) - q^(-d_j/2 - d_j*b_ji) when b_ij > 0; zero when b_ij = 0.
+        y_k^t = sum_s q^(-d_k s(t-s)/2) [t, s]_(q^(d_k)) X^(t*g(y_k) + s*b_k),
+
+    b_k column k of Btilde.  This is the q-binomial theorem for
+    y_k = X^g(y_k) + X^(g(y_k) + b_k), whose two terms pair to
+    lambda(g(y_k), g(y_k) + b_k) = d_k by compatibility.
     """
-    _require_pair(seed, i, j)
-    b_ij = seed.b_entry(i, j)
-    if b_ij == 0:
-        return QLaurent.zero()
-    if b_ij < 0:
-        d_i = seed.d[i - 1]
-        return QLaurent({-d_i - 2 * d_i * b_ij: 1, -d_i: -1})
-    d_j = seed.d[j - 1]
-    b_ji = seed.b_entry(j, i)
-    return QLaurent({-d_j: 1, -d_j - 2 * d_j * b_ji: -1})
+    d_k, free, column = seed.d[k - 1], _free_exponent(seed, k), seed.exchange.column(k)
+    return [
+        (tuple(t * g + s * b for g, b in zip(free, column)), q_binom(t, s, d_k).shift(-d_k * s * (t - s)))
+        for s in range(t + 1)
+    ]
 
 
-def witness_monomial(seed: QuantumSeed, i: int, j: int) -> TorusElem:
-    """The ordered generator word carrying the commutator of y_i and y_j.
+def commutator_witness(seed: QuantumSeed, i: int, j: int) -> TorusElem:
+    """Closed form of y_i y_j - q^(s/2) y_j y_i, s = 2*lambda(a, c).
 
-    For b_ij < 0 this is
-        x_i^(-b_ij-1) x_j^(b_ji-1)
-        * prod_{k != j} x_k^([b_ki]_+) * prod_{k != i} x_k^([-b_kj]_+)
-        * x_{n+i},
-    and for b_ij > 0
-        x_i^(b_ij-1) x_j^(-b_ji-1)
-        * prod_{k != j} x_k^([-b_ki]_+) * prod_{k != i} x_k^([b_kj]_+)
-        * x_{n+j},
-    products over mutable indices in natural order.  The word is built in
-    this written letter order.  The order matters when Lambda's mutable
-    block is nonzero: the mutable generators then need not commute.
+    Here a = g(y_i) and c = g(y_j), so s is 0 when Lambda's mutable block
+    is.  With D = d_i|b_ij| = d_j|b_ji| the closed form is the based
+    monomial
+        q^(lambda(a,c)/2) (q^(D/2) - q^(-D/2)) X^(a + c + b_i)   when b_ij < 0,
+        q^(lambda(a,c)/2) (q^(-D/2) - q^(D/2)) X^(a + c + b_j)   when b_ij > 0,
+    and 0 when b_ij = 0.  The X^(a+c) term cancels by the choice of s, and
+    the X^(a+c+b_i+b_j) term because d_i b_ij = -d_j b_ji.
     """
+    one_step_variables(seed)
     _require_pair(seed, i, j)
     b_ij = seed.b_entry(i, j)
     if b_ij == 0:
         return TorusElem.zero(seed.form)
-    n = seed.n
-    # b_ij and b_ji have opposite signs, so the two cases differ by `sign`.
-    sign = 1 if b_ij > 0 else -1
-    letters = [(i, abs(b_ij) - 1), (j, abs(seed.b_entry(j, i)) - 1)]
-    letters += [(k, pos_part(-sign * seed.b_entry(k, i))) for k in range(1, n + 1) if k != j]
-    letters += [(k, pos_part(sign * seed.b_entry(k, j))) for k in range(1, n + 1) if k != i]
-    letters.append((n + (j if b_ij > 0 else i), 1))
-    return ordered_product(seed.form, letters)
-
-
-def commutator_witness(seed: QuantumSeed, i: int, j: int) -> TorusElem:
-    """Closed form of y_i y_j - y_j y_i."""
-    return witness_monomial(seed, i, j).scale(witness_scalar(seed, i, j))
+    a, c = _free_exponent(seed, i), _free_exponent(seed, j)
+    half, size = seed.form.pairing(a, c), seed.d[i - 1] * abs(b_ij)
+    sign = 1 if b_ij < 0 else -1
+    column = seed.exchange.column(i if b_ij < 0 else j)
+    coeff = QLaurent({half + size: sign, half - size: -sign})
+    return TorusElem.monomial(seed.form, [x + y + b for x, y, b in zip(a, c, column)], coeff)
 
 
 def commutator_check(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
-    """Compare y_i y_j - y_j y_i against its closed-form witness."""
+    """Compare y_i y_j - q^(s/2) y_j y_i, one kernel step at twist s,
+    against `commutator_witness`; a nonzero s is reported as ("twist", s)."""
     started = time.perf_counter()
     ys = one_step_variables(seed)
     _require_pair(seed, i, j)
-    y_i, y_j = ys[i - 1], ys[j - 1]
-    commutator = iterated_q_commutator(y_i, y_j, (0,))
+    twist = 2 * seed.form.pairing(_free_exponent(seed, i), _free_exponent(seed, j))
+    commutator = iterated_q_commutator(ys[i - 1], ys[j - 1], (twist,))
     residue = commutator - commutator_witness(seed, i, j)
     terms = commutator.term_count()
-    return _certify("commutator", (("i", i), ("j", j)), residue, terms, started)
-
-
-# -- power products y_i^t x_i^t and x_i^t y_i^t ------------------------------
-
-
-def _power_product_factor(seed: QuantumSeed, i: int, r: int, side: str) -> TorusElem:
-    """prod_k x_k^([-b_ki]_+) + q^(half/2) prod_k x_k^([b_ki]_+) * x_{n+i}, k mutable in natural order."""
-    column = list(enumerate(seed.exchange.column(i)[: seed.n], 1))
-    d_i = seed.d[i - 1]
-    half = -d_i + 2 * d_i * r if side == "left" else d_i - 2 * d_i * r
-    neg_part = ordered_product(seed.form, [(k, pos_part(-b)) for k, b in column])
-    plus_part = ordered_product(seed.form, [(k, pos_part(b)) for k, b in column] + [(seed.n + i, 1)])
-    return neg_part + plus_part.scale(QLaurent.q_power(half))
-
-
-def _power_product_expansion(seed: QuantumSeed, i: int, t: int, side: str) -> TorusElem:
-    """sum_k c_k * prod_v x_v^((t-k)[-b_vi]_+) * prod_v x_v^(k[b_vi]_+) * x_{n+i}^k."""
-    column = list(enumerate(seed.exchange.column(i)[: seed.n], 1))
-    d_i = seed.d[i - 1]
-    acc = TorusElem.zero(seed.form)
-    for k in range(t + 1):
-        half = d_i * k * k if side == "left" else d_i * k * (k - 2 * t)
-        coeff = q_binom(t, k, d_i) * QLaurent.q_power(half)
-        letters = [(v, (t - k) * pos_part(-b)) for v, b in column]
-        letters += [(v, k * pos_part(b)) for v, b in column]
-        letters.append((seed.n + i, k))
-        acc = acc + ordered_product(seed.form, letters).scale(coeff)
-    return acc
+    return _certify("commutator", _twisted((("i", i), ("j", j)), twist), residue, terms, started)
 
 
 def power_product_check(seed: QuantumSeed, i: int, t: int, side: str = "left") -> VerificationCertificate:
     """Triple agreement for y_i^t x_i^t (left) or x_i^t y_i^t (right).
 
-    The brute-force fold must equal both the telescoping product form and
-    the q-binomial expansion.
+    The brute-force fold must equal both closed forms, with sign = +1 on
+    the left and -1 on the right, a = g(y_i) and f = t*e_i:
+    - the expansion: each term X^e of y_i^t (`_power_terms`) becomes
+      q^(sign*lambda(e, f)/2) X^(e + f);
+    - the telescoping product q^(sign*t^2*lambda(a, e_i)/2) *
+      prod_(r=1..t) (X^([-b_i]_+) + q^(sign*d_i(2r-1)/2) X^([b_i]_+)).
     """
     started = time.perf_counter()
     ys = one_step_variables(seed)
@@ -304,13 +271,21 @@ def power_product_check(seed: QuantumSeed, i: int, t: int, side: str = "left") -
         raise ValueError(f"power t must be >= 1, got {t}")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    form, sign = seed.form, 1 if side == "left" else -1
+    e_i = tuple(int(r == i - 1) for r in range(seed.m))
+    power = tuple(t * v for v in e_i)
     y_i_t = ys[i - 1] ** t
-    x_i_t = ordered_product(seed.form, [(i, t)])
+    x_i_t = TorusElem.monomial(form, power)
     brute = y_i_t * x_i_t if side == "left" else x_i_t * y_i_t
-    product_form = TorusElem.unit(seed.form)
+    expansion = TorusElem(
+        form, [(vec_add(e, power), c.shift(sign * form.pairing(e, power))) for e, c in _power_terms(seed, i, t)]
+    )
+    column, d_i = seed.exchange.column(i), seed.d[i - 1]
+    low, high = tuple(pos_part(-b) for b in column), tuple(pos_part(b) for b in column)
+    lean = form.pairing(_free_exponent(seed, i), e_i)
+    product_form = TorusElem.monomial(form, (0,) * seed.m, QLaurent.q_power(sign * t * t * lean))
     for r in range(1, t + 1):
-        product_form = product_form * _power_product_factor(seed, i, r, side)
-    expansion = _power_product_expansion(seed, i, t, side)
+        product_form = product_form * TorusElem(form, {low: 1, high: QLaurent.q_power(sign * d_i * (2 * r - 1))})
     first_diff = brute - product_form
     second_diff = brute - expansion
     residue = first_diff if first_diff else second_diff
@@ -367,8 +342,8 @@ def _lemma_plan(
     # so the sum is m q-commutator steps, the first at Q^(step - m) when
     # b_ij > 0 and at Q^0 otherwise.
     first = step - m_exp if b > 0 else 0
-    middle = ordered_product(seed.form, [(i, step - 1)])
     e_i = tuple(int(t == i - 1) for t in range(seed.m))
+    middle = TorusElem.monomial(seed.form, [(step - 1) * v for v in e_i])
     shift = 2 * (step - 1) * seed.form.pairing(_free_exponent(seed, i), e_i)
     return params, _plan(ys[i - 1], middle, seed.d[i - 1], m_exp, first, shift)
 

@@ -331,6 +331,14 @@ class TestIdentities:
         assert status == 2 and out == ""
         assert "--params needs --family" in err
 
+    def test_empty_family_is_a_family(self, capsys):
+        # an empty tag names no known family; it is neither "no family"
+        # (a full sweep) nor missing next to --params
+        for extra in ((), ("--params", "3")):
+            status, out, err = run(capsys, "identities", "--family", "", *extra)
+            assert status == 2 and out == ""
+            assert err == "error: unknown identity family ''\n"
+
     def test_full_sweep_json(self, capsys):
         status, out, _ = run(capsys, "identities", "--format", "json")
         assert status == 0

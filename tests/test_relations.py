@@ -23,8 +23,6 @@ from qcluster.relations import (
     power_product_check,
     serre_verify,
     serre_verify_opposite,
-    witness_monomial,
-    witness_scalar,
 )
 from qcluster.seeds import (
     load_seed,
@@ -322,36 +320,67 @@ class TestCommutator:
         expected = xword(ex3, 0, (1, 0, 1, 1, 0, 0)).scale(COMMUTATOR_COEFF)
         assert commutator_witness(ex3, 1, 3) == expected
 
-    def test_scalar_pieces(self, ex1):
-        assert witness_scalar(ex1, 2, 1) == COMMUTATOR_COEFF
-        assert witness_monomial(ex1, 2, 1) == xword(ex1, 0, (0, 1, 0, 1))
-
     def test_zero_entry_commutes(self):
         seed = principal_seed([[0, 0], [0, 0]], (2, 3))
         y1, y2 = one_step_variables(seed)
         assert (y1 * y2 - y2 * y1).is_zero()
         assert commutator_check(seed, 1, 2).ok
-        assert witness_scalar(seed, 1, 2) == 0
+        assert commutator_witness(seed, 1, 2).is_zero()
 
     def test_single_term_property_random(self):
+        # y_i y_j - q^(s/2) y_j y_i, s = s_ij, which is 0 on a plain
+        # principal seed and reported as the check's twist
         rng = random.Random(314)
-        for _ in range(15):
-            seed = random_principal_seed(rng, rng.choice([2, 3]))
-            ys = one_step_variables(seed)
-            for i in range(1, seed.n + 1):
-                for j in range(1, seed.n + 1):
-                    if i == j:
-                        continue
-                    commutator = ys[i - 1] * ys[j - 1] - ys[j - 1] * ys[i - 1]
-                    assert commutator.term_count() <= 1
-                    assert commutator == commutator_witness(seed, i, j)
-                    assert commutator_check(seed, i, j).ok
+        for make in (random_principal_seed, compatible_principal_seed):
+            for _ in range(15):
+                seed = make(rng, rng.choice([2, 3]))
+                ys = one_step_variables(seed)
+                for i in range(1, seed.n + 1):
+                    for j in range(1, seed.n + 1):
+                        if i == j:
+                            continue
+                        twist = _twist(seed, i, j)
+                        commutator = ys[i - 1] * ys[j - 1] - (ys[j - 1] * ys[i - 1]).scale(QLaurent.q_power(twist))
+                        assert commutator.term_count() <= 1
+                        assert commutator == commutator_witness(seed, i, j)
+                        cert = commutator_check(seed, i, j)
+                        assert cert.ok
+                        assert dict(cert.params).get("twist", 0) == twist
+                        assert cert.params[-1][0] != "twist" or twist
+
+    @pytest.mark.parametrize("moved", [-2, 2])
+    def test_a_moved_twist_fails_every_pair(self, monkeypatch, moved):
+        # at twist s_ij +/- 2 the X^(g(y_i) + g(y_j)) term no longer
+        # cancels, so the commutator differs from the witness on every
+        # ordered pair, and a check whose kernel twist is moved fails
+        kernel = relations.iterated_q_commutator
+        monkeypatch.setattr(
+            relations, "iterated_q_commutator", lambda outer, middle, halves: kernel(outer, middle, [h + moved for h in halves])
+        )
+        rng = random.Random(19)
+        for make in (random_principal_seed, compatible_principal_seed):
+            for _ in range(4):
+                seed = make(rng, rng.choice([2, 3]))
+                ys = one_step_variables(seed)
+                for i in range(1, seed.n + 1):
+                    for j in range(1, seed.n + 1):
+                        if i == j:
+                            continue
+                        commutator = iterated_q_commutator(ys[i - 1], ys[j - 1], (_twist(seed, i, j) + moved,))
+                        free = tuple(a + c for a, c in zip(_free_term(seed, i), _free_term(seed, j)))
+                        assert free in commutator.support()
+                        assert commutator != commutator_witness(seed, i, j)
+                        assert not commutator_check(seed, i, j).ok
 
 
 class TestPowerProducts:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_triple_agreement_examples(self, ex1, ex3, side):
-        for seed in (ex1, ex3):
+        # the bundled examples, then seeds whose Lambda has a nonzero
+        # mutable block
+        rng = random.Random(43)
+        mutable = [compatible_principal_seed(rng, rng.choice([2, 3])) for _ in range(6)]
+        for seed in (ex1, ex3, *mutable):
             for i in range(1, seed.n + 1):
                 for t in range(1, 5):
                     assert power_product_check(seed, i, t, side).ok
@@ -909,11 +938,12 @@ class TestTwist:
 
 
 # sha256 of repr((check, params, ok, residue, terms)), one line per
-# certificate, over `_word_certificates()`: it pins every generator word
-# of the commutator witnesses and the power-product closed forms,
-# including their letter order, which matters once Lambda's mutable
-# block is nonzero.
-WORD_DIGEST = "092fd18d5c0d16f6611da6422a837d7c00f6861e79f865f5febb15f8cd1315e8"
+# certificate, over `_word_certificates()`: it pins the commutator and
+# power-product closed forms, based monomials built from exponent vectors
+# and pairings, on seeds with and without a nonzero mutable Lambda block.
+# Every certificate passes; a commutator on the second kind reports its
+# nonzero twist.
+WORD_DIGEST = "236ffbbd862bef5bf3fd16e898be370eaae5232a047efc5a84ac5951539cbfed"
 
 
 def _word_certificates():
@@ -940,6 +970,7 @@ class TestWordDigest:
         certs = _word_certificates()
         lines = "\n".join(repr((c.check, c.params, c.ok, c.residue, c.terms)) for c in certs)
         assert len(certs) == 370
+        assert all(c.ok for c in certs)
         assert hashlib.sha256(lines.encode()).hexdigest() == WORD_DIGEST
 
     def test_compatible_seeds_have_a_mutable_block(self):
