@@ -5,17 +5,15 @@ verification of the quantum Serre-type relations between one-step mutated
 cluster variables, plus a standalone q-identity oracle suite.
 """
 
-from .qarith import QLaurent, q_binom, q_int
-from .qtorus import SkewForm, TorusElem, ordered_product
+from .qarith import QLaurent, q_binom
+from .qtorus import SkewForm, TorusElem
 from .seeds import ExchangeMatrix, QuantumSeed, SeedFormatError, load_seed, mutate, principal_seed
 
 __all__ = [
     "QLaurent",
-    "q_int",
     "q_binom",
     "SkewForm",
     "TorusElem",
-    "ordered_product",
     "ExchangeMatrix",
     "QuantumSeed",
     "SeedFormatError",

@@ -1,16 +1,16 @@
 """Executable oracle suite for the standalone q-identities.
 
-Each identity family expands both sides exactly and compares canonical
-forms; vanishing families compare against the zero polynomial.  Scalar
-families expand in QLaurent.  The alternating q-binomial sums, the
-q-Vandermonde sum and the product expansions work on the q-binomial
-table's packed entries as they are stored, at one slot width per check
-bounded by the entries' own slots, and compare packed ints, so none of
-them decodes anything.  The product expansions are polynomials in a
-commuting indeterminate x, expanded as lists of packed coefficients of
-x^0 .. x^n.  A family's sweep is data: one range per parameter, each a
-function of the parameters before it, which `_grid` walks, so one sweep
-enumerates and reports every instance of every family the same way.
+Each identity family expands both sides exactly and compares them;
+vanishing families compare against zero.  Every family works on the
+q-binomial table's packed entries as they are stored, at one slot width
+per check bounded by the entries' own slots, and compares packed ints, so
+none of them decodes anything.  A q-integer [n] is the entry [n, 1], and
+an entry at base q^d is the same entry at d times the slot stride.  The
+product expansions are polynomials in a commuting indeterminate x,
+expanded as lists of packed coefficients of x^0 .. x^n.  A family's sweep
+is data: one range per parameter, each a function of the parameters
+before it, which `_grid` walks, so one sweep enumerates and reports every
+instance of every family the same way.
 """
 
 from __future__ import annotations
@@ -19,16 +19,7 @@ from dataclasses import dataclass, replace
 from math import comb
 from typing import Callable, Sequence
 
-from .qarith import (
-    QLaurent,
-    _q_binom_entry,
-    _require_int,
-    _respread,
-    _slot_width,
-    _slots,
-    q_binom,
-    q_int,
-)
+from .qarith import _q_binom_entry, _require_int, _respread, _slot_width, _slots
 
 
 @dataclass(frozen=True)
@@ -49,15 +40,18 @@ class IdentityReport:
 # -- the expansions ----------------------------------------------------------
 
 
-# The alternating sums run on ints.  Each q-binomial operand is read from
-# the table as it is stored (qarith._q_binom_entry): packed at q = 2^w, one
+# Every family runs on ints.  Each q-binomial operand is read from the
+# table as it is stored (qarith._q_binom_entry): packed at q = 2^w, one
 # unsigned w-bit slot per coefficient, and never decoded.  Packing is a
-# ring map, so the packed sum of shifted operands (for Vandermonde, of
-# their products) at one width W is exactly the sum's value at 2^W, times
-# a power of 2^W.  Every entry is read before anything is added, and W is
-# chosen once, by qarith._slot_width, from a bound on the coefficients of
-# the sum; each entry is moved to W (qarith._respread, exact because its
-# slots are at most the bound).
+# ring map, so the packed sum of shifted operands (for Vandermonde and
+# BASE_CHANGE, of their products) at one width W is exactly the sum's value
+# at 2^W, times a power of 2^W.  At base q^d a slot j holds the coefficient
+# of q^(dj), so an operand at base q^d is its entry moved to stride dW.
+# Every entry is read before anything is added, and W is chosen once, by
+# qarith._slot_width, from a bound on the coefficients of the sum; each
+# entry is moved to W or dW (qarith._respread, exact because its slots are
+# at most the bound).  SYMMETRY and REVERSAL only reorder one entry's
+# slots, so they keep its own width.
 #
 # The bound: a coefficient of the sum is at most sum_r mult_r * height_r,
 # where height_r is the largest coefficient of term r (||a||_1 * max b for
@@ -70,9 +64,9 @@ class IdentityReport:
 #
 # A vanishing sum is then decided by comparing its packed int with 0, which
 # is exact for coefficients of either sign within the bound (see
-# qarith._slot_width).  Both sides of q-Vandermonde and of the product
-# expansions are polynomials with nonnegative coefficients below 2^W,
-# compared as ints, which is exact by qarith's argument for unsigned digits.
+# qarith._slot_width).  The two sides of every other family are
+# polynomials with nonnegative coefficients below 2^W, compared as ints,
+# which is exact by qarith's argument for unsigned digits.
 
 
 def _entry(n: int, r: int) -> tuple[int, int, int]:
@@ -157,33 +151,62 @@ def _vandermonde(n: int, d: int, k: int) -> tuple[int, int]:
     return _respread(lhs, lhs_width, width, lhs_count), rhs
 
 
-def _pascal(n: int, r: int, d: int) -> tuple[QLaurent, QLaurent]:
-    lhs = q_binom(n + 1, r, d)
-    upper, lower = q_binom(n, r, d), q_binom(n, r - 1, d)
-    first = upper + QLaurent.q_power(2 * d * (n + 1 - r)) * lower
-    second = QLaurent.q_power(2 * d * r) * upper + lower
+def _pascal(n: int, r: int, d: int) -> tuple[int, int]:
+    """Both sides of [n+1, r] = [n, r] + q^(d(n+1-r)) [n, r-1] at base q^d,
+    packed at q = 2^W, each entry moved to stride dW.
+
+    The other recurrence, [n+1, r] = q^(dr) [n, r] + [n, r-1], is checked
+    first: if the two right sides differ, that unequal pair is returned, so
+    a broken recurrence fails the check.  Every side is multiplied by
+    q^(d*low), low >= 0 the least power that keeps each shift nonnegative:
+    beyond r = n+1 all three entries are zero and n+1-r is negative.
+    """
+    entries = [_entry(n + 1, r), _entry(n, r), _entry(n, r - 1)]
+    width = _slot_width(sum(max(_slots(*entry), default=0) for entry in entries))
+    stride = d * width
+    lhs, upper, lower = (_respread(packed, entry_width, stride, count) for packed, entry_width, count in entries)
+    low = max(0, r - n - 1)
+    first = (upper << stride * low) + (lower << stride * (n + 1 - r + low))
+    second = (upper << stride * (r + low)) + (lower << stride * low)
     if first != second:
-        # Return an unequal pair so a broken recurrence fails the check.
         return first, second
-    return lhs, first
+    return lhs << stride * low, first
 
 
-def _reversal(n: int, d: int) -> tuple[QLaurent, QLaurent]:
-    lhs = q_int(n, d)
-    rhs = QLaurent.q_power(2 * d * (n - 1)) * q_int(n, d).bar()
-    return lhs, rhs
+def _symmetry(n: int, r: int, d: int) -> tuple[int, int]:
+    """Both sides of [n, r] = q^(d r(n-r)) bar([n, r]) at base q^d, packed at
+    q = 2^W, W the entry's own slot width, with the entry moved to stride dW.
+
+    The right side is the entry's slots 0 .. r(n-r) in reverse order.  It
+    reflects about the identity's degree r(n-r), not about the entry's
+    length, so an entry with a nonzero slot above that degree has a left
+    side the right side lacks, and FAILs.  REVERSAL is r = 1, since
+    [n]_(q^d) = [n, 1]_(q^d); at n = 0 the degree is -1 and both sides are 0.
+    """
+    packed, width, count = _entry(n, r)
+    slots = r * (n - r) + 1
+    size = width // 8
+    raw = (packed & ~(-1 << width * slots)).to_bytes(size * slots, "little")
+    mirrored = bytearray(len(raw))
+    for k in range(size):
+        mirrored[k::size] = raw[k::size][::-1]
+    rhs = int.from_bytes(mirrored, "little")
+    return _respread(packed, width, d * width, count), _respread(rhs, width, d * width, slots)
 
 
-def _symmetry(n: int, r: int, d: int) -> tuple[QLaurent, QLaurent]:
-    lhs = q_binom(n, r, d)
-    rhs = QLaurent.q_power(2 * d * r * (n - r)) * lhs.bar()
-    return lhs, rhs
+def _base_change(n: int, r: int, d: int) -> tuple[int, int]:
+    """Both sides of [n]_(q^(rd)) [r]_(q^d) = [n]_(q^d) [r]_(q^(dn)), the base
+    change [n]_(q^(rd)) = [nr]_(q^d) / [r]_(q^d) cross-multiplied, packed at
+    q = 2^W.
 
-
-def _base_change(n: int, r: int, d: int) -> tuple[QLaurent, QLaurent]:
-    # Cross-multiplied: [n]_{q^(rd)} * [r]_{q^d} = [n]_{q^d} * [r]_{q^(dn)}.
-    lhs = q_int(n, r * d) * q_int(r, d)
-    rhs = q_int(n, d) * q_int(r, d * n)
+    [m] at base q^e is the entry [m, 1] moved to stride eW.  Each side is a
+    product of a = [n, 1] and b = [r, 1], at different strides, so every
+    coefficient is at most ||a||_1 * max b, read from the entries' slots.
+    """
+    (a, a_width, a_count), (b, b_width, b_count) = _entry(n, 1), _entry(r, 1)
+    width = _slot_width(sum(_slots(a, a_width, a_count)) * max(_slots(b, b_width, b_count), default=0))
+    lhs = _respread(a, a_width, r * d * width, a_count) * _respread(b, b_width, d * width, b_count)
+    rhs = _respread(a, a_width, d * width, a_count) * _respread(b, b_width, d * n * width, b_count)
     return lhs, rhs
 
 
@@ -199,7 +222,7 @@ class IdentityFamily:
     param_names: tuple[str, ...]
     precondition: str
     validate: Callable[..., bool]
-    expand: Callable[..., tuple[object, object]]
+    expand: Callable[..., tuple[int | list[int], int | list[int]]]
     sweep: tuple[Callable[..., range], ...]
 
 
@@ -283,7 +306,7 @@ FAMILIES: dict[str, IdentityFamily] = {
             ("n", "d"),
             "n >= 0 and d >= 1",
             lambda n, d: n >= 0 and d >= 1,
-            _reversal,
+            lambda n, d: _symmetry(n, 1, d),
             (lambda: range(13), lambda n: range(1, 4)),
         ),
         IdentityFamily(

@@ -295,7 +295,7 @@ def parse_qlaurent(text: str) -> QLaurent:
     return QLaurent(terms)
 
 
-# -- q-integers and Gaussian binomials --------------------------------------
+# -- Gaussian binomials ----------------------------------------------------
 
 
 def _require_int(name: str, value: object) -> None:
@@ -308,15 +308,6 @@ def _check_base(d: int) -> None:
     _require_int("base exponent d", d)
     if d <= 0:
         raise ValueError(f"base exponent d must be a positive integer, got {d!r}")
-
-
-def q_int(n: int, d: int = 1) -> QLaurent:
-    """[n] at base q^d: 1 + q^d + ... + q^((n-1)d); zero when n = 0."""
-    _check_base(d)
-    _require_int("q_int's n", n)
-    if n < 0:
-        raise ValueError(f"q_int needs n >= 0, got {n!r}")
-    return QLaurent._raw({2 * d * j: 1 for j in range(n)})
 
 
 # A Gaussian binomial [k, s] = sum_j c_j q^j is stored packed, as the one

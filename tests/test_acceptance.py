@@ -12,7 +12,7 @@ from qcluster import identities as identities_module
 from qcluster import qarith
 from qcluster.identities import FAMILIES, check_identity, sweep_reports
 from qcluster.qarith import QLaurent
-from qcluster.qtorus import TorusElem, ordered_product
+from qcluster.qtorus import TorusElem
 from qcluster.relations import (
     commutator_witness,
     higher_verify,
@@ -28,6 +28,7 @@ from qcluster.seeds import (
     random_principal_seed,
     validate_compatibility,
 )
+from torus_words import ordered_product
 
 COMMUTATOR_COEFF = QLaurent({3: 1, -1: -1})  # q^(3/2) - q^(-1/2)
 
@@ -140,39 +141,34 @@ def test_criterion_3_rank3_golden_suite():
 
 
 def _perturb_first_call(func):
-    """Wrap func so its first invocation returns the true value plus one:
-    one more in the constant term of a decoded value, or in the lowest slot
-    of a packed q-binomial entry."""
+    """Wrap _q_binom_entry so its first invocation returns the true entry
+    plus one in its lowest slot."""
     state = {"hit": False}
 
-    def wrapped(*args, **kwargs):
-        value = func(*args, **kwargs)
+    def wrapped(n, r):
+        packed, width = func(n, r)
         if not state["hit"]:
             state["hit"] = True
-            if isinstance(value, tuple):
-                packed, width = value
-                value = packed + 1, width
-            else:
-                value = value + QLaurent.one()
-        return value
+            packed += 1
+        return packed, width
 
+    wrapped.state = state
     return wrapped
 
 
-# The q-binomial sums and product expansions read the table's packed entries
-# through _q_binom_entry; PASCAL and SYMMETRY read decoded q_binom values.
+# Every family reads the table's packed entries through _q_binom_entry.
 PERTURBED_INSTANCES = {
-    "VANISHING": ((4,), "_q_binom_entry"),
-    "SHIFTED_VANISHING": ((4, 2), "_q_binom_entry"),
-    "PRODUCT_EXPANSION": ((4,), "_q_binom_entry"),
-    "PRODUCT_EXPANSION_BIVAR": ((4,), "_q_binom_entry"),
-    "VANDERMONDE": ((5, 2, 3), "_q_binom_entry"),
-    "DOUBLE_SUM_NEG": ((4, 2), "_q_binom_entry"),
-    "DOUBLE_SUM_POS": ((4, 3, 1), "_q_binom_entry"),
-    "PASCAL": ((5, 2, 1), "q_binom"),
-    "SYMMETRY": ((5, 2, 1), "q_binom"),
-    "REVERSAL": ((5, 2), "q_int"),
-    "BASE_CHANGE": ((3, 2, 1), "q_int"),
+    "VANISHING": (4,),
+    "SHIFTED_VANISHING": (4, 2),
+    "PRODUCT_EXPANSION": (4,),
+    "PRODUCT_EXPANSION_BIVAR": (4,),
+    "VANDERMONDE": (5, 2, 3),
+    "DOUBLE_SUM_NEG": (4, 2),
+    "DOUBLE_SUM_POS": (4, 3, 1),
+    "PASCAL": (5, 2, 1),
+    "SYMMETRY": (5, 2, 1),
+    "REVERSAL": (5, 2),
+    "BASE_CHANGE": (3, 2, 1),
 }
 
 
@@ -184,11 +180,13 @@ def test_criterion_4_identity_exhaustion(monkeypatch):
     assert len(reports) > 900
     assert {r.family for r in reports} == set(FAMILIES)
 
-    # every family's checker rejects a single perturbed q-binomial / q-integer
+    # every family's checker rejects a single perturbed q-binomial entry
     assert set(PERTURBED_INSTANCES) == set(FAMILIES)
-    for family, (params, hook) in PERTURBED_INSTANCES.items():
-        monkeypatch.setattr(identities_module, hook, _perturb_first_call(getattr(qarith, hook)))
+    for family, params in PERTURBED_INSTANCES.items():
+        perturbed = _perturb_first_call(qarith._q_binom_entry)
+        monkeypatch.setattr(identities_module, "_q_binom_entry", perturbed)
         assert not check_identity(family, params).verdict, family
+        assert perturbed.state["hit"], family
         monkeypatch.undo()
 
     _finish(4, f"identity exhaustion ({len(reports)} instances)", 10.0, start)

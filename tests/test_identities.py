@@ -140,64 +140,78 @@ class TestExhaustiveSweep:
 
 
 def _perturb_first_call(func):
-    """Wrap func so its first invocation returns the true value plus one:
-    one more in the constant term of a decoded value, or in the lowest slot
-    of a packed q-binomial entry."""
+    """Wrap _q_binom_entry so its first invocation returns the true entry
+    plus one in its lowest slot."""
     state = {"hit": False}
 
-    def wrapped(*args, **kwargs):
-        value = func(*args, **kwargs)
+    def wrapped(n, r):
+        packed, width = func(n, r)
         if not state["hit"]:
             state["hit"] = True
-            if isinstance(value, tuple):
-                packed, width = value
-                value = packed + 1, width
-            else:
-                value = value + QLaurent.one()
-        return value
+            packed += 1
+        return packed, width
 
     wrapped.state = state
     return wrapped
 
 
-# Each instance perturbs one q-binomial or one q-integer.
+# Each instance perturbs one q-binomial entry; every family reads the
+# table's packed entries through _q_binom_entry.
 PERTURBED_INSTANCES = [
-    ("VANISHING", (4,), "q_binom"),
-    ("SHIFTED_VANISHING", (4, 2), "q_binom"),
-    ("PRODUCT_EXPANSION", (4,), "q_binom"),
-    ("PRODUCT_EXPANSION_BIVAR", (4,), "q_binom"),
-    ("VANDERMONDE", (5, 2, 3), "q_binom"),
-    ("DOUBLE_SUM_NEG", (4, 2), "q_binom"),
-    ("DOUBLE_SUM_POS", (4, 3, 1), "q_binom"),
-    ("PASCAL", (5, 2, 1), "q_binom"),
-    ("SYMMETRY", (5, 2, 1), "q_binom"),
-    ("REVERSAL", (5, 2), "q_int"),
-    ("BASE_CHANGE", (3, 2, 1), "q_int"),
+    ("VANISHING", (4,)),
+    ("SHIFTED_VANISHING", (4, 2)),
+    ("PRODUCT_EXPANSION", (4,)),
+    ("PRODUCT_EXPANSION_BIVAR", (4,)),
+    ("VANDERMONDE", (5, 2, 3)),
+    ("DOUBLE_SUM_NEG", (4, 2)),
+    ("DOUBLE_SUM_POS", (4, 3, 1)),
+    ("PASCAL", (5, 2, 1)),
+    ("SYMMETRY", (5, 2, 1)),
+    ("REVERSAL", (5, 2)),
+    ("BASE_CHANGE", (3, 2, 1)),
 ]
-
-# These families read the q-binomials as the table's packed entries, through
-# _q_binom_entry; PASCAL and SYMMETRY read decoded q_binom values.
-READS_PACKED_ENTRIES = {
-    "VANISHING",
-    "SHIFTED_VANISHING",
-    "PRODUCT_EXPANSION",
-    "PRODUCT_EXPANSION_BIVAR",
-    "VANDERMONDE",
-    "DOUBLE_SUM_NEG",
-    "DOUBLE_SUM_POS",
-}
 
 
 class TestNotVacuous:
-    @pytest.mark.parametrize("family,params,quantity", PERTURBED_INSTANCES)
-    def test_perturbed_instance_fails(self, family, params, quantity, monkeypatch):
+    @pytest.mark.parametrize("family,params", PERTURBED_INSTANCES)
+    def test_perturbed_instance_fails(self, family, params, monkeypatch):
         # sanity: the honest instance passes
         assert check_identity(family, params).verdict
-        hook = "_q_binom_entry" if family in READS_PACKED_ENTRIES else quantity
-        perturbed = _perturb_first_call(getattr(qarith, hook))
-        monkeypatch.setattr(identities, hook, perturbed)
+        perturbed = _perturb_first_call(qarith._q_binom_entry)
+        monkeypatch.setattr(identities, "_q_binom_entry", perturbed)
         assert not check_identity(family, params).verdict
         assert perturbed.state["hit"]
+
+    @pytest.mark.parametrize("family,params,entry", [
+        ("SYMMETRY", (5, 2, 1), (5, 2)),
+        ("SYMMETRY", (6, 3, 2), (6, 3)),
+        ("SYMMETRY", (4, 0, 3), (4, 0)),
+        ("REVERSAL", (5, 2), (5, 1)),
+        ("REVERSAL", (0, 2), (0, 1)),
+    ])
+    def test_slot_above_the_degree_fails(self, family, params, entry, monkeypatch):
+        # The entry gains a slot one past r(n-r), the degree the identity
+        # reflects about: the mirrored side lacks it, so the check FAILs.
+        # For REVERSAL(0, d) the degree is -1 and the entry [0, 1] is 0.
+        honest = qarith._q_binom_entry
+        n, r = entry
+
+        def broken(*key):
+            packed, width = honest(*key)
+            if key == entry:
+                packed += 1 << width * (r * (n - r) + 1)
+            return packed, width
+
+        monkeypatch.setattr(identities, "_q_binom_entry", broken)
+        assert not check_identity(family, params).verdict
+
+    def test_pascal_past_the_row(self, monkeypatch):
+        # r > n+1 meets the precondition, and every entry is zero there.
+        # Each side is shifted up so that no shift is negative, so a
+        # nonzero entry FAILs instead of raising.
+        assert check_identity("PASCAL", (3, 9, 2)).verdict
+        monkeypatch.setattr(identities, "_q_binom_entry", _perturb_first_call(qarith._q_binom_entry))
+        assert not check_identity("PASCAL", (3, 9, 2)).verdict
 
 
 # The sums as QLaurent terms added one at a time, the way the identities
@@ -299,6 +313,21 @@ class TestPackedSums:
         assert check_identity("DOUBLE_SUM_POS", (66, 9, 4)).verdict
         assert check_identity("VANDERMONDE", (80, 40, 40)).verdict
         assert widths == [128] * 5
+        # C(70, 35) and C(71, 35) pass 2^64, so these entries are stored in
+        # 128-bit slots.  SYMMETRY keeps the entry's width; PASCAL and
+        # BASE_CHANGE pick theirs from the entries' slots, here 64 bits.  At
+        # base q^d each entry lies at stride d*W.
+        lhs, rhs = FAMILIES["SYMMETRY"].expand(70, 35, 2)
+        assert len(widths) == 5
+        assert lhs == rhs == at_two_to_the(q_binom(70, 35, 2), 128)
+        assert rhs == at_two_to_the(QLaurent.q_power(4 * 35 * 35) * q_binom(70, 35, 2).bar(), 128)
+        lhs, rhs = FAMILIES["PASCAL"].expand(70, 35, 1)
+        assert lhs == rhs == at_two_to_the(q_binom(71, 35), widths[-1])
+        assert rhs == at_two_to_the(q_binom(70, 35) + QLaurent.q_power(2 * 36) * q_binom(70, 34), widths[-1])
+        lhs, rhs = FAMILIES["BASE_CHANGE"].expand(70, 3, 2)
+        assert lhs == rhs == at_two_to_the(q_binom(70, 1, 6) * q_binom(3, 1, 2), widths[-1])
+        assert rhs == at_two_to_the(q_binom(70, 1, 2) * q_binom(3, 1, 140), widths[-1])
+        assert widths == [128] * 5 + [64, 64]
 
     def test_large_coefficient_cannot_alias(self, monkeypatch, widths):
         # Entry (4, 1) with its constant slot raised to 2^64 - 1, the largest
@@ -319,6 +348,11 @@ class TestPackedSums:
         monkeypatch.setattr(identities, "_q_binom_entry", broken)
         assert not check_identity("VANISHING", (4,)).verdict
         assert state["hit"] and widths == [128]
+        # In BASE_CHANGE(3, 4, 1) the same entry is b = [4, 1], whose largest
+        # slot scales the bound ||a||_1 * max b of both products.
+        state["hit"] = False
+        assert not check_identity("BASE_CHANGE", (3, 4, 1)).verdict
+        assert state["hit"] and widths == [128, 128]
 
     @pytest.mark.parametrize("entry_width,top,chosen", [(64, 2**64 - 1, 128), (128, 2**128 - 1, 192)])
     def test_vandermonde_bound_covers_the_left_side(self, monkeypatch, widths, entry_width, top, chosen):
@@ -347,6 +381,10 @@ class TestPackedSums:
         ("DOUBLE_SUM_NEG", (4, 2)),
         ("PRODUCT_EXPANSION", (4,)),
         ("VANDERMONDE", (5, 2, 3)),
+        ("PASCAL", (5, 2, 1)),
+        ("SYMMETRY", (5, 2, 1)),
+        ("REVERSAL", (5, 2)),
+        ("BASE_CHANGE", (3, 2, 1)),
     ])
     def test_negative_entry_raises(self, monkeypatch, entry, family, params):
         # Only a nonnegative int is read as unsigned slots.

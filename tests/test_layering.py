@@ -48,3 +48,16 @@ def test_every_module_is_pinned():
 def test_intra_package_imports():
     actual = {path.stem: package_imports(path) for path in PACKAGE.glob("*.py")}
     assert actual == LAYERS
+
+
+def test_identities_reads_packed_entries_only():
+    # Every identity family decides on the q-binomial table's packed
+    # entries, so the oracle imports no decoded form from qarith.
+    path = PACKAGE / "identities.py"
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "qarith"
+        for alias in node.names
+    }
+    assert imported and not imported & {"QLaurent", "q_binom", "q_int"}

@@ -11,7 +11,6 @@ from qcluster.qarith import (
     QLaurent,
     parse_qlaurent,
     q_binom,
-    q_int,
     render_qlaurent,
 )
 
@@ -25,6 +24,11 @@ def at_one(f):
     return sum(coeff for _, coeff in f.items())
 
 
+def q_integer(n, d=1):
+    """[n] at base q^d: 1 + q^d + ... + q^((n-1)d); zero when n = 0."""
+    return QLaurent({2 * d * j: 1 for j in range(n)})
+
+
 # _Q_FACTORIAL_TABLE[k] = [k]!, extended in a loop so that no call recurses.
 _Q_FACTORIAL_TABLE = [QLaurent.one()]
 
@@ -35,7 +39,7 @@ def q_factorial(n, d=1):
         raise ValueError(f"base exponent d must be a positive integer, got {d!r}")
     table = _Q_FACTORIAL_TABLE
     while len(table) <= n:
-        table.append(table[-1] * q_int(len(table)))
+        table.append(table[-1] * q_integer(len(table)))
     return QLaurent({d * half: coeff for half, coeff in table[n].items()})
 
 
@@ -192,43 +196,16 @@ class TestBarInvolution:
         assert (f + g).bar() == f.bar() + g.bar()
 
 
-class TestQInt:
-    def test_empty_sum(self):
-        assert q_int(0, 3) == 0
-
-    def test_single_term(self):
-        assert q_int(1, 5) == 1
-
-    def test_geometric_sum(self):
-        # independent oracle: explicit geometric sum at base q^2
-        oracle = QLaurent.zero()
-        for j in range(3):
-            oracle = oracle + qp(4 * j)
-        assert q_int(3, 2) == oracle
-
-    def test_rejects_bad_base(self):
-        with pytest.raises(ValueError):
-            q_int(3, 0)
-        with pytest.raises(ValueError):
-            q_int(3, -1)
-
-    @pytest.mark.parametrize("args", [(True,), (3, True), (2.0,), (3, 1.5), ("3",)])
-    def test_rejects_non_int_arguments(self, args):
-        # bool is an int subclass, but True is no count, as in QLaurent.
-        with pytest.raises(TypeError, match="must be an int"):
-            q_int(*args)
-
-
 class TestQFactorial:
     def test_empty_product(self):
         assert q_factorial(0, 1) == 1
 
     def test_two(self):
-        assert q_factorial(2, 1) == q_int(1) * q_int(2)
+        assert q_factorial(2, 1) == q_integer(1) * q_integer(2)
         assert q_factorial(2, 1) == QLaurent({0: 1, 2: 1})
 
     def test_three(self):
-        oracle = q_int(1) * q_int(2) * q_int(3)
+        oracle = q_integer(1) * q_integer(2) * q_integer(3)
         assert q_factorial(3, 1) == oracle
         assert q_factorial(3, 1) == QLaurent({0: 1, 2: 2, 4: 2, 6: 1})
 
@@ -249,7 +226,7 @@ class TestQFactorial:
             value = q_factorial(48)
         finally:
             sys.setrecursionlimit(limit)
-        assert value == reduce(lambda a, b: a * b, (q_int(k) for k in range(1, 49)))
+        assert value == reduce(lambda a, b: a * b, (q_integer(k) for k in range(1, 49)))
 
 
 class TestQBinom:
@@ -277,7 +254,7 @@ class TestQBinom:
     def test_large_n_does_not_recurse(self):
         # n exceeds every other q_binom argument in the suite, so the table
         # is cold here; a recursive fill would pass the recursion limit
-        assert q_binom(1200, 1) == q_int(1200)
+        assert q_binom(1200, 1) == q_integer(1200)
         pair = q_binom(1200, 2)
         assert at_one(pair) == 1200 * 1199 // 2
         assert pair.term_count() == 2 * 1198 + 1
@@ -385,7 +362,7 @@ class TestPublishedIdentities:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_reversal(self, d):
         for n in range(13):
-            assert q_int(n, d) == qp(2 * d * (n - 1)) * q_int(n, d).bar()
+            assert q_binom(n, 1, d) == qp(2 * d * (n - 1)) * q_binom(n, 1, d).bar()
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_symmetry(self, d):
@@ -396,7 +373,7 @@ class TestPublishedIdentities:
     def test_base_change_cross_multiplied(self):
         for n in range(1, 9):
             for r in range(1, 9):
-                assert q_int(n, r) * q_int(r, 1) == q_int(n, 1) * q_int(r, n)
+                assert q_binom(n, 1, r) * q_binom(r, 1, 1) == q_binom(n, 1, 1) * q_binom(r, 1, n)
 
 
 class TestExactDiv:

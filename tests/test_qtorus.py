@@ -11,12 +11,12 @@ from qcluster.qtorus import (
     SkewForm,
     TorusElem,
     iterated_q_commutator,
-    ordered_product,
     parse_torus_elem,
     render_torus_elem,
     vec_add,
 )
 from qcluster.seeds import load_seed
+from torus_words import ordered_product
 
 # the skew form of the rank-2 principal example, used as a workhorse
 LAM4 = SkewForm([

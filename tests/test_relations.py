@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qcluster import relations, seeds
 from qcluster.qarith import QLaurent, q_binom
-from qcluster.qtorus import SkewForm, TorusElem, iterated_q_commutator, ordered_product
+from qcluster.qtorus import SkewForm, TorusElem, iterated_q_commutator
 from qcluster.relations import (
     _lemma_plan,
     _order_plan,
@@ -31,6 +31,7 @@ from qcluster.seeds import (
     principal_seed,
     random_principal_seed,
 )
+from torus_words import ordered_product
 
 COMMUTATOR_COEFF = QLaurent({3: 1, -1: -1})  # q^(3/2) - q^(-1/2)
 

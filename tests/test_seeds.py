@@ -5,7 +5,7 @@ import random
 import pytest
 
 from qcluster.qarith import QLaurent
-from qcluster.qtorus import SkewForm, TorusElem, ordered_product
+from qcluster.qtorus import SkewForm, TorusElem
 from qcluster.seeds import (
     ExchangeMatrix,
     QuantumSeed,
@@ -22,6 +22,7 @@ from qcluster.seeds import (
     seed_to_dict,
     validate_compatibility,
 )
+from torus_words import ordered_product
 
 EX1_B = [[0, 1], [-2, 0]]
 EX1_D = (2, 1)
