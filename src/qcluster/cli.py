@@ -155,10 +155,9 @@ def _cmd_vars(args) -> int:
 
 def _cmd_verify_serre(args) -> int:
     seed = load_seed(args.seed)
-    certs = [serre_verify(seed, args.i, args.j)]
-    if args.opposite:
-        certs.append(serre_verify_opposite(seed, args.i, args.j))
-    return _emit_certificates(certs, args)
+    # the reversed side refuses b_ij > 0 before serre(i, j) is expanded
+    opposite = [serre_verify_opposite(seed, args.i, args.j)] if args.opposite else []
+    return _emit_certificates([serre_verify(seed, args.i, args.j)] + opposite, args)
 
 
 def _cmd_verify_higher(args) -> int:

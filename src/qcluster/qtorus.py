@@ -8,12 +8,13 @@ length m) with QLaurent coefficients, multiplied by the twist rule
 Exponent vectors are plain int tuples.  Elements are immutable, pinned to
 the SkewForm they were built over, and refuse cross-form arithmetic.
 `iterated_q_commutator` fuses the two products and the difference of each
-q-commutator step into one pass; `TorusElem.bar` gives the mirrored step.
-The pass holds every coefficient as one signed int, its value at
-q^(1/2) = 2^W, with W chosen from the operands' l1 norms so that every
-coefficient of every step stays below 2^(W-1) in absolute value.  Then an
-int is 0 exactly when its polynomial is, so a step drops vanished terms
-without decoding them, and a result that vanishes decodes nothing.
+q-commutator step by an outer X^f0 + X^f1 into one pass; `TorusElem.bar`
+gives the mirrored step.  The pass holds every coefficient as one signed
+int, its value at q^(1/2) = 2^W, with W chosen from the middle's l1 norm
+and the number of steps so that every coefficient of every step stays
+below 2^(W-1) in absolute value.  Then an int is 0 exactly when its
+polynomial is, so a step drops vanished terms without decoding them, and
+a result that vanishes decodes nothing.
 """
 
 from __future__ import annotations
@@ -264,57 +265,49 @@ def _unpack(lo: int, packed: int, width: int) -> QLaurent:
 
 
 def iterated_q_commutator(outer: TorusElem, middle: TorusElem, halves: Iterable[int]) -> TorusElem:
-    """Starting from M = middle, M <- outer*M - q^(h/2) * (M*outer) for each h in `halves`.
+    """Starting from M = middle, M <- A*M - q^(h/2) * (M*A) for each h in
+    `halves`, with A = `outer` = X^f0 + X^f1, the shape of every one-step
+    variable y_i.  Twists must be ints (TypeError otherwise, bool
+    included); an outer of any other shape raises ArithmeticError.
 
-    For a term a X^f of `outer` and c X^e of M, p = e . (Lambda f) is the
-    only twist: X^f * X^e = q^(-p/2) X^(e+f) and X^e * X^f = q^(p/2) X^(e+f)
-    by skew-symmetry, so the pair adds a*c*(q^(-p/2) - q^((p+h)/2)) to
-    X^(e+f).  Lambda f is computed once per term of `outer` for all steps,
-    and each term pair costs one dot product.
+    For a term X^f of A and c X^e of M, p = e . (Lambda f) is the only
+    twist: X^f * X^e = q^(-p/2) X^(e+f) and X^e * X^f = q^(p/2) X^(e+f)
+    by skew-symmetry, so the pair adds c*(q^(-p/2) - q^((p+h)/2)) to
+    X^(e+f).  Lambda f is computed once per term of A for all steps, and
+    each term pair costs one dot product.
 
     Every coefficient is held packed at q^(1/2) = 2^W, which is a ring map:
     c = sum_h c_h q^(h/2) is the pair (lo, P), P = sum_h c_h 2^(W(h-lo)) a
     signed int.  The pair's contribution is then one shift and one
-    subtraction of P (after one multiply by the packed a, unless a = 1), and
-    merging it into X^(e+f) is one shift that aligns the two lo's.
+    subtraction of P, and merging it into X^(e+f) is one shift that aligns
+    the two lo's.
 
-    Why W = _slot_width((2 ||A||_1)^L * ||M||_1), L = len(halves), is wide
-    enough, with ||x||_1 the sum of the absolute values of every
-    coefficient of x: each of A*M and M*A has l1 norm at most
-    ||A||_1 ||M||_1, so ||A*M - q^(h/2) M*A||_1 <= 2 ||A||_1 ||M||_1, and
-    after k steps the l1 norm is at most (2 ||A||_1)^k ||M||_1.  ||A||_1 is
-    an integer: when it is 0 every step gives 0, and otherwise the power
-    grows with k, so for every k <= L each coefficient is at most the bound
-    in absolute value, hence below 2^(W-1).  A polynomial with every
-    coefficient below 2^(W-1) in absolute value packs to 0 only if it is 0
-    (see qarith._slot_width).  So after each step a key whose int is 0 is
-    dropped, exactly, and a result that vanishes is returned with nothing
-    decoded.  The keys left at the end are decoded once each, in time
-    linear in their size (`_unpack`).  Twists must be ints (TypeError
-    otherwise, bool included).
+    Why W = _slot_width(4^L * ||M||_1), L = len(halves), is wide enough,
+    with ||x||_1 the sum of the absolute values of every coefficient of x:
+    ||A||_1 = 2, so each of A*M and M*A has l1 norm at most 2 ||M||_1, a
+    step at most 4 ||M||_1, and after k <= L steps every coefficient is at
+    most 4^L ||M||_1 in absolute value, hence below 2^(W-1).  Such a
+    polynomial packs to 0 only if it is 0 (see qarith._slot_width).  So
+    after each step a key whose int is 0 is dropped, exactly, and a result
+    that vanishes is returned with nothing decoded.  The keys left at the
+    end are decoded once each, in time linear in their size (`_unpack`).
     """
     outer._check_form(middle)
     halves = tuple(halves)
     for half in halves:
         _require_int("q-commutator twist", half)
-    norm_a = sum(abs(v) for a in outer._terms.values() for v in a._terms.values())
+    if len(outer._terms) != 2 or any(a != 1 for a in outer._terms.values()):
+        raise ArithmeticError("q-commutator outer must be X^f0 + X^f1: two terms, each with coefficient 1")
     norm_m = sum(abs(v) for c in middle._terms.values() for v in c._terms.values())
-    width = _slot_width((2 * norm_a) ** len(halves) * norm_m)
+    width = _slot_width(4 ** len(halves) * norm_m)
     rows = outer.form.rows()
-    # (f, Lambda f, the packed coefficient of X^f or None when it is 1)
-    factors = [
-        (f, [sum(map(mul, row, f)) for row in rows], None if a == 1 else _pack(a, width))
-        for f, a in outer._terms.items()
-    ]
+    factors = [(f, [sum(map(mul, row, f)) for row in rows]) for f in outer._terms]
     terms = {e: _pack(c, width) for e, c in middle._terms.items()}
     for half in halves:
         data: dict[ExpVec, tuple[int, int]] = {}
-        for f, lam_f, a in factors:
+        for f, lam_f in factors:
             for e, (lo, packed) in terms.items():
                 p = sum(map(mul, e, lam_f))
-                if a is not None:
-                    lo += a[0]
-                    packed *= a[1]
                 # q^(-p/2) - q^((p+h)/2) is q^(-p/2) (1 - q^(span/2)), span = 2p + h
                 span = 2 * p + half
                 if span >= 0:

@@ -127,7 +127,7 @@ def _twisted(params: Sequence[tuple[str, object]], twist: int) -> tuple[tuple[st
 
 
 def _plan(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: int, shift: int = 0) -> _Plan:
-    """The iterated q-commutator of `middle` with A = `outer`, validated.
+    """The iterated q-commutator of `middle` with A = `outer`.
 
     Starting from M = middle, step k = 0 .. steps-1 replaces M by
     A*M - q^(d(first+k)) * (M*A), in one pass of
@@ -147,28 +147,21 @@ def _plan(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: int, s
     intermediates small; their order does not change the sum.
 
     `terms` counts the terms of the L+1 scaled summands without building
-    them.  A must have exactly two terms X^f0 and X^f1, as every one-step
-    variable of a principal seed has; A and M must have nonnegative
-    coefficients; and some coordinate c with f0_c != f1_c must be constant
-    on supp(M).  For A = y_i that is x_(n+i), which no exponent of y_j^l,
-    y_i or x_i^k contains.  (ArithmeticError otherwise.)  Then no product
-    cancels, so every summand has the support
-    {e + L*f0 + t*(f1 - f0) : e in supp(M), 0 <= t <= L}, where coordinate
-    c reads off t and then e: |supp(M)| * (L+1) points.  Scaling by a
+    them, from three facts that hold for every plan the builders make on a
+    principal seed:
+    - A is y_i, which `mutated_variable` builds as X^f0 + X^f1 with
+      f0 = g(y_i) and f1 = f0 + b_i, two distinct unit terms, since column
+      b_i has a 1 in row n+i (the kernel refuses any other outer);
+    - M is y_j^l, a product of elements with positive coefficients, so
+      nothing in it cancels, or it is x_i^(step-1), with coefficient 1;
+    - coordinate n+i is 0 on supp(M), as no exponent of y_j or x_i has
+      x_(n+i), and it is 0 on f0 and 1 on f1.
+    Then no product cancels, so every summand has the support
+    {e + L*f0 + t*b_i : e in supp(M), 0 <= t <= L}, where coordinate n+i
+    reads off t and then e: |supp(M)| * (L+1) points.  Scaling by a
     nonzero q-binomial multiple keeps them, since Z[q^(1/2), q^(-1/2)] has
     no zero divisors, so `terms` is |supp(M)| * (L+1)^2.
     """
-    outer._check_form(middle)
-    if outer.term_count() != 2:
-        raise ArithmeticError(f"q-adjoint outer needs exactly two terms, got {outer.term_count()}")
-    for elem in (outer, middle):
-        for coeff in elem._terms.values():
-            if any(value < 0 for value in coeff._terms.values()):
-                raise ArithmeticError("q-adjoint operands need nonnegative coefficients")
-    f0, f1 = outer._terms
-    support = middle._terms
-    if not any(a != b and len({e[c] for e in support}) == 1 for c, (a, b) in enumerate(zip(f0, f1))):
-        raise ArithmeticError("q-adjoint middle needs a coordinate of f1 - f0 that is constant on its support")
     halves = tuple(sorted((2 * d * (first + k) + shift for k in range(steps)), key=abs))
     return _Plan(outer, middle, halves, middle.term_count() * (steps + 1) ** 2, shift)
 

@@ -16,6 +16,7 @@ import functools
 import json
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .qarith import QLaurent, _require_int
@@ -154,11 +155,12 @@ def validate_compatibility(seed: QuantumSeed) -> None:
     SeedFormatError at the first violating (i, j), scanning columns j in
     [1, n] and rows i in [1, m].  QuantumSeed runs it on construction.
     """
+    lam_columns = tuple(zip(*seed.form.rows()))
     for j in range(1, seed.n + 1):
         column = seed.exchange.column(j)
-        for i in range(1, seed.m + 1):
+        for i, lam_column in enumerate(lam_columns, 1):
             expected = seed.d[j - 1] if i == j else 0
-            actual = sum(column[t] * seed.form.entry(t + 1, i) for t in range(seed.m))
+            actual = sum(map(mul, column, lam_column))
             if actual != expected:
                 raise SeedFormatError(
                     f"compatibility fails at (i, j) = ({i}, {j}): "

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qcluster import cli, seeds
+from qcluster import cli, relations, seeds
 from qcluster.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -264,6 +264,16 @@ class TestVerify:
         records = [json.loads(line) for line in out.splitlines()]
         assert [r["check"] for r in records] == ["serre", "serre-opposite"]
         assert all(r["ok"] for r in records)
+
+    def test_opposite_refusal_expands_nothing(self, capsys, monkeypatch):
+        # b_12 = 1 > 0 on exam1: the reversed side is refused before
+        # serre(1, 2) is expanded, so a huge b_12 costs nothing either
+        calls = []
+        kernel = relations.iterated_q_commutator
+        monkeypatch.setattr(relations, "iterated_q_commutator", lambda *a: calls.append(a) or kernel(*a))
+        status, out, err = run(capsys, "verify-serre", "--seed", EXAM1, "--i", "1", "--j", "2", "--opposite")
+        assert (status, out, calls) == (2, "", [])
+        assert err == "error: reversed-side relation needs b_ij <= 0, got b_ij=1\n"
 
     def test_higher(self, capsys):
         status, out, _ = run(

@@ -232,13 +232,20 @@ class TestTwistedProduct:
         assert x ** 3 == expected and len(calls) == 2
 
 
+def binomials(form):
+    """X^f0 + X^f1 for two distinct exponent vectors: the kernel's outer."""
+    return st.lists(exp_vecs(form.dim), min_size=2, max_size=2, unique=True).map(
+        lambda pair: TorusElem(form, {f: 1 for f in pair})
+    )
+
+
 class TestIteratedQCommutator:
     @given(skew_forms(3), st.data(), st.lists(st.integers(min_value=-6, max_value=6), max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_matches_products(self, form, data, halves):
-        # any coefficients, signs included: each fused step is the two
-        # products and the difference, built at once
-        outer = data.draw(elements(form))
+        # any middle, signs included: each fused step is the two products
+        # and the difference, built at once
+        outer = data.draw(binomials(form))
         middle = data.draw(elements(form))
         left, right = middle, middle
         for half in halves:
@@ -251,11 +258,28 @@ class TestIteratedQCommutator:
         assert iterated_q_commutator(outer.bar(), middle.bar(), [-h for h in halves]).bar() == right
 
     def test_commuting_pair_cancels(self):
-        x2, x4 = ordered_product(LAM4, [(2, 1)]), ordered_product(LAM4, [(4, 1)])
-        # x2 x4 = q^(-1) x4 x2, so x2 x4 - q^(-1) x4 x2 = 0
-        assert iterated_q_commutator(x2, x4, [-2]).is_zero()
-        assert not iterated_q_commutator(x2, x4, [0]).is_zero()
-        assert iterated_q_commutator(x2, x4, []) == x4
+        # lambda_24 = -1 and lambda_14 = 0, so both terms X^f of
+        # A = X^e2 + X^(e1+e2) have X^f x4 = q^(-1) x4 X^f: A x4 - q^(-1) x4 A = 0
+        outer = TorusElem(LAM4, {(0, 1, 0, 0): 1, (1, 1, 0, 0): 1})
+        x4 = ordered_product(LAM4, [(4, 1)])
+        assert iterated_q_commutator(outer, x4, [-2]).is_zero()
+        assert not iterated_q_commutator(outer, x4, [0]).is_zero()
+        assert iterated_q_commutator(outer, x4, []) == x4
+
+    @pytest.mark.parametrize("terms", [
+        {(1, 0, 0, 0): 1},
+        {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 1},
+        {(1, 0, 0, 0): 1, (0, 1, 0, 0): 2},
+        {(1, 0, 0, 0): -1, (0, 1, 0, 0): 1},
+        {(1, 0, 0, 0): 1, (0, 1, 0, 0): QLaurent.q_power(1)},
+    ], ids=["one-term", "three-terms", "coefficient-2", "coefficient-minus-1", "coefficient-q-half"])
+    def test_outer_outside_domain_refused(self, terms):
+        # the steps are defined for any outer, but the kernel's slot width
+        # and every caller assume X^f0 + X^f1, the shape of a one-step variable
+        x4 = ordered_product(LAM4, [(4, 1)])
+        for halves in ([0], []):
+            with pytest.raises(ArithmeticError, match=r"X\^f0 \+ X\^f1"):
+                iterated_q_commutator(TorusElem(LAM4, terms), x4, halves)
 
     def test_cross_form_refused(self):
         other = SkewForm([[0, 1], [-1, 0]])
@@ -277,12 +301,13 @@ class TestIteratedQCommutator:
         return middle
 
     def test_wide_signed_coefficients_match_products(self):
-        # Coefficients +-(2^k + delta) sit on and beside the 64-bit slot
-        # edges, and up to four steps grow them further, so a slot width
-        # chosen from the operands' size alone, without the growth over the
+        # Middle coefficients +-(2^k + delta) sit on and beside the 64-bit
+        # slot edges, and up to four steps grow them further, so a slot width
+        # chosen from the middle's size alone, without the growth over the
         # steps, lets slots carry into each other and decodes them wrong.
         rng = random.Random(25)
         bits = (0, 1, 62, 63, 64, 70, 127, 128, 200)
+        exponents = list(itertools.product(range(-2, 3), repeat=3))
 
         def element(form):
             return TorusElem(form, [
@@ -299,14 +324,15 @@ class TestIteratedQCommutator:
         for trial in range(200):
             entries = [rng.randint(-3, 3) for _ in range(3)]
             form = SkewForm([[0, entries[0], entries[1]], [-entries[0], 0, entries[2]], [-entries[1], -entries[2], 0]])
-            outer, middle = element(form), element(form)
+            pair = rng.sample(exponents, 2)
+            outer, middle = TorusElem(form, {f: 1 for f in pair}), element(form)
             halves = [rng.randint(-6, 6) for _ in range(rng.randint(0, 4))]
             assert iterated_q_commutator(outer, middle, halves) == self._by_products(outer, middle, halves), trial
 
     def test_exam1_forty_steps_match_products(self, kernel_widths):
         # 40 untwisted steps of y_1 on y_2 of exam1: a nonzero result whose
         # coefficients reach 50 bits, packed at W = 128 since the bound is
-        # (2 * 2)^40 * 2 = 2^81
+        # 4^40 * 2 = 2^81
         seed = load_seed(Path(__file__).resolve().parent.parent / "fixtures" / "exam1.json")
         y1, y2 = seed.one_step
         result = iterated_q_commutator(y1, y2, [0] * 40)
