@@ -28,7 +28,6 @@ from .relations import (
     serre_verify_opposite,
 )
 from .seeds import (
-    SeedFormatError,
     dump_seed,
     load_seed,
     mutate,
@@ -228,7 +227,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.timings = getattr(args, "timings", False)
     try:
         return _COMMANDS[args.command](args)
-    except (SeedFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

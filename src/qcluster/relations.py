@@ -95,7 +95,10 @@ class _Plan:
 # -- small helpers -----------------------------------------------------------
 
 
-def _require_pair(seed: QuantumSeed, i: int, j: int) -> None:
+def _require_pair(seed: QuantumSeed, i: int, j: int) -> tuple[TorusElem, ...]:
+    """y_1 .. y_n of a principal seed with a valid pair (i, j) of distinct
+    mutable indices; the one validation of every pair check."""
+    ys = one_step_variables(seed)
     _require_int("index i", i)
     _require_int("index j", j)
     n = seed.n
@@ -103,6 +106,7 @@ def _require_pair(seed: QuantumSeed, i: int, j: int) -> None:
         raise ValueError(f"indices (i, j) = ({i}, {j}) out of range [1, {n}]")
     if i == j:
         raise ValueError("need two distinct mutable indices")
+    return ys
 
 
 def _certify(check: str, params: Sequence[tuple[str, object]], residue: TorusElem, terms: int, started: float, exploratory: bool = False) -> VerificationCertificate:
@@ -218,7 +222,6 @@ def commutator_witness(seed: QuantumSeed, i: int, j: int) -> TorusElem:
     and 0 when b_ij = 0.  The X^(a+c) term cancels by the choice of s, and
     the X^(a+c+b_i+b_j) term because d_i b_ij = -d_j b_ji.
     """
-    one_step_variables(seed)
     _require_pair(seed, i, j)
     b_ij = seed.b_entry(i, j)
     if b_ij == 0:
@@ -235,8 +238,7 @@ def commutator_check(seed: QuantumSeed, i: int, j: int) -> VerificationCertifica
     """Compare y_i y_j - q^(s/2) y_j y_i, one kernel step at twist s,
     against `commutator_witness`; a nonzero s is reported as ("twist", s)."""
     started = time.perf_counter()
-    ys = one_step_variables(seed)
-    _require_pair(seed, i, j)
+    ys = _require_pair(seed, i, j)
     twist = 2 * seed.form.pairing(_free_exponent(seed, i), _free_exponent(seed, j))
     commutator = iterated_q_commutator(ys[i - 1], ys[j - 1], (twist,))
     residue = commutator - commutator_witness(seed, i, j)
@@ -296,8 +298,7 @@ def _lemma_plan(
 
     L32 is L41 at L41's defaults, t_shift = 0 and m_exp = (t_shift+1)*|b_ij|.
     """
-    ys = one_step_variables(seed)
-    _require_pair(seed, i, j)
+    ys = _require_pair(seed, i, j)
     if m_exp is not None:
         _require_int("outer exponent m_exp", m_exp)
     if t_shift is not None:
@@ -363,41 +364,33 @@ def lemma_sum_check(
 # -- fundamental (quantum Serre-type) relations ------------------------------
 
 
-def _order_plan(
-    seed: QuantumSeed, i: int, j: int, order: tuple[int, int] | None = None, exploratory: bool = False
-) -> _Plan:
-    """sum_r +/- [m+1, r] y_i^(m+1-r) y_j^l y_i^r at base q^(d_i), validated.
+def _order_plan(seed: QuantumSeed, i: int, j: int, l: int, m_exp: int, exploratory: bool = False) -> _Plan:
+    """sum_r +/- [m+1, r] y_i^(m+1-r) y_j^l y_i^r at base q^(d_i).
 
-    `order` is (l, m_exp), checked as `higher_verify` says; None is the
-    Serre relation, (1, |b_ij|), always in range.  The twist is
+    The caller has validated the seed and the pair (`_require_pair`); the
+    order (l, m_exp) is checked as `higher_verify` says.  The twist is
     q^(d_i * r(r-1)/2), times q^(-d_i * r * m) when b_ij > 0: m+1
     q-commutator steps, the first at q^(-d_i * m) when b_ij > 0.
     """
-    ys = one_step_variables(seed)
-    _require_pair(seed, i, j)
+    _require_int("order l", l)
+    _require_int("outer exponent m_exp", m_exp)
     b = seed.b_entry(i, j)
     size = abs(b)
-    if order is None:
-        l, m_exp = 1, size
-    else:
-        l, m_exp = order
-        _require_int("order l", l)
-        _require_int("outer exponent m_exp", m_exp)
-        if exploratory:
-            if l < 1 or m_exp < 0:
-                raise ValueError("even exploratory instances need l >= 1 and m_exp >= 0")
-        elif l < 1:
-            raise ValueError(f"order l must be positive, got l={l}")
-        elif size == 0:
-            if m_exp < 0:
-                raise ValueError(f"b_ij = 0 needs m >= 0, got m={m_exp}")
-        elif l > size:
-            raise ValueError(f"order l={l} exceeds |b_ij| = {size}")
-        elif m_exp < l * size:
-            raise ValueError(f"outer exponent m={m_exp} below the bound l*|b_ij| = {l * size}")
+    if exploratory:
+        if l < 1 or m_exp < 0:
+            raise ValueError("even exploratory instances need l >= 1 and m_exp >= 0")
+    elif l < 1:
+        raise ValueError(f"order l must be positive, got l={l}")
+    elif size == 0:
+        if m_exp < 0:
+            raise ValueError(f"b_ij = 0 needs m >= 0, got m={m_exp}")
+    elif l > size:
+        raise ValueError(f"order l={l} exceeds |b_ij| = {size}")
+    elif m_exp < l * size:
+        raise ValueError(f"outer exponent m={m_exp} below the bound l*|b_ij| = {l * size}")
     first = -m_exp if b > 0 else 0
     shift = 2 * l * seed.form.pairing(_free_exponent(seed, i), _free_exponent(seed, j))
-    return _plan(ys[i - 1], ys[j - 1] ** l, seed.d[i - 1], m_exp + 1, first, shift)
+    return _plan(seed.one_step[i - 1], seed.one_step[j - 1] ** l, seed.d[i - 1], m_exp + 1, first, shift)
 
 
 def serre_verify(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
@@ -408,7 +401,8 @@ def serre_verify(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
     twist of step k being q^(d_i * k) for b_ij <= 0 and
     q^(d_i * (k - b_ij)) for b_ij > 0, on operands derived once per seed.
     """
-    return _run("serre", (("i", i), ("j", j)), _order_plan(seed, i, j))
+    _require_pair(seed, i, j)
+    return _run("serre", (("i", i), ("j", j)), _order_plan(seed, i, j, 1, abs(seed.b_entry(i, j))))
 
 
 def serre_verify_opposite(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
@@ -419,11 +413,10 @@ def serre_verify_opposite(seed: QuantumSeed, i: int, j: int) -> VerificationCert
     y_k and negates the twists into serre(j, i)'s, so this is serre(j, i)'s
     plan expanded once and barred.
     """
-    one_step_variables(seed)
     _require_pair(seed, i, j)
     if seed.b_entry(i, j) > 0:
         raise ValueError(f"reversed-side relation needs b_ij <= 0, got b_ij={seed.b_entry(i, j)}")
-    plan = _order_plan(seed, j, i)
+    plan = _order_plan(seed, j, i, 1, abs(seed.b_entry(j, i)))
     started = time.perf_counter()
     total = iterated_q_commutator(plan.outer, plan.middle, plan.halves).bar()
     return _certify("serre-opposite", _twisted((("i", i), ("j", j)), -plan.twist), total, plan.terms, started)
@@ -444,7 +437,8 @@ def higher_verify(
     exploratory=True an out-of-range instance is expanded anyway and its
     remainder reported without any expectation.
     """
-    plan = _order_plan(seed, i, j, (l, m_exp), exploratory)
+    _require_pair(seed, i, j)
+    plan = _order_plan(seed, i, j, l, m_exp, exploratory)
     return _run("higher", (("i", i), ("j", j), ("l", l), ("m", m_exp)), plan, exploratory)
 
 

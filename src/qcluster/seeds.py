@@ -217,11 +217,9 @@ def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
             if i == kk or j == kk:
                 new_b[i][j] = -old_b[i][j]
             else:
+                # |x|y + x|y| is 0 or +-2xy for any ints x, y, so // 2 is exact.
                 bump = abs(old_b[i][kk]) * old_b[kk][j] + old_b[i][kk] * abs(old_b[kk][j])
-                quotient, parity = divmod(bump, 2)
-                if parity:
-                    raise ArithmeticError(f"mutation bump {bump} at ({i + 1}, {j + 1}) is odd")
-                new_b[i][j] = old_b[i][j] + quotient
+                new_b[i][j] = old_b[i][j] + bump // 2
 
     lam = seed.form.rows()
     new_lam = [list(row) for row in lam]
@@ -256,10 +254,8 @@ def mutated_variable(seed: QuantumSeed, k: int) -> TorusElem:
     base = tuple(-1 if t == k - 1 else 0 for t in range(m))
     plus = tuple(base[t] + pos_part(column[t]) for t in range(m))
     minus = tuple(base[t] + pos_part(-column[t]) for t in range(m))
-    # Seed entries are ints, so the exponents are canonical; a zero column
-    # merges the two terms.
-    if plus == minus:
-        return TorusElem._raw(seed.form, {plus: QLaurent.from_int(2)})
+    # Seed entries are ints, so the exponents are canonical.  They differ:
+    # compatibility forces pairing(b_k, e_k) = d_k >= 1, so b_k != 0.
     return TorusElem._raw(seed.form, {plus: QLaurent.one(), minus: QLaurent.one()})
 
 

@@ -31,6 +31,7 @@ from qcluster.seeds import (
     principal_seed,
     random_principal_seed,
 )
+from seed_kinds import compatible_principal_seed
 from torus_words import ordered_product
 
 COMMUTATOR_COEFF = QLaurent({3: 1, -1: -1})  # q^(3/2) - q^(-1/2)
@@ -220,23 +221,22 @@ def _gauss_coeffs(halves):
 
 
 def _every_plan(seed):
-    """Every plan of `seed`: serre (whose barred expansion is also the
-    reversed side), admissible and exploratory higher (one order past
-    |b_ij| among them), L32 and L41."""
+    """Every plan of `seed`: admissible and exploratory higher (one order
+    past |b_ij| among them), whose l = 1 plan at m = |b_ij| is serre and,
+    barred, the reversed side, then L32 and L41."""
     plans = []
     for i in range(1, seed.n + 1):
         for j in range(1, seed.n + 1):
             if i == j:
                 continue
             size = abs(seed.b_entry(i, j))
-            plans.append(_order_plan(seed, i, j))
             if size == 0:
-                plans.extend(_order_plan(seed, i, j, (l, l)) for l in (1, 2))
+                plans.extend(_order_plan(seed, i, j, l, m) for l, m in ((1, 0), (1, 1), (2, 2)))
                 continue
             for l in range(1, size + 1):
-                plans.append(_order_plan(seed, i, j, (l, l * size)))
-                plans.append(_order_plan(seed, i, j, (l, l * size - 1), exploratory=True))
-            plans.append(_order_plan(seed, i, j, (size + 1, (size + 1) * size + 2), exploratory=True))
+                plans.append(_order_plan(seed, i, j, l, l * size))
+                plans.append(_order_plan(seed, i, j, l, l * size - 1, exploratory=True))
+            plans.append(_order_plan(seed, i, j, size + 1, (size + 1) * size + 2, exploratory=True))
             plans.append(_lemma_plan(seed, i, j, "L32", None, None)[1])
             plans.extend(_lemma_plan(seed, i, j, "L41", None, t)[1] for t in range(size))
     return plans
@@ -598,14 +598,17 @@ class TestSuites:
             assert (cert.ok, cert.residue, cert.terms) == (direct.ok, direct.residue, direct.terms)
 
     def test_serre_plan_is_the_order_one_plan(self, ex1, ex3):
-        # why full_suite may relabel the serre certificate as higher at l = 1
+        # why full_suite may relabel the serre certificate as higher at
+        # l = 1, also on the b_ij = 0 pairs of a zero exchange matrix
         zero = principal_seed([[0, 0], [0, 0]], (1, 2))
         for seed in (ex1, ex3, zero):
             for i in range(1, seed.n + 1):
                 for j in range(1, seed.n + 1):
                     if i != j:
-                        order_one = (1, abs(seed.b_entry(i, j)))
-                        assert _order_plan(seed, i, j) == _order_plan(seed, i, j, order_one)
+                        serre = serre_verify(seed, i, j)
+                        higher = higher_verify(seed, i, j, 1, abs(seed.b_entry(i, j)))
+                        assert (serre.ok, serre.residue, serre.terms) == (higher.ok, higher.residue, higher.terms)
+                        assert dict(serre.params).get("twist") == dict(higher.params).get("twist")
 
     def test_one_kernel_pass_per_distinct_plan(self, monkeypatch):
         passes = []
@@ -761,36 +764,6 @@ class TestCertificateDigest:
         assert {dict(c.params)["variant"] for c in certs if c.check == "lemma-sum"} == {"L32", "L41"}
         assert {c.check for c in certs} == {"serre", "serre-opposite", "higher", "lemma-sum"}
         assert hashlib.sha256(lines.encode()).hexdigest() == CERTIFICATE_DIGEST
-
-
-def compatible_principal_seed(rng, n):
-    """A principal seed whose Lambda has a random nonzero mutable block.
-
-    With B and D from `random_principal_seed` and Lambda11 random skew,
-    Lambda12 = -D - Lambda11 B, Lambda21 = -Lambda12^T and
-    Lambda22 = B^T D + B^T Lambda11 B make Btilde^T Lambda = [D 0].
-    """
-    base = random_principal_seed(rng, n, max_entry=2, max_d=2)
-    b, d = base.exchange.principal_part(), base.d
-    lam11 = [[0] * n for _ in range(n)]
-    for r in range(n):
-        for c in range(r + 1, n):
-            lam11[r][c] = rng.choice([v for v in range(-2, 3) if v])
-            lam11[c][r] = -lam11[r][c]
-    lam12 = [
-        [-(d[r] if r == c else 0) - sum(lam11[r][t] * b[t][c] for t in range(n)) for c in range(n)]
-        for r in range(n)
-    ]
-    lam22 = [
-        [
-            b[c][r] * d[c] + sum(b[s][r] * lam11[s][t] * b[t][c] for s in range(n) for t in range(n))
-            for c in range(n)
-        ]
-        for r in range(n)
-    ]
-    rows = [lam11[r] + lam12[r] for r in range(n)]
-    rows += [[-lam12[c][r] for c in range(n)] + lam22[r] for r in range(n)]
-    return seeds.QuantumSeed(form=SkewForm(rows), exchange=base.exchange, d=d)
 
 
 def _record(cert):

@@ -22,6 +22,7 @@ from qcluster.seeds import (
     seed_to_dict,
     validate_compatibility,
 )
+from seed_kinds import compatible_principal_seed
 from torus_words import ordered_product
 
 EX1_B = [[0, 1], [-2, 0]]
@@ -137,6 +138,16 @@ class TestCompatibility:
                 d=ex1.d,
             )
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zero_exchange_column_refused(self, k):
+        # pairing(b_k, e_k) = d_k >= 1 forces b_k != 0, which is why
+        # mutated_variable always has two distinct terms
+        zero = principal_seed([[0] * 3] * 3, (1, 2, 3))
+        btilde = [list(row) for row in zero.exchange.btilde]
+        btilde[3 + k - 1][k - 1] = 0
+        with pytest.raises(SeedFormatError, match=rf"\(i, j\) = \({k}, {k}\)"):
+            QuantumSeed(zero.form, ExchangeMatrix(btilde, n=3, m=6), zero.d)
+
     @pytest.mark.parametrize("d", [(2, True), (2.0, 1), (True, 1)])
     def test_rejects_non_int_d(self, ex1, d):
         with pytest.raises(SeedFormatError, match="field 'd' must hold integers"):
@@ -194,16 +205,21 @@ class TestMutation:
                 assert back.exchange.btilde == seed.exchange.btilde
 
     def test_involution_and_compatibility_random(self):
-        rng = random.Random(20240817)
-        for _ in range(25):
-            seed = random_principal_seed(rng, rng.choice([2, 3, 4]))
-            for k in range(1, seed.n + 1):
-                mutated = mutate(seed, k)
-                validate_compatibility(mutated)
-                assert mutated.d == seed.d
-                back = mutate(mutated, k)
-                assert back.form.rows() == seed.form.rows()
-                assert back.exchange.btilde == seed.exchange.btilde
+        # random walks of up to 5 steps from seeds of both kinds: every
+        # seed a walk reaches is compatible, and every mutation undoes itself
+        rng, walk = random.Random(20240817), random.Random(35)
+        for make in (random_principal_seed, compatible_principal_seed):
+            for _ in range(25):
+                seed = make(rng, rng.choice([2, 3, 4]))
+                for _ in range(walk.randint(1, 5)):
+                    for k in range(1, seed.n + 1):
+                        mutated = mutate(seed, k)
+                        validate_compatibility(mutated)
+                        assert mutated.d == seed.d
+                        back = mutate(mutated, k)
+                        assert back.form.rows() == seed.form.rows()
+                        assert back.exchange.btilde == seed.exchange.btilde
+                    seed = mutate(seed, walk.randint(1, seed.n))
 
     def test_proof_bookkeeping_entries(self):
         # after mutating at i: (Lambda_i)_{i, n+i} = d_i, and for j != i
@@ -261,15 +277,20 @@ class TestMutatedVariable:
         assert x3 * y3 == expected
 
     def test_terms_quasi_commute_by_symmetrizer_power(self):
-        # the two monomials of a one-step variable pair to +/- d_k
+        # a one-step variable has two distinct terms, each with coefficient
+        # 1, whose monomials pair to +/- d_k, on seeds of both kinds and
+        # their one-step mutations: compatibility keeps column b_k nonzero
         rng = random.Random(5)
-        for _ in range(20):
-            seed = random_principal_seed(rng, rng.choice([2, 3]))
-            for k in range(1, seed.n + 1):
-                terms = sorted(mutated_variable(seed, k).support())
-                assert len(terms) == 2
-                pairing = seed.form.pairing(terms[0], terms[1])
-                assert abs(pairing) == seed.d[k - 1]
+        for make in (random_principal_seed, compatible_principal_seed):
+            for _ in range(20):
+                seed = make(rng, rng.choice([2, 3]))
+                for current in [seed] + [mutate(seed, k) for k in range(1, seed.n + 1)]:
+                    for k in range(1, current.n + 1):
+                        items = mutated_variable(current, k).items()
+                        assert len(items) == 2
+                        assert all(coeff == QLaurent.one() for _, coeff in items)
+                        pairing = current.form.pairing(items[0][0], items[1][0])
+                        assert abs(pairing) == current.d[k - 1]
 
 
 class TestSeedFiles:
