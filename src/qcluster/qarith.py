@@ -436,7 +436,7 @@ def _respread(packed: int, width: int, new_width: int, count: int) -> int:
     with each slot moved to a new_width-bit slot: the same polynomial with
     nonnegative coefficients, packed at q = 2^new_width instead of 2^width.
     A slot that does not fit in new_width bits raises ArithmeticError."""
-    if width == new_width:
+    if width == new_width or packed.bit_length() <= min(width, new_width):
         return packed
     step, new_step = width // _SLOT_BITS, new_width // _SLOT_BITS
     words = _words(packed, step * count)

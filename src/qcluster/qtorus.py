@@ -7,14 +7,14 @@ length m) with QLaurent coefficients, multiplied by the twist rule
 
 Exponent vectors are plain int tuples.  Elements are immutable, pinned to
 the SkewForm they were built over, and refuse cross-form arithmetic.
-`iterated_q_commutator` fuses the two products and the difference of each
-q-commutator step by an outer X^f0 + X^f1 into one pass; `TorusElem.bar`
-gives the mirrored step.  The pass holds every coefficient as one signed
-int, its value at q^(1/2) = 2^W, with W chosen from the middle's l1 norm
-and the number of steps so that every coefficient of every step stays
-below 2^(W-1) in absolute value.  Then an int is 0 exactly when its
-polynomial is, so a step drops vanished terms without decoding them, and
-a result that vanishes decodes nothing.
+`iterated_q_commutator` runs the q-commutator steps by an outer
+X^f0 + X^f1 in one pass on line coordinates (`_commutator_lines`): a
+middle term X^e walks the line X^(e + (k-t) f0 + t f1), and each
+coefficient is one signed int, its value at q^(1/2) = 2^W, with W chosen
+from the middle's l1 norm and the number of steps so that every
+coefficient stays below 2^(W-1) in absolute value.  Then an int is 0
+exactly when its polynomial is, so a step drops vanished terms without
+decoding them.  `TorusElem.bar` gives the mirrored step.
 """
 
 from __future__ import annotations
@@ -267,31 +267,9 @@ def _unpack(lo: int, packed: int, width: int) -> QLaurent:
 def iterated_q_commutator(outer: TorusElem, middle: TorusElem, halves: Iterable[int]) -> TorusElem:
     """Starting from M = middle, M <- A*M - q^(h/2) * (M*A) for each h in
     `halves`, with A = `outer` = X^f0 + X^f1, the shape of every one-step
-    variable y_i.  Twists must be ints (TypeError otherwise, bool
-    included); an outer of any other shape raises ArithmeticError.
-
-    For a term X^f of A and c X^e of M, p = e . (Lambda f) is the only
-    twist: X^f * X^e = q^(-p/2) X^(e+f) and X^e * X^f = q^(p/2) X^(e+f)
-    by skew-symmetry, so the pair adds c*(q^(-p/2) - q^((p+h)/2)) to
-    X^(e+f).  Lambda f is computed once per term of A for all steps, and
-    each term pair costs one dot product.
-
-    Every coefficient is held packed at q^(1/2) = 2^W, which is a ring map:
-    c = sum_h c_h q^(h/2) is the pair (lo, P), P = sum_h c_h 2^(W(h-lo)) a
-    signed int.  The pair's contribution is then one shift and one
-    subtraction of P, and merging it into X^(e+f) is one shift that aligns
-    the two lo's.
-
-    Why W = _slot_width(4^L * ||M||_1), L = len(halves), is wide enough,
-    with ||x||_1 the sum of the absolute values of every coefficient of x:
-    ||A||_1 = 2, so each of A*M and M*A has l1 norm at most 2 ||M||_1, a
-    step at most 4 ||M||_1, and after k <= L steps every coefficient is at
-    most 4^L ||M||_1 in absolute value, hence below 2^(W-1).  Such a
-    polynomial packs to 0 only if it is 0 (see qarith._slot_width).  So
-    after each step a key whose int is 0 is dropped, exactly, and a result
-    that vanishes is returned with nothing decoded.  The keys left at the
-    end are decoded once each, in time linear in their size (`_unpack`).
-    """
+    variable y_i, by `_commutator_lines` on M packed (`_pack`) at its width.
+    Twists must be ints (TypeError otherwise, bool included); an outer of
+    any other shape raises ArithmeticError."""
     outer._check_form(middle)
     halves = tuple(halves)
     for half in halves:
@@ -300,34 +278,69 @@ def iterated_q_commutator(outer: TorusElem, middle: TorusElem, halves: Iterable[
         raise ArithmeticError("q-commutator outer must be X^f0 + X^f1: two terms, each with coefficient 1")
     norm_m = sum(abs(v) for c in middle._terms.values() for v in c._terms.values())
     width = _slot_width(4 ** len(halves) * norm_m)
-    rows = outer.form.rows()
-    factors = [(f, [sum(map(mul, row, f)) for row in rows]) for f in outer._terms]
-    terms = {e: _pack(c, width) for e, c in middle._terms.items()}
-    for half in halves:
-        data: dict[ExpVec, tuple[int, int]] = {}
-        for f, lam_f in factors:
-            for e, (lo, packed) in terms.items():
-                p = sum(map(mul, e, lam_f))
-                # q^(-p/2) - q^((p+h)/2) is q^(-p/2) (1 - q^(span/2)), span = 2p + h
-                span = 2 * p + half
-                if span >= 0:
-                    lo -= p
-                    packed -= packed << width * span
-                else:
-                    lo += p + half
-                    packed = (packed << -width * span) - packed
-                expo = tuple(map(add, e, f))
-                held = data.get(expo)
-                if held is not None:
-                    held_lo, held_packed = held
-                    if held_lo < lo:
-                        packed = held_packed + (packed << width * (lo - held_lo))
-                        lo = held_lo
-                    else:
-                        packed += held_packed << width * (held_lo - lo)
-                data[expo] = lo, packed
-        terms = {expo: held for expo, held in data.items() if held[1]}
-    return TorusElem._raw(outer.form, {e: _unpack(lo, packed, width) for e, (lo, packed) in terms.items()})
+    f0, f1 = outer._terms
+    return _commutator_lines(outer.form, f0, f1, [(e, *_pack(c, width)) for e, c in middle._terms.items()], halves, width)
+
+
+def _merge(held: tuple[int, int], new: tuple[int, int], width: int) -> tuple[int, int]:
+    """The sum of two packed coefficients (lo, P), aligned at the lower lo."""
+    (lo, packed), (new_lo, new_packed) = sorted((held, new))
+    return lo, packed + (new_packed << width * (new_lo - lo))
+
+
+def _commutator_lines(form: SkewForm, f0: ExpVec, f1: ExpVec, middle: Iterable[tuple[ExpVec, int, int]], halves: Sequence[int], width: int) -> TorusElem:
+    """The steps M <- A*M - q^(h/2) * (M*A), h in `halves`, A = X^f0 + X^f1,
+    on the terms (e, lo, P) of M packed at q^(1/2) = 2^W, W = `width`: the
+    ring map sending a = sum_h a_h q^(h/2) to P = sum_h a_h 2^(W(h-lo)).
+
+    For a term X^f of A and a X^e of M, p = e . (Lambda f) is the only
+    twist (X^f X^e = q^(-p/2) X^(e+f) = q^(-p) X^e X^f), so the pair adds
+    a*(q^(-p/2) - q^((p+h)/2)) to X^(e+f): a shift and a subtraction of P.
+    On line coordinates, with c = lambda(f0, f1) and p_u(e) = e . Lambda f_u,
+    a term born from X^e sits after k steps at X^(e + (k-t) f0 + t f1), t
+    its X^f1 factors, and pairs to p_0(e) - t*c with f0 and p_1(e) + (k-t)*c
+    with f1.  So each middle term walks its own line, keys (t, lo, P)
+    ascending in t, and a term pair costs a few int operations: the X^f1
+    child of key t meets only the X^f0 child of key t+1, made next.  A zero
+    sum is dropped, also at the end, where exponents are built and keys
+    naming one exponent (possible for a general middle) are summed.  Two
+    shortcuts are exact: a child of span 2p + h = 0 adds
+    a*(q^(-p/2) - q^(-p/2)) = 0 and is skipped; a line that empties stops.
+
+    W = _slot_width(4^L * ||M||_1), L = len(halves), ||x||_1 the sum of the
+    absolute values of x's coefficients, suffices: ||A||_1 = 2, so a step at
+    most quadruples the l1 norm of all keys together, and a coefficient of a
+    key, or of a sum of keys, stays at most 4^L ||M||_1 < 2^(W-1) in
+    absolute value.  Such a polynomial packs to 0 only if it is 0
+    (qarith._slot_width): a zero key is dropped exactly, a result that
+    vanishes decodes nothing, and each key left is decoded once (`_unpack`).
+    """
+    rows = form.rows()
+    lam0, lam1 = ([sum(map(mul, row, f)) for row in rows] for f in (f0, f1))
+    c, steps = sum(map(mul, f0, lam1)), len(halves)
+    data: dict[ExpVec, tuple[int, int]] = {}
+    for e, lo, packed in middle:
+        p0, p1, line = sum(map(mul, e, lam0)), sum(map(mul, e, lam1)), [(0, lo, packed)]
+        for k, half in enumerate(halves):
+            out: list[tuple[int, int, int]] = []
+            for t, lo, packed in line:
+                for key, p in ((t, p0 - t * c), (t + 1, p1 + (k - t) * c)):
+                    # q^(-p/2) - q^((p+h)/2) is q^(-p/2) (1 - q^(span/2)), span = 2p + h
+                    span = 2 * p + half
+                    if span:
+                        held = (lo - p, packed - (packed << width * span)) if span > 0 else (lo + p + half, (packed << -width * span) - packed)
+                        if out and out[-1][0] == key:
+                            held = _merge(out.pop()[1:], held, width)
+                            if not held[1]:
+                                continue
+                        out.append((key, *held))
+            line = out
+            if not line:
+                break
+        for t, lo, packed in line:
+            expo = tuple(a + (steps - t) * x + t * y for a, x, y in zip(e, f0, f1))
+            data[expo] = _merge(data[expo], (lo, packed), width) if expo in data else (lo, packed)
+    return TorusElem._raw(form, {e: _unpack(lo, packed, width) for e, (lo, packed) in data.items() if packed})
 
 
 # -- canonical text form ----------------------------------------------------

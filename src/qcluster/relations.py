@@ -3,8 +3,9 @@
 Every check here expands an alternating sum (or a difference against a
 closed form) exactly in the torus and decides the verdict by canonical
 emptiness, never by sampling.  The alternating sums are evaluated as
-iterated q-commutators (the q-adjoint action), so the relation kernel
-expands no q-binomial coefficient.  Certificates record the instance, the
+iterated q-commutators (the q-adjoint action) on packed ints, so the
+kernel expands no q-binomial coefficient, and y_j^l is read packed from
+the q-binomial table.  Certificates record the instance, the
 verdict, the canonical remainder and expansion statistics.
 """
 
@@ -15,8 +16,8 @@ import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .qarith import QLaurent, _require_int, q_binom
-from .qtorus import TorusElem, iterated_q_commutator, vec_add
+from .qarith import QLaurent, _q_binom_entry, _require_int, _respread, _slot_width
+from .qtorus import SkewForm, TorusElem, _commutator_lines, _unpack, iterated_q_commutator, vec_add
 from .seeds import QuantumSeed, pos_part
 
 
@@ -81,13 +82,15 @@ class VerificationCertificate:
 
 @dataclass(frozen=True)
 class _Plan:
-    """A validated alternating-sum check, built by `_plan`: the arguments
-    of `qtorus.iterated_q_commutator`, which `_run` expands, and the
-    `terms` of its certificate."""
+    """A validated alternating-sum check, built by `_plan`: the arguments of
+    `qtorus._commutator_lines`, which `_run` expands, and its `terms`."""
 
-    outer: TorusElem
-    middle: TorusElem
+    form: SkewForm
+    f0: tuple[int, ...]
+    f1: tuple[int, ...]
+    middle: tuple[tuple[tuple[int, ...], int, int], ...]
     halves: tuple[int, ...]
+    width: int
     terms: int
     twist: int
 
@@ -110,54 +113,48 @@ def _require_pair(seed: QuantumSeed, i: int, j: int) -> tuple[TorusElem, ...]:
 
 
 def _certify(check: str, params: Sequence[tuple[str, object]], residue: TorusElem, terms: int, started: float, exploratory: bool = False) -> VerificationCertificate:
-    return VerificationCertificate(
-        check=check,
-        params=tuple(params),
-        ok=residue.is_zero(),
-        residue=str(residue),
-        terms=terms,
-        seconds=time.perf_counter() - started,
-        exploratory=exploratory,
-    )
+    ok, text = residue.is_zero(), str(residue)
+    return VerificationCertificate(check, tuple(params), ok, text, terms, time.perf_counter() - started, exploratory)
 
 
-def _free_exponent(seed: QuantumSeed, k: int) -> tuple[int, ...]:
-    """g(y_k) = -e_k + [-b_k]_+, the exponent of the term of y_k without x_(n+k)."""
-    return next(e for e in seed.one_step[k - 1]._terms if not e[seed.n + k - 1])
+def _exponents(seed: QuantumSeed, k: int) -> list[tuple[int, ...]]:
+    """[g(y_k), g(y_k) + b_k], the exponents of y_k's terms; g(y_k) = -e_k + [-b_k]_+ has no x_(n+k)."""
+    return sorted(seed.one_step[k - 1]._terms, key=lambda e: e[seed.n + k - 1])
 
 
 def _twisted(params: Sequence[tuple[str, object]], twist: int) -> tuple[tuple[str, object], ...]:
     return tuple(params) + ((("twist", twist),) if twist else ())
 
 
-def _plan(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: int, shift: int = 0) -> _Plan:
-    """The iterated q-commutator of `middle` with A = `outer`.
-
-    Starting from M = middle, step k = 0 .. steps-1 replaces M by
-    A*M - q^(d(first+k)) * (M*A), in one pass of
-    `qtorus.iterated_q_commutator`.  Left and right multiplication by A
-    commute as operators and q is central, so by Gauss's binomial formula
-    at Q = q^d the result is the alternating sum
+def _plan(seed: QuantumSeed, i: int, middle: Sequence[tuple[tuple[int, ...], int, int]], width: int, steps: int, first: int) -> _Plan:
+    """The iterated q-commutator of `middle`, packed terms (e, lo, P) at
+    q^(1/2) = 2^width, with A = y_i = X^f0 + X^f1: from M = middle, step
+    k = 0 .. steps-1 sets M to A*M - q^(d(first+k)) * (M*A), d = d_i.
+    Left and right multiplication by A commute as operators and q is
+    central, so by Gauss's binomial formula at Q = q^d the result is
 
         sum_r (-1)^r Q^(r(r-1)/2 + r*first) [L, r]_Q * A^(L-r) M A^r
 
-    with L = steps; with first = 0 it is (ad_q A)^L (M).  `shift` is added
-    to every twist.  The builders pass 2*lambda(g(A), g(M)), g the exponent
-    of the coefficient-free term: X^g(A) X^g(M) = q^(shift/2) X^g(M) X^g(A),
-    so a step twisted by it q-commutes those terms, and the sum above gains
-    the factor q^(r*shift/2).  It is 0 when Lambda's mutable block is.  The
-    steps commute, so `halves` holds their twists 2d(first+k) + shift,
-    least twisted first: those steps cancel most terms early and keep the
-    intermediates small; their order does not change the sum.
+    with L = steps; with first = 0 it is (ad_q A)^L (M).  Every twist gains
+    shift = 2*lambda(g(A), g(M)), g the exponent of the coefficient-free term
+    (the first of M): X^g(A) X^g(M) = q^(shift/2) X^g(M) X^g(A), so a step
+    twisted by it q-commutes those terms, and the sum above gains the factor
+    q^(r*shift/2).  It is 0 when Lambda's mutable block is.  The steps
+    commute, so their order does not change the sum.  `halves` takes them by
+    |h - shift| = 2d|first+k|, which on an order plan (first = 0 or -m) is
+    by k, ascending or descending: then at every step one child of each key
+    of a line (`qtorus._commutator_lines`) has span 0, and each term of M
+    keeps one live key.  By |h| the steps interleave once shift != 0, and
+    the lines grow.
 
     `terms` counts the terms of the L+1 scaled summands without building
     them, from three facts that hold for every plan the builders make on a
     principal seed:
     - A is y_i, which `mutated_variable` builds as X^f0 + X^f1 with
       f0 = g(y_i) and f1 = f0 + b_i, two distinct unit terms, since column
-      b_i has a 1 in row n+i (the kernel refuses any other outer);
-    - M is y_j^l, a product of elements with positive coefficients, so
-      nothing in it cancels, or it is x_i^(step-1), with coefficient 1;
+      b_i has a 1 in row n+i;
+    - M is y_j^l, whose coefficients are positive (`_power_terms`), or
+      x_i^(step-1), with coefficient 1;
     - coordinate n+i is 0 on supp(M), as no exponent of y_j or x_i has
       x_(n+i), and it is 0 on f0 and 1 on f1.
     Then no product cancels, so every summand has the support
@@ -166,15 +163,17 @@ def _plan(outer: TorusElem, middle: TorusElem, d: int, steps: int, first: int, s
     nonzero q-binomial multiple keeps them, since Z[q^(1/2), q^(-1/2)] has
     no zero divisors, so `terms` is |supp(M)| * (L+1)^2.
     """
-    halves = tuple(sorted((2 * d * (first + k) + shift for k in range(steps)), key=abs))
-    return _Plan(outer, middle, halves, middle.term_count() * (steps + 1) ** 2, shift)
+    f0, f1 = _exponents(seed, i)
+    shift = 2 * seed.form.pairing(f0, middle[0][0])
+    halves = tuple(2 * seed.d[i - 1] * x + shift for x in sorted(range(first, first + steps), key=abs))
+    return _Plan(seed.form, f0, f1, tuple(middle), halves, width, len(middle) * (steps + 1) ** 2, shift)
 
 
 def _run(check: str, params: Sequence[tuple[str, object]], plan: _Plan, exploratory: bool = False) -> VerificationCertificate:
     """Expand `plan` and certify it, its twist last in `params`; `seconds`
     is the time of the expansion."""
     started = time.perf_counter()
-    total = iterated_q_commutator(plan.outer, plan.middle, plan.halves)
+    total = _commutator_lines(plan.form, plan.f0, plan.f1, plan.middle, plan.halves, plan.width)
     return _certify(check, _twisted(params, plan.twist), total, plan.terms, started, exploratory)
 
 
@@ -195,18 +194,21 @@ def one_step_variables(seed: QuantumSeed) -> tuple[TorusElem, ...]:
 # -- closed forms on based monomials ----------------------------------------
 
 
-def _power_terms(seed: QuantumSeed, k: int, t: int) -> list[tuple[tuple[int, ...], QLaurent]]:
-    """The t+1 terms (e, c) of y_k^t, built without a torus product:
+def _power_terms(seed: QuantumSeed, k: int, t: int, width: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """The t+1 terms (e, lo, P) of y_k^t packed at q^(1/2) = 2^width, from
+    the q-binomial table's entries, with no torus product and no decoding:
 
         y_k^t = sum_s q^(-d_k s(t-s)/2) [t, s]_(q^(d_k)) X^(t*g(y_k) + s*b_k),
 
     b_k column k of Btilde.  This is the q-binomial theorem for
     y_k = X^g(y_k) + X^(g(y_k) + b_k), whose two terms pair to
-    lambda(g(y_k), g(y_k) + b_k) = d_k by compatibility.
+    lambda(g(y_k), g(y_k) + b_k) = d_k by compatibility.  Slot r of [t, s],
+    the coefficient of q^(d_k r), moves to stride 2 d_k width, exactly
+    when 2^t < 2^(width-1), since [t, s] at q = 1 is C(t, s) < 2^t.
     """
-    d_k, free, column = seed.d[k - 1], _free_exponent(seed, k), seed.exchange.column(k)
+    d_k, (f0, f1) = seed.d[k - 1], _exponents(seed, k)
     return [
-        (tuple(t * g + s * b for g, b in zip(free, column)), q_binom(t, s, d_k).shift(-d_k * s * (t - s)))
+        (tuple((t - s) * a + s * b for a, b in zip(f0, f1)), -d_k * s * (t - s), _respread(*_q_binom_entry(t, s), 2 * d_k * width, s * (t - s) + 1))
         for s in range(t + 1)
     ]
 
@@ -226,7 +228,7 @@ def commutator_witness(seed: QuantumSeed, i: int, j: int) -> TorusElem:
     b_ij = seed.b_entry(i, j)
     if b_ij == 0:
         return TorusElem.zero(seed.form)
-    a, c = _free_exponent(seed, i), _free_exponent(seed, j)
+    a, c = _exponents(seed, i)[0], _exponents(seed, j)[0]
     half, size = seed.form.pairing(a, c), seed.d[i - 1] * abs(b_ij)
     sign = 1 if b_ij < 0 else -1
     column = seed.exchange.column(i if b_ij < 0 else j)
@@ -239,7 +241,7 @@ def commutator_check(seed: QuantumSeed, i: int, j: int) -> VerificationCertifica
     against `commutator_witness`; a nonzero s is reported as ("twist", s)."""
     started = time.perf_counter()
     ys = _require_pair(seed, i, j)
-    twist = 2 * seed.form.pairing(_free_exponent(seed, i), _free_exponent(seed, j))
+    twist = 2 * seed.form.pairing(_exponents(seed, i)[0], _exponents(seed, j)[0])
     commutator = iterated_q_commutator(ys[i - 1], ys[j - 1], (twist,))
     residue = commutator - commutator_witness(seed, i, j)
     terms = commutator.term_count()
@@ -272,18 +274,16 @@ def power_product_check(seed: QuantumSeed, i: int, t: int, side: str = "left") -
     y_i_t = ys[i - 1] ** t
     x_i_t = TorusElem.monomial(form, power)
     brute = y_i_t * x_i_t if side == "left" else x_i_t * y_i_t
-    expansion = TorusElem(
-        form, [(vec_add(e, power), c.shift(sign * form.pairing(e, power))) for e, c in _power_terms(seed, i, t)]
-    )
+    width = _slot_width(1 << t)
+    terms_t = _power_terms(seed, i, t, width)
+    expansion = TorusElem(form, [(vec_add(e, power), _unpack(lo + sign * form.pairing(e, power), packed, width)) for e, lo, packed in terms_t])
     column, d_i = seed.exchange.column(i), seed.d[i - 1]
     low, high = tuple(pos_part(-b) for b in column), tuple(pos_part(b) for b in column)
-    lean = form.pairing(_free_exponent(seed, i), e_i)
+    lean = form.pairing(_exponents(seed, i)[0], e_i)
     product_form = TorusElem.monomial(form, (0,) * seed.m, QLaurent.q_power(sign * t * t * lean))
     for r in range(1, t + 1):
         product_form = product_form * TorusElem(form, {low: 1, high: QLaurent.q_power(sign * d_i * (2 * r - 1))})
-    first_diff = brute - product_form
-    second_diff = brute - expansion
-    residue = first_diff if first_diff else second_diff
+    residue = (brute - product_form) or (brute - expansion)
     terms = brute.term_count() + product_form.term_count() + expansion.term_count()
     return _certify("power-product", (("i", i), ("t", t), ("side", side)), residue, terms, started)
 
@@ -298,7 +298,7 @@ def _lemma_plan(
 
     L32 is L41 at L41's defaults, t_shift = 0 and m_exp = (t_shift+1)*|b_ij|.
     """
-    ys = _require_pair(seed, i, j)
+    _require_pair(seed, i, j)
     if m_exp is not None:
         _require_int("outer exponent m_exp", m_exp)
     if t_shift is not None:
@@ -337,9 +337,8 @@ def _lemma_plan(
     # b_ij > 0 and at Q^0 otherwise.
     first = step - m_exp if b > 0 else 0
     e_i = tuple(int(t == i - 1) for t in range(seed.m))
-    middle = TorusElem.monomial(seed.form, [(step - 1) * v for v in e_i])
-    shift = 2 * (step - 1) * seed.form.pairing(_free_exponent(seed, i), e_i)
-    return params, _plan(ys[i - 1], middle, seed.d[i - 1], m_exp, first, shift)
+    middle = [(tuple((step - 1) * v for v in e_i), 0, 1)]
+    return params, _plan(seed, i, middle, _slot_width(4 ** m_exp), m_exp, first)
 
 
 def lemma_sum_check(
@@ -370,7 +369,10 @@ def _order_plan(seed: QuantumSeed, i: int, j: int, l: int, m_exp: int, explorato
     The caller has validated the seed and the pair (`_require_pair`); the
     order (l, m_exp) is checked as `higher_verify` says.  The twist is
     q^(d_i * r(r-1)/2), times q^(-d_i * r * m) when b_ij > 0: m+1
-    q-commutator steps, the first at q^(-d_i * m) when b_ij > 0.
+    q-commutator steps, the first at q^(-d_i * m) when b_ij > 0.  The middle
+    y_j^l comes packed from the q-binomial table (`_power_terms`) at the
+    kernel's width for L = m+1 steps, W = _slot_width(4^L * 2^l): y_j^l has
+    positive coefficients and is (1 + 1)^l at q = 1, so ||y_j^l||_1 = 2^l.
     """
     _require_int("order l", l)
     _require_int("outer exponent m_exp", m_exp)
@@ -388,9 +390,8 @@ def _order_plan(seed: QuantumSeed, i: int, j: int, l: int, m_exp: int, explorato
         raise ValueError(f"order l={l} exceeds |b_ij| = {size}")
     elif m_exp < l * size:
         raise ValueError(f"outer exponent m={m_exp} below the bound l*|b_ij| = {l * size}")
-    first = -m_exp if b > 0 else 0
-    shift = 2 * l * seed.form.pairing(_free_exponent(seed, i), _free_exponent(seed, j))
-    return _plan(seed.one_step[i - 1], seed.one_step[j - 1] ** l, seed.d[i - 1], m_exp + 1, first, shift)
+    width = _slot_width(4 ** (m_exp + 1) << l)
+    return _plan(seed, i, _power_terms(seed, j, l, width), width, m_exp + 1, -m_exp if b > 0 else 0)
 
 
 def serre_verify(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
@@ -418,7 +419,7 @@ def serre_verify_opposite(seed: QuantumSeed, i: int, j: int) -> VerificationCert
         raise ValueError(f"reversed-side relation needs b_ij <= 0, got b_ij={seed.b_entry(i, j)}")
     plan = _order_plan(seed, j, i, 1, abs(seed.b_entry(j, i)))
     started = time.perf_counter()
-    total = iterated_q_commutator(plan.outer, plan.middle, plan.halves).bar()
+    total = _commutator_lines(plan.form, plan.f0, plan.f1, plan.middle, plan.halves, plan.width).bar()
     return _certify("serre-opposite", _twisted((("i", i), ("j", j)), -plan.twist), total, plan.terms, started)
 
 

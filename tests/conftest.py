@@ -1,11 +1,12 @@
 import pytest
 
-from qcluster import qtorus
+from qcluster import qtorus, relations
 
 
 @pytest.fixture
 def kernel_widths(monkeypatch):
-    """The slot width each qtorus.iterated_q_commutator call chose, in order."""
+    """The slot width each q-commutator expansion chose, in order: in
+    qtorus.iterated_q_commutator, or in the relation plan builders."""
     seen = []
     slot_width = qtorus._slot_width
 
@@ -13,5 +14,6 @@ def kernel_widths(monkeypatch):
         seen.append(slot_width(bound))
         return seen[-1]
 
-    monkeypatch.setattr(qtorus, "_slot_width", spy)
+    for module in (qtorus, relations):
+        monkeypatch.setattr(module, "_slot_width", spy)
     return seen

@@ -269,8 +269,8 @@ class TestVerify:
         # b_12 = 1 > 0 on exam1: the reversed side is refused before
         # serre(1, 2) is expanded, so a huge b_12 costs nothing either
         calls = []
-        kernel = relations.iterated_q_commutator
-        monkeypatch.setattr(relations, "iterated_q_commutator", lambda *a: calls.append(a) or kernel(*a))
+        kernel = relations._commutator_lines
+        monkeypatch.setattr(relations, "_commutator_lines", lambda *a: calls.append(a) or kernel(*a))
         status, out, err = run(capsys, "verify-serre", "--seed", EXAM1, "--i", "1", "--j", "2", "--opposite")
         assert (status, out, calls) == (2, "", [])
         assert err == "error: reversed-side relation needs b_ij <= 0, got b_ij=1\n"

@@ -257,6 +257,29 @@ class TestIteratedQCommutator:
         # barred operands at the negated twists
         assert iterated_q_commutator(outer.bar(), middle.bar(), [-h for h in halves]).bar() == right
 
+    @given(skew_forms(3), st.data(), st.lists(st.integers(min_value=-6, max_value=6), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_colliding_lines_match_products(self, form, data, halves):
+        # middle terms e + r*(f1 - f0) share one line of A = X^f0 + X^f1,
+        # so keys of different middle terms name one exponent after each
+        # step; the kernel sums them at the end
+        outer = data.draw(binomials(form))
+        f0, f1 = outer.support()
+        base = data.draw(exp_vecs(form.dim))
+        coeffs = data.draw(st.lists(st.sampled_from([QLaurent.from_int(1), QLaurent.from_int(-2), QLaurent({1: 1, -3: -1})]), min_size=2, max_size=4))
+        middle = TorusElem(form, [(tuple(a + r * (y - x) for a, x, y in zip(base, f0, f1)), c) for r, c in enumerate(coeffs)])
+        assert iterated_q_commutator(outer, middle, halves) == self._by_products(outer, middle, halves)
+
+    def test_colliding_keys_that_cancel_are_dropped(self):
+        # M = X^(-f1) - X^(-f0): the keys at X^0, one from each middle term,
+        # cancel in both A*M and M*A, so the result has no X^0 term
+        outer = TorusElem(LAM4, {(1, 0, 1, 0): 1, (0, 1, 0, 0): 1})
+        middle = TorusElem(LAM4, {(-1, 0, -1, 0): 1, (0, -1, 0, 0): -1})
+        for halves in ([0], [3], [-2, 5]):
+            result = iterated_q_commutator(outer, middle, halves)
+            assert result == self._by_products(outer, middle, halves)
+        assert (0, 0, 0, 0) not in iterated_q_commutator(outer, middle, [3]).support()
+
     def test_commuting_pair_cancels(self):
         # lambda_24 = -1 and lambda_14 = 0, so both terms X^f of
         # A = X^e2 + X^(e1+e2) have X^f x4 = q^(-1) x4 X^f: A x4 - q^(-1) x4 A = 0

@@ -1,19 +1,19 @@
 import hashlib
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcluster import relations, seeds
-from qcluster.qarith import QLaurent, q_binom
-from qcluster.qtorus import SkewForm, TorusElem, iterated_q_commutator
+from qcluster import qtorus, relations, seeds
+from qcluster.qarith import QLaurent, _slot_width, q_binom
+from qcluster.qtorus import SkewForm, TorusElem, _commutator_lines, _pack, iterated_q_commutator
 from qcluster.relations import (
     _lemma_plan,
     _order_plan,
-    _plan,
     commutator_check,
     commutator_witness,
     full_suite,
@@ -31,7 +31,7 @@ from qcluster.seeds import (
     principal_seed,
     random_principal_seed,
 )
-from seed_kinds import compatible_principal_seed
+from seed_kinds import compatible_principal_seed, with_mutable_block
 from torus_words import ordered_product
 
 COMMUTATOR_COEFF = QLaurent({3: 1, -1: -1})  # q^(3/2) - q^(-1/2)
@@ -70,6 +70,11 @@ def _sandwich(outer, middle, coeffs):
         right = right * outer
         acc = outer * acc + right.scale(coeff)
     return acc, right.term_count() * sum(1 for coeff in coeffs if coeff)
+
+
+def _halves(d, steps, first, shift=0):
+    """The twists 2d(first+k) + shift of a plan's steps, k = 0 .. steps-1."""
+    return [2 * d * (first + k) + shift for k in range(steps)]
 
 
 def _alternating_coeffs(top, d, shift):
@@ -140,23 +145,20 @@ class TestSandwichKernel:
     @given(sandwich_operands(outer_terms=(2, 2)), st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=4))
     @settings(max_examples=60, deadline=None)
     def test_q_adjoint_matches_oracle(self, operands, d, m_exp):
-        # each builder's step count and first twist, in `_plan`'s twist
-        # order, against the oracle fed the q-binomial coefficients they
-        # replace: the order sum (serre and higher) for b_ij <= 0 and
+        # each builder's step count and first twist, with the twists
+        # 2d(first+k) + shift in the order of k (the steps commute, so
+        # `_plan`'s order gives the same sum), against the oracle fed the
+        # q-binomial coefficients they replace: the order sum (serre and higher) for b_ij <= 0 and
         # b_ij > 0, the reversed side through the bar identity, and the
         # lemma partial sums for both signs.  The outers are X^f0 + X^f1, as
         # every one-step variable is; the middles are otherwise generic, so
-        # most sums are nonzero, as exploratory remainders are.  A generic
-        # middle need not have the shape `_plan`'s `terms` assumes, so the
-        # twists come from a plan on one of its terms: the Gauss-binomial
-        # identity holds for every middle.
+        # most sums are nonzero, as exploratory remainders are: the
+        # Gauss-binomial identity holds for every middle.
         outer, middle, _ = operands
         outer = TorusElem(outer.form, dict.fromkeys(outer.support(), 1))
-        probe = TorusElem.monomial(outer.form, min(middle.support()))
 
         def kernel(steps, first):
-            halves = _plan(outer, probe, d, steps, first).halves
-            return iterated_q_commutator(outer, middle, halves)
+            return iterated_q_commutator(outer, middle, _halves(d, steps, first))
 
         def oracle(coeffs):
             return _sandwich(outer, middle, coeffs)[0]
@@ -165,7 +167,7 @@ class TestSandwichKernel:
             assert kernel(m_exp + 1, -shift) == oracle(_alternating_coeffs(m_exp + 1, d, shift))
         # the reversed Gauss coefficients, A^r M A^(L-r): bar of the forward
         # steps on the barred operands at the negated twists
-        halves = _plan(outer, probe, d, m_exp + 1, 0).halves
+        halves = _halves(d, m_exp + 1, 0)
         mirrored = iterated_q_commutator(outer.bar(), middle.bar(), [-h for h in halves]).bar()
         assert mirrored == oracle(_alternating_coeffs(m_exp + 1, d, 0)[::-1])
         for step in range(1, 4):
@@ -173,24 +175,22 @@ class TestSandwichKernel:
         assert kernel(m_exp, 0) == oracle(_lemma_coeffs(m_exp, d, 1, positive=False))
         # a shift on every step multiplies coefficient r by q^(r*shift/2)
         for shift in (-3, 2):
-            halves = _plan(outer, probe, d, m_exp + 1, 0, shift).halves
+            halves = _halves(d, m_exp + 1, 0, shift)
             coeffs = _alternating_coeffs(m_exp + 1, d, 0)
             twisted = [c * QLaurent.q_power(r * shift) for r, c in enumerate(coeffs)]
             assert iterated_q_commutator(outer, middle, halves) == oracle(twisted)
 
     def test_negative_coefficient_refused(self, ex1):
         y1, y2 = one_step_variables(ex1)
-        plan = _plan(-y1, y2, 1, 2, 0)
         with pytest.raises(ArithmeticError, match=r"X\^f0 \+ X\^f1"):
-            iterated_q_commutator(plan.outer, plan.middle, plan.halves)
+            iterated_q_commutator(-y1, y2, _halves(1, 2, 0))
 
     @given(sandwich_operands(outer_terms=(1, 1)), sandwich_operands(outer_terms=(3, 3)))
     @settings(max_examples=20, deadline=None)
     def test_outer_without_two_terms_refused(self, one_term, three_terms):
         for outer, middle, _ in (one_term, three_terms):
-            plan = _plan(outer, middle, 1, 2, 0)
             with pytest.raises(ArithmeticError, match=r"X\^f0 \+ X\^f1"):
-                iterated_q_commutator(plan.outer, plan.middle, plan.halves)
+                iterated_q_commutator(outer, middle, _halves(1, 2, 0))
 
     def test_heavy_instance(self, kernel_widths):
         # 101 steps of y_1 on y_2^10, whose l1 norm is 2^10: coefficients are
@@ -221,45 +221,150 @@ def _gauss_coeffs(halves):
 
 
 def _every_plan(seed):
-    """Every plan of `seed`: admissible and exploratory higher (one order
-    past |b_ij| among them), whose l = 1 plan at m = |b_ij| is serre and,
-    barred, the reversed side, then L32 and L41."""
+    """Every plan of `seed` with its operands rebuilt from the seed: y_i,
+    and y_j ** l or x_i^(step-1).  Admissible and exploratory higher (one
+    order past |b_ij| among them), whose l = 1 plan at m = |b_ij| is serre
+    and, barred, the reversed side, then L32 and L41."""
     plans = []
+    ys = one_step_variables(seed)
     for i in range(1, seed.n + 1):
         for j in range(1, seed.n + 1):
             if i == j:
                 continue
             size = abs(seed.b_entry(i, j))
+            orders = ((1, 0), (1, 1), (2, 2)) if size == 0 else [(l, l * size) for l in range(1, size + 1)]
+            plans.extend((_order_plan(seed, i, j, l, m), ys[i - 1], ys[j - 1] ** l) for l, m in orders)
             if size == 0:
-                plans.extend(_order_plan(seed, i, j, l, m) for l, m in ((1, 0), (1, 1), (2, 2)))
                 continue
             for l in range(1, size + 1):
-                plans.append(_order_plan(seed, i, j, l, l * size))
-                plans.append(_order_plan(seed, i, j, l, l * size - 1, exploratory=True))
-            plans.append(_order_plan(seed, i, j, size + 1, (size + 1) * size + 2, exploratory=True))
-            plans.append(_lemma_plan(seed, i, j, "L32", None, None)[1])
-            plans.extend(_lemma_plan(seed, i, j, "L41", None, t)[1] for t in range(size))
+                plans.append((_order_plan(seed, i, j, l, l * size - 1, exploratory=True), ys[i - 1], ys[j - 1] ** l))
+            plans.append((_order_plan(seed, i, j, size + 1, (size + 1) * size + 2, exploratory=True), ys[i - 1], ys[j - 1] ** (size + 1)))
+            for t in (None, *range(size)):
+                x_i = ordered_product(seed.form, [(i, size * (1 + (t or 0)) - 1)])
+                plans.append((_lemma_plan(seed, i, j, "L41" if t is not None else "L32", None, t)[1], ys[i - 1], x_i))
     return plans
+
+
+def _expand(plan):
+    """The element `_run` certifies for `plan`."""
+    return _commutator_lines(plan.form, plan.f0, plan.f1, plan.middle, plan.halves, plan.width)
 
 
 class TestPlanTerms:
     def test_terms_is_the_summed_term_count(self):
         # each plan's closed form |supp M| * (L+1)^2 against the summands
-        # built and counted by the oracle, whose sum is also the kernel's
-        # element; on seeds with a nonzero mutable Lambda block many sums
-        # are nonzero.  The kernel refuses an outer other than X^f0 + X^f1
-        # and the oracle a negative coefficient, so this also checks the
-        # facts `_plan`'s closed form rests on, at ranks 2, 3 and 4.
+        # built and counted by the oracle from the operands rebuilt from the
+        # seed, whose sum is also the kernel's element; on seeds with a
+        # nonzero mutable Lambda block many sums are nonzero.  The oracle
+        # refuses a negative coefficient, so this also checks the facts
+        # `_plan`'s closed form rests on, at ranks 2, 3 and 4.
         rng = random.Random(29)
         count = 0
         for make in (random_principal_seed, compatible_principal_seed):
             for seed in [make(rng, rng.choice([2, 3])) for _ in range(3)] + [make(rng, 4)]:
-                for plan in _every_plan(seed):
-                    total, terms = _sandwich(plan.outer, plan.middle, _gauss_coeffs(plan.halves))
+                for plan, outer, middle in _every_plan(seed):
+                    assert {plan.f0, plan.f1} == outer.support()
+                    total, terms = _sandwich(outer, middle, _gauss_coeffs(plan.halves))
                     assert plan.terms == terms
-                    assert iterated_q_commutator(plan.outer, plan.middle, plan.halves) == total
+                    assert _expand(plan) == total
                     count += 1
         assert count > 100
+
+    def test_packed_middle_is_the_torus_power(self):
+        # y_j^l from the q-binomial table equals y_j ** l packed at the
+        # plan's width, which is the kernel's bound for that middle, and the
+        # lemma middle x_i^(step-1) is the one packed term (e, 0, 1); on
+        # both seed kinds
+        rng = random.Random(37)
+        for make in (random_principal_seed, compatible_principal_seed):
+            for seed in [make(rng, rng.choice([2, 3, 4])) for _ in range(4)]:
+                for plan, _, middle in _every_plan(seed):
+                    norm = sum(abs(v) for _, c in middle.items() for _, v in c.items())
+                    assert plan.width == _slot_width(4 ** len(plan.halves) * norm)
+                    packed = sorted((e, *_pack(c, plan.width)) for e, c in middle.items())
+                    assert sorted(plan.middle) == packed
+
+    def test_passing_suite_multiplies_and_decodes_nothing(self, monkeypatch):
+        # every operand of a suite plan comes from the seed and the
+        # q-binomial table, and a vanishing result is returned undecoded
+        calls = []
+        monkeypatch.setattr(TorusElem, "__mul__", lambda *a: calls.append("mul"))
+        for module in (qtorus, relations):
+            monkeypatch.setattr(module, "_unpack", lambda *a: calls.append("unpack"))
+        rng = random.Random(41)
+        for make in (random_principal_seed, compatible_principal_seed):
+            for _ in range(6):
+                certs = full_suite(make(rng, rng.choice([2, 3])))
+                assert all(cert.ok for cert in certs)
+        assert calls == []
+
+
+def _product_form(seed, i, j, l, m_exp):
+    """The order plan (i, j, l, m) in product form, built from y_j ** l:
+
+        sum_s c_s * prod_(k=0..m) (1 - q^(d_i (k - kappa_s))) * X^((m+1) f) X^(e_s),
+
+    c_s X^(e_s) the term of y_j^l with s = coordinate n+j of e_s, and
+    f = f1, kappa_s = |b_ij| (l - s) when b_ij <= 0, f = f0 = g(y_i),
+    kappa_s = m - b_ij s when b_ij > 0.  Each middle term picks up one
+    binomial per step, and the step k = kappa_s zeroes it.  The factors are
+    multiplied nearest that step first, so a vanishing term costs little.
+    """
+    b, d = seed.b_entry(i, j), seed.d[i - 1]
+    f0 = _free_term(seed, i)
+    f = f0 if b > 0 else tuple(a + c for a, c in zip(f0, seed.exchange.column(i)))
+    total = TorusElem.zero(seed.form)
+    for e, c in (one_step_variables(seed)[j - 1] ** l).items():
+        s = e[seed.n + j - 1]
+        kappa = m_exp - b * s if b > 0 else -b * (l - s)
+        for k in sorted(range(m_exp + 1), key=lambda k: abs(k - kappa)):
+            c = c * (QLaurent.one() - QLaurent.q_power(2 * d * (k - kappa)))
+        outer = TorusElem.monomial(seed.form, [(m_exp + 1) * v for v in f])
+        total = total + (outer * TorusElem.monomial(seed.form, e)).scale(c)
+    return total
+
+
+class TestProductForm:
+    # An oracle for the kernel that shares nothing with it: no q-commutator
+    # step, no packing, no line coordinates.
+
+    @given(st.booleans(), st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=10**6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_matches_product_form(self, twisted, rank, rng_seed, data):
+        # both seed kinds, exploratory instances included: l past |b_ij|
+        # and m below l*|b_ij|, where the sums do not vanish
+        make = compatible_principal_seed if twisted else random_principal_seed
+        seed = make(random.Random(rng_seed), rank)
+        i, j = data.draw(st.lists(st.integers(min_value=1, max_value=rank), min_size=2, max_size=2, unique=True))
+        l, m_exp = data.draw(st.integers(min_value=1, max_value=4)), data.draw(st.integers(min_value=0, max_value=10))
+        expected = _product_form(seed, i, j, l, m_exp)
+        assert _expand(_order_plan(seed, i, j, l, m_exp, exploratory=True)) == expected
+        cert = higher_verify(seed, i, j, l, m_exp, exploratory=True)
+        assert (cert.ok, cert.residue) == (expected.is_zero(), str(expected))
+
+    @pytest.mark.parametrize("i, j", [(1, 2), (2, 1)])
+    def test_residue_one_step_below_the_bound(self, i, j):
+        # b = l = 10 at m = 99 = l*|b_ij| - 1: 100 steps on the 11 terms of
+        # y_j^10, too many for the torus-product oracle; one term survives
+        seed = principal_seed([[0, 10], [-10, 0]], (1, 1))
+        expected = _product_form(seed, i, j, 10, 99)
+        cert = higher_verify(seed, i, j, 10, 99, exploratory=True)
+        assert expected.term_count() == 1
+        assert (cert.ok, cert.residue) == (False, str(expected))
+
+
+class TestStepOrder:
+    @pytest.mark.parametrize("i, j", [(1, 2), (2, 1)])
+    def test_mutable_block_instance_runs_in_index_order(self, i, j):
+        # B = [[0, 8], [-8, 0]], D = (1, 1), Lambda11 = [[0, 5], [-5, 0]]:
+        # every twist is moved by a nonzero shift, and steps taken by |h|
+        # instead of by their index grow the lines (seconds and about 94
+        # MiB per instance); by index each term keeps one live key
+        seed = with_mutable_block(principal_seed([[0, 8], [-8, 0]], (1, 1)), [[0, 5], [-5, 0]])
+        plan = _order_plan(seed, i, j, 8, 64)
+        assert plan.twist
+        cert = higher_verify(seed, i, j, 8, 64)
+        assert (cert.ok, cert.residue, cert.terms) == (True, "0", 39204)
 
 
 class TestOneStepVariables:
@@ -617,8 +722,8 @@ class TestSuites:
             passes.append(args)
             return original(*args)
 
-        original = relations.iterated_q_commutator
-        monkeypatch.setattr(relations, "iterated_q_commutator", counting)
+        original = relations._commutator_lines
+        monkeypatch.setattr(relations, "_commutator_lines", counting)
         seed = load_seed(Path(__file__).resolve().parent.parent / "fixtures" / "exam1.json")
         certs = full_suite(seed)
         # serre (1, 2), (2, 1) and higher (2, 1, 2, 4); the two l = 1
@@ -784,9 +889,12 @@ def _twist(seed, i, j):
 def _move_twists(monkeypatch, moved):
     """Make every plan's builder pass its shift moved by `moved`."""
     plan = relations._plan
-    monkeypatch.setattr(
-        relations, "_plan", lambda outer, middle, d, steps, first, shift: plan(outer, middle, d, steps, first, shift + moved)
-    )
+
+    def moved_plan(*args):
+        built = plan(*args)
+        return replace(built, halves=tuple(h + moved for h in built.halves), twist=built.twist + moved)
+
+    monkeypatch.setattr(relations, "_plan", moved_plan)
 
 
 class TestReversedSide:
