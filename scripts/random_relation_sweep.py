@@ -3,7 +3,10 @@
 
 Generates skew-symmetrizable exchange matrices with bounded entries and
 symmetrizers, then runs every direct, reversed-side, and minimal
-higher-order relation check on each.  Exits 0 when every relation holds
+higher-order relation check on each.  --kind zero (the default) draws
+principal seeds whose Lambda has a zero mutable block; --kind lambda11
+then also draws a random nonzero mutable block, so every relation carries
+the twist its plan reads from Lambda.  Exits 0 when every relation holds
 and 1 when one fails.  A negative --count, or a bound that
 `random_principal_seed` refuses (--max-d below 1, a negative
 --max-entry), prints one `error: ...` line to stderr and exits 2.
@@ -29,6 +32,8 @@ def main():
     parser.add_argument("--max-entry", type=int, default=3)
     parser.add_argument("--max-d", type=int, default=3)
     parser.add_argument("--rng-seed", type=int, default=0)
+    parser.add_argument("--kind", choices=("zero", "lambda11"), default="zero",
+                        help="the mutable block of Lambda: zero, or a random skew block")
     args = parser.parse_args()
     if args.count < 0:
         parser.exit(2, f"error: --count must be >= 0, got {args.count}\n")
@@ -40,7 +45,8 @@ def main():
     for index in range(args.count):
         rank = args.rank or rng.choice([2, 3])
         try:
-            seed = random_principal_seed(rng, rank, max_entry=args.max_entry, max_d=args.max_d)
+            seed = random_principal_seed(rng, rank, max_entry=args.max_entry, max_d=args.max_d,
+                                         mutable_block=args.kind == "lambda11")
         except ValueError as exc:
             parser.exit(2, f"error: {exc}\n")
         certificates = full_suite(seed)

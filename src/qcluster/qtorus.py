@@ -8,13 +8,15 @@ length m) with QLaurent coefficients, multiplied by the twist rule
 Exponent vectors are plain int tuples.  Elements are immutable, pinned to
 the SkewForm they were built over, and refuse cross-form arithmetic.
 `iterated_q_commutator` runs the q-commutator steps by an outer
-X^f0 + X^f1 in one pass on line coordinates (`_commutator_lines`): a
-middle term X^e walks the line X^(e + (k-t) f0 + t f1), and each
-coefficient is one signed int, its value at q^(1/2) = 2^W, with W chosen
-from the middle's l1 norm and the number of steps so that every
-coefficient stays below 2^(W-1) in absolute value.  Then an int is 0
-exactly when its polynomial is, so a step drops vanished terms without
-decoding them.  `TorusElem.bar` gives the mirrored step.
+X^f0 + X^f1 in one pass on pairings alone (`_commutator_lines`): a middle
+term X^e walks the line X^(e + (k-t) f0 + t f1) and is seen only through
+its pairings with f0 and f1, and the kernel returns keys (s, t) that its
+caller decodes at exponents it knows.  Each coefficient is one signed
+int, its value at q^(1/2) = 2^W, with W chosen from the middle's l1 norm
+and the number of steps so that every coefficient stays below 2^(W-1) in
+absolute value.  Then an int is 0 exactly when its polynomial is, so a
+step drops vanished terms without decoding them.  `TorusElem.bar` gives
+the mirrored step.
 """
 
 from __future__ import annotations
@@ -267,7 +269,9 @@ def _unpack(lo: int, packed: int, width: int) -> QLaurent:
 def iterated_q_commutator(outer: TorusElem, middle: TorusElem, halves: Iterable[int]) -> TorusElem:
     """Starting from M = middle, M <- A*M - q^(h/2) * (M*A) for each h in
     `halves`, with A = `outer` = X^f0 + X^f1, the shape of every one-step
-    variable y_i, by `_commutator_lines` on M packed (`_pack`) at its width.
+    variable y_i, by `_commutator_lines` on M packed (`_pack`) at its width
+    and paired by `SkewForm.pairing`.  Keys naming one exponent (possible
+    for a general middle) are summed at decode, and a zero sum is dropped.
     Twists must be ints (TypeError otherwise, bool included); an outer of
     any other shape raises ArithmeticError."""
     outer._check_form(middle)
@@ -277,9 +281,14 @@ def iterated_q_commutator(outer: TorusElem, middle: TorusElem, halves: Iterable[
     if len(outer._terms) != 2 or any(a != 1 for a in outer._terms.values()):
         raise ArithmeticError("q-commutator outer must be X^f0 + X^f1: two terms, each with coefficient 1")
     norm_m = sum(abs(v) for c in middle._terms.values() for v in c._terms.values())
-    width = _slot_width(4 ** len(halves) * norm_m)
-    f0, f1 = outer._terms
-    return _commutator_lines(outer.form, f0, f1, [(e, *_pack(c, width)) for e, c in middle._terms.items()], halves, width)
+    width, steps, pairing = _slot_width(4 ** len(halves) * norm_m), len(halves), outer.form.pairing
+    (f0, f1), exponents = outer._terms, list(middle._terms)
+    lines = [(pairing(e, f0), pairing(e, f1), *_pack(middle._terms[e], width)) for e in exponents]
+    data: dict[ExpVec, tuple[int, int]] = {}
+    for s, t, lo, packed in _commutator_lines(pairing(f0, f1), lines, halves, width):
+        expo = tuple(a + (steps - t) * x + t * y for a, x, y in zip(exponents[s], f0, f1))
+        data[expo] = _merge(data[expo], (lo, packed), width) if expo in data else (lo, packed)
+    return TorusElem._raw(outer.form, {e: _unpack(lo, packed, width) for e, (lo, packed) in data.items() if packed})
 
 
 def _merge(held: tuple[int, int], new: tuple[int, int], width: int) -> tuple[int, int]:
@@ -288,59 +297,53 @@ def _merge(held: tuple[int, int], new: tuple[int, int], width: int) -> tuple[int
     return lo, packed + (new_packed << width * (new_lo - lo))
 
 
-def _commutator_lines(form: SkewForm, f0: ExpVec, f1: ExpVec, middle: Iterable[tuple[ExpVec, int, int]], halves: Sequence[int], width: int) -> TorusElem:
+def _commutator_lines(c: int, middle: Iterable[tuple[int, int, int, int]], halves: Sequence[int], width: int) -> list[tuple[int, int, int, int]]:
     """The steps M <- A*M - q^(h/2) * (M*A), h in `halves`, A = X^f0 + X^f1,
-    on the terms (e, lo, P) of M packed at q^(1/2) = 2^W, W = `width`: the
-    ring map sending a = sum_h a_h q^(h/2) to P = sum_h a_h 2^(W(h-lo)).
+    on pairings alone: c = lambda(f0, f1), and middle term s, a X^(e_s),
+    comes as (p0, p1, lo, P), p_u = lambda(e_s, f_u), with a packed at
+    q^(1/2) = 2^W, W = `width`, as P = sum_h a_h 2^(W(h-lo)).  It returns
+    the nonzero keys (s, t, lo, P), the coefficients of
+    X^(e_s + (L-t) f0 + t f1), L = len(halves), for the caller to decode.
 
-    For a term X^f of A and a X^e of M, p = e . (Lambda f) is the only
-    twist (X^f X^e = q^(-p/2) X^(e+f) = q^(-p) X^e X^f), so the pair adds
-    a*(q^(-p/2) - q^((p+h)/2)) to X^(e+f): a shift and a subtraction of P.
-    On line coordinates, with c = lambda(f0, f1) and p_u(e) = e . Lambda f_u,
-    a term born from X^e sits after k steps at X^(e + (k-t) f0 + t f1), t
-    its X^f1 factors, and pairs to p_0(e) - t*c with f0 and p_1(e) + (k-t)*c
-    with f1.  So each middle term walks its own line, keys (t, lo, P)
-    ascending in t, and a term pair costs a few int operations: the X^f1
-    child of key t meets only the X^f0 child of key t+1, made next.  A zero
-    sum is dropped, also at the end, where exponents are built and keys
-    naming one exponent (possible for a general middle) are summed.  Two
-    shortcuts are exact: a child of span 2p + h = 0 adds
+    A term X^f of A and a X^e of M twist by p = lambda(e, f) alone
+    (X^f X^e = q^(-p) X^e X^f), so the pair adds a*(q^(-p/2) - q^((p+h)/2))
+    to X^(e+f): a shift and a subtraction of P.  After k steps a term born
+    from X^(e_s) with t factors X^f1 pairs to p0 - t*c with f0 and
+    p1 + (k-t)*c with f1, so each middle term walks its own line, keys
+    ascending in t.  A zero sum is dropped; a child of span 2p + h = 0 adds
     a*(q^(-p/2) - q^(-p/2)) = 0 and is skipped; a line that empties stops.
 
-    W = _slot_width(4^L * ||M||_1), L = len(halves), ||x||_1 the sum of the
-    absolute values of x's coefficients, suffices: ||A||_1 = 2, so a step at
-    most quadruples the l1 norm of all keys together, and a coefficient of a
-    key, or of a sum of keys, stays at most 4^L ||M||_1 < 2^(W-1) in
-    absolute value.  Such a polynomial packs to 0 only if it is 0
-    (qarith._slot_width): a zero key is dropped exactly, a result that
-    vanishes decodes nothing, and each key left is decoded once (`_unpack`).
+    W = _slot_width(4^L * ||M||_1), ||x||_1 the sum of the absolute values
+    of x's coefficients, suffices: ||A||_1 = 2, so a step at most quadruples
+    the l1 norm of all keys together, and every coefficient stays at most
+    4^L ||M||_1 < 2^(W-1) in absolute value.  Such a polynomial packs to 0
+    only if it is 0 (qarith._slot_width), so a zero key is dropped exactly.
     """
-    rows = form.rows()
-    lam0, lam1 = ([sum(map(mul, row, f)) for row in rows] for f in (f0, f1))
-    c, steps = sum(map(mul, f0, lam1)), len(halves)
-    data: dict[ExpVec, tuple[int, int]] = {}
-    for e, lo, packed in middle:
-        p0, p1, line = sum(map(mul, e, lam0)), sum(map(mul, e, lam1)), [(0, lo, packed)]
+    keys: list[tuple[int, int, int, int]] = []
+    for s, (p0, p1, lo, packed) in enumerate(middle):
+        line = [(0, lo, packed)]
         for k, half in enumerate(halves):
             out: list[tuple[int, int, int]] = []
             for t, lo, packed in line:
-                for key, p in ((t, p0 - t * c), (t + 1, p1 + (k - t) * c)):
-                    # q^(-p/2) - q^((p+h)/2) is q^(-p/2) (1 - q^(span/2)), span = 2p + h
-                    span = 2 * p + half
-                    if span:
-                        held = (lo - p, packed - (packed << width * span)) if span > 0 else (lo + p + half, (packed << -width * span) - packed)
-                        if out and out[-1][0] == key:
-                            held = _merge(out.pop()[1:], held, width)
-                            if not held[1]:
-                                continue
-                        out.append((key, *held))
+                # q^(-p/2) - q^((p+h)/2) = q^(-p/2) (1 - q^(span/2)); the X^f0 child
+                # joins key t-1's X^f1 child, made last, and the X^f1 child is new
+                p = p0 - t * c
+                span = 2 * p + half
+                if span:
+                    held = (lo - p, packed - (packed << width * span)) if span > 0 else (lo + p + half, (packed << -width * span) - packed)
+                    if out and out[-1][0] == t:
+                        held = _merge(out.pop()[1:], held, width)
+                    if held[1]:
+                        out.append((t, *held))
+                p = p1 + (k - t) * c
+                span = 2 * p + half
+                if span:
+                    out.append((t + 1, lo - p, packed - (packed << width * span)) if span > 0 else (t + 1, lo + p + half, (packed << -width * span) - packed))
             line = out
             if not line:
                 break
-        for t, lo, packed in line:
-            expo = tuple(a + (steps - t) * x + t * y for a, x, y in zip(e, f0, f1))
-            data[expo] = _merge(data[expo], (lo, packed), width) if expo in data else (lo, packed)
-    return TorusElem._raw(form, {e: _unpack(lo, packed, width) for e, (lo, packed) in data.items() if packed})
+        keys.extend((s, *key) for key in line)
+    return keys
 
 
 # -- canonical text form ----------------------------------------------------

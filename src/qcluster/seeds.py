@@ -198,6 +198,18 @@ def principal_seed(b: Sequence[Sequence[int]], d: Sequence[int]) -> QuantumSeed:
     )
 
 
+def with_mutable_block(seed: QuantumSeed, lam11: Sequence[Sequence[int]]) -> QuantumSeed:
+    """The principal seed with the exchange matrix and d of the principal
+    `seed` whose Lambda has the skew mutable block `lam11`:
+    Lambda12 = -D - Lambda11 B, Lambda21 = -Lambda12^T and
+    Lambda22 = B^T D + B^T Lambda11 B make Btilde^T Lambda = [D 0]."""
+    n, b, d = seed.n, seed.exchange.principal_part(), seed.d
+    lam12 = [[-d[r] * (r == c) - sum(lam11[r][t] * b[t][c] for t in range(n)) for c in range(n)] for r in range(n)]
+    lam22 = [[b[c][r] * d[c] + sum(b[s][r] * lam11[s][t] * b[t][c] for s in range(n) for t in range(n)) for c in range(n)] for r in range(n)]
+    rows = [list(lam11[r]) + lam12[r] for r in range(n)] + [[-lam12[c][r] for c in range(n)] + lam22[r] for r in range(n)]
+    return QuantumSeed(form=SkewForm(rows), exchange=seed.exchange, d=d)
+
+
 def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
     """One-step mutation in direction k (1-based, k in [1, n]).
 
@@ -259,8 +271,10 @@ def mutated_variable(seed: QuantumSeed, k: int) -> TorusElem:
     return TorusElem._raw(seed.form, {plus: QLaurent.one(), minus: QLaurent.one()})
 
 
-def random_principal_seed(rng: random.Random, n: int, max_entry: int = 3, max_d: int = 3) -> QuantumSeed:
-    """A random principal seed with |b_ij| <= max_entry (>= 0) and 1 <= d_i <= max_d."""
+def random_principal_seed(rng: random.Random, n: int, max_entry: int = 3, max_d: int = 3, mutable_block: bool = False) -> QuantumSeed:
+    """A random principal seed with |b_ij| <= max_entry (>= 0) and 1 <= d_i <= max_d;
+    with `mutable_block`, Lambda's mutable block is then drawn skew with
+    entries in {-2, -1, 1, 2} (`with_mutable_block`)."""
     if max_d < 1 or max_entry < 0:
         raise ValueError(f"random seeds need max_d >= 1 and max_entry >= 0, got max_d={max_d}, max_entry={max_entry}")
     d = [rng.randint(1, max_d) for _ in range(n)]
@@ -274,7 +288,11 @@ def random_principal_seed(rng: random.Random, n: int, max_entry: int = 3, max_d:
             ]
             b[i][j] = rng.choice(choices)
             b[j][i] = -(d[i] * b[i][j]) // d[j]
-    return principal_seed(b, d)
+    if not mutable_block:
+        return principal_seed(b, d)
+    upper = {(r, c): rng.choice((-2, -1, 1, 2)) for r in range(n) for c in range(r + 1, n)}
+    lam11 = [[upper.get((r, c), 0) - upper.get((c, r), 0) for c in range(n)] for r in range(n)]
+    return with_mutable_block(principal_seed(b, d), lam11)
 
 
 # -- seed file interchange ---------------------------------------------------

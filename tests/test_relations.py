@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from qcluster import qtorus, relations, seeds
 from qcluster.qarith import QLaurent, _slot_width, q_binom
-from qcluster.qtorus import SkewForm, TorusElem, _commutator_lines, _pack, iterated_q_commutator
+from qcluster.qtorus import SkewForm, TorusElem, _pack, iterated_q_commutator, vec_add
 from qcluster.relations import (
+    _expand,
     _lemma_plan,
     _order_plan,
+    _require_pair,
     commutator_check,
     commutator_witness,
     full_suite,
@@ -30,8 +32,9 @@ from qcluster.seeds import (
     mutated_variable,
     principal_seed,
     random_principal_seed,
+    with_mutable_block,
 )
-from seed_kinds import compatible_principal_seed, with_mutable_block
+from seed_kinds import compatible_principal_seed
 from torus_words import ordered_product
 
 COMMUTATOR_COEFF = QLaurent({3: 1, -1: -1})  # q^(3/2) - q^(-1/2)
@@ -231,23 +234,26 @@ def _every_plan(seed):
         for j in range(1, seed.n + 1):
             if i == j:
                 continue
-            size = abs(seed.b_entry(i, j))
+            size, pair = abs(seed.b_entry(i, j)), _require_pair(seed, i, j)
             orders = ((1, 0), (1, 1), (2, 2)) if size == 0 else [(l, l * size) for l in range(1, size + 1)]
-            plans.extend((_order_plan(seed, i, j, l, m), ys[i - 1], ys[j - 1] ** l) for l, m in orders)
+            plans.extend((_order_plan(pair, l, m), ys[i - 1], ys[j - 1] ** l) for l, m in orders)
             if size == 0:
                 continue
             for l in range(1, size + 1):
-                plans.append((_order_plan(seed, i, j, l, l * size - 1, exploratory=True), ys[i - 1], ys[j - 1] ** l))
-            plans.append((_order_plan(seed, i, j, size + 1, (size + 1) * size + 2, exploratory=True), ys[i - 1], ys[j - 1] ** (size + 1)))
+                plans.append((_order_plan(pair, l, l * size - 1, exploratory=True), ys[i - 1], ys[j - 1] ** l))
+            plans.append((_order_plan(pair, size + 1, (size + 1) * size + 2, exploratory=True), ys[i - 1], ys[j - 1] ** (size + 1)))
             for t in (None, *range(size)):
                 x_i = ordered_product(seed.form, [(i, size * (1 + (t or 0)) - 1)])
                 plans.append((_lemma_plan(seed, i, j, "L41" if t is not None else "L32", None, t)[1], ys[i - 1], x_i))
     return plans
 
 
-def _expand(plan):
-    """The element `_run` certifies for `plan`."""
-    return _commutator_lines(plan.form, plan.f0, plan.f1, plan.middle, plan.halves, plan.width)
+def _outer_exponents(plan):
+    """f0 = g(y_i) and f1 = f0 + b_i, the exponents of the outer y_i, and
+    e_s = l*g_j + s*b_j, that of middle term s, read from the plan's basis."""
+    _, l, g_j, b_j, g_i, b_i = plan.basis
+    middle = [tuple(l * a + s * u for a, u in zip(g_j, b_j)) for s in range(len(plan.middle))]
+    return g_i, vec_add(g_i, b_i), middle
 
 
 class TestPlanTerms:
@@ -263,7 +269,8 @@ class TestPlanTerms:
         for make in (random_principal_seed, compatible_principal_seed):
             for seed in [make(rng, rng.choice([2, 3])) for _ in range(3)] + [make(rng, 4)]:
                 for plan, outer, middle in _every_plan(seed):
-                    assert {plan.f0, plan.f1} == outer.support()
+                    f0, f1, exponents = _outer_exponents(plan)
+                    assert {f0, f1} == outer.support() and set(exponents) == middle.support()
                     total, terms = _sandwich(outer, middle, _gauss_coeffs(plan.halves))
                     assert plan.terms == terms
                     assert _expand(plan) == total
@@ -273,16 +280,24 @@ class TestPlanTerms:
     def test_packed_middle_is_the_torus_power(self):
         # y_j^l from the q-binomial table equals y_j ** l packed at the
         # plan's width, which is the kernel's bound for that middle, and the
-        # lemma middle x_i^(step-1) is the one packed term (e, 0, 1); on
-        # both seed kinds
+        # lemma middle x_i^(step-1) is the one packed term (e, 0, 1); each
+        # term's pairings with the outer's exponents, and c, are those of
+        # SkewForm.pairing on the operands rebuilt from the seed; on both
+        # seed kinds
         rng = random.Random(37)
         for make in (random_principal_seed, compatible_principal_seed):
             for seed in [make(rng, rng.choice([2, 3, 4])) for _ in range(4)]:
-                for plan, _, middle in _every_plan(seed):
+                for plan, outer, middle in _every_plan(seed):
                     norm = sum(abs(v) for _, c in middle.items() for _, v in c.items())
                     assert plan.width == _slot_width(4 ** len(plan.halves) * norm)
-                    packed = sorted((e, *_pack(c, plan.width)) for e, c in middle.items())
-                    assert sorted(plan.middle) == packed
+                    # f1 = f0 + b_i has x_(n+i), f0 no coefficient variable
+                    f0, f1 = sorted(outer.support(), key=lambda e: sum(e[seed.n:]))
+                    coeffs = dict(middle.items())
+                    assert len(plan.middle) == len(coeffs)
+                    assert plan.c == seed.form.pairing(f0, f1)
+                    for e, term in zip(_outer_exponents(plan)[2], plan.middle):
+                        pairings = seed.form.pairing(e, f0), seed.form.pairing(e, f1)
+                        assert term == (*pairings, *_pack(coeffs[e], plan.width))
 
     def test_passing_suite_multiplies_and_decodes_nothing(self, monkeypatch):
         # every operand of a suite plan comes from the seed and the
@@ -338,7 +353,7 @@ class TestProductForm:
         i, j = data.draw(st.lists(st.integers(min_value=1, max_value=rank), min_size=2, max_size=2, unique=True))
         l, m_exp = data.draw(st.integers(min_value=1, max_value=4)), data.draw(st.integers(min_value=0, max_value=10))
         expected = _product_form(seed, i, j, l, m_exp)
-        assert _expand(_order_plan(seed, i, j, l, m_exp, exploratory=True)) == expected
+        assert _expand(_order_plan(_require_pair(seed, i, j), l, m_exp, exploratory=True)) == expected
         cert = higher_verify(seed, i, j, l, m_exp, exploratory=True)
         assert (cert.ok, cert.residue) == (expected.is_zero(), str(expected))
 
@@ -353,6 +368,84 @@ class TestProductForm:
         assert (cert.ok, cert.residue) == (False, str(expected))
 
 
+class TestPairIntegers:
+    # An order plan reads every pairing from d_i, d_j, b_ij, b_ji and
+    # pi = lambda(g(y_j), g(y_i)) (`_order_plan`); these compare them with
+    # SkewForm.pairing on the exponent vectors, and a pair with the same
+    # integers in seeds of other ranks with its own plan.
+
+    @given(st.booleans(), st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_pairings_from_the_integers(self, twisted, rank, rng_seed, l):
+        # c, p0(s), p1(s) and the shift, on both seed kinds and every pair
+        make = compatible_principal_seed if twisted else random_principal_seed
+        seed = make(random.Random(rng_seed), rank)
+        pairing = seed.form.pairing
+        for i in range(1, rank + 1):
+            for j in range(1, rank + 1):
+                if i == j:
+                    continue
+                f0 = _free_term(seed, i)
+                f1 = vec_add(f0, seed.exchange.column(i))
+                g_j, b_j = _free_term(seed, j), seed.exchange.column(j)
+                middle = [tuple(l * a + s * b for a, b in zip(g_j, b_j)) for s in range(l + 1)]
+                plan = _order_plan(_require_pair(seed, i, j), l, l * abs(seed.b_entry(i, j)), exploratory=True)
+                assert plan.c == pairing(f0, f1) == seed.d[i - 1]
+                assert plan.twist == 2 * pairing(f0, middle[0])
+                assert [term[:2] for term in plan.middle] == [(pairing(e, f0), pairing(e, f1)) for e in middle]
+
+    @pytest.mark.parametrize("b, d, lam", [
+        ([[0, 2], [-1, 0]], (1, 2), 3),
+        ([[0, -3], [3, 0]], (1, 1), -1),
+        ([[0, 1], [-2, 0]], (2, 1), 2),
+        ([[0, 2], [-2, 0]], (1, 1), 0),
+    ])
+    def test_embedded_pair_gives_the_rank_two_result(self, b, d, lam):
+        # one rank-2 pair placed at two random indices of seeds of ranks
+        # 3-6, decoupled from a random seed on the other indices, with its
+        # lambda entry kept and the rest of the mutable block random: the
+        # same integers give the same verdicts, terms and twists, and the
+        # nonzero residues one step below the bound agree up to the map of
+        # coordinates 1, 2, 3, 4 to p, q, n+p, n+q
+        rng = random.Random(43)
+        small = with_mutable_block(principal_seed(b, d), [[0, lam], [-lam, 0]])
+        for rank in range(3, 7):
+            seed, (p, q), embed = self._embedded(small, rank, rng)
+            for (i, j), (bi, bj) in (((1, 2), (p, q)), ((2, 1), (q, p))):
+                assert _require_pair(small, i, j)[1:6] == _require_pair(seed, bi, bj)[1:6]
+                size = abs(small.b_entry(i, j))
+                for l in range(1, size + 1):
+                    expected = higher_verify(small, i, j, l, l * size - 1, exploratory=True)
+                    cert = higher_verify(seed, bi, bj, l, l * size - 1, exploratory=True)
+                    residue = _expand(_order_plan(_require_pair(small, i, j), l, l * size - 1, exploratory=True))
+                    mapped = TorusElem(seed.form, [(embed(e), c) for e, c in residue.items()])
+                    assert not expected.ok and not mapped.is_zero()
+                    assert (cert.ok, cert.terms, cert.params[4:]) == (expected.ok, expected.terms, expected.params[4:])
+                    assert cert.residue == str(mapped)
+
+    @staticmethod
+    def _embedded(small, rank, rng):
+        n = rank
+        p, q = rng.sample(range(n), 2)
+        others = [k for k in range(n) if k not in (p, q)]
+        rest = random_principal_seed(rng, n - 2, max_entry=2, max_d=2)
+        b, d = [[0] * n for _ in range(n)], [0] * n
+        for block, where in ((small, (p, q)), (rest, others)):
+            for a, x in enumerate(where):
+                d[x] = block.d[a]
+                for c, y in enumerate(where):
+                    b[x][y] = block.b_entry(a + 1, c + 1)
+        lam11 = [[0] * n for _ in range(n)]
+        for r in range(n):
+            for c in range(r + 1, n):
+                lam11[r][c] = rng.randint(-2, 2)
+                lam11[c][r] = -lam11[r][c]
+        lam11[p][q], lam11[q][p] = small.form.entry(1, 2), small.form.entry(2, 1)
+        seed = with_mutable_block(principal_seed(b, d), lam11)
+        coords = (p, q, n + p, n + q)
+        return seed, (p + 1, q + 1), lambda e: tuple(e[coords.index(r)] if r in coords else 0 for r in range(2 * n))
+
+
 class TestStepOrder:
     @pytest.mark.parametrize("i, j", [(1, 2), (2, 1)])
     def test_mutable_block_instance_runs_in_index_order(self, i, j):
@@ -361,7 +454,7 @@ class TestStepOrder:
         # instead of by their index grow the lines (seconds and about 94
         # MiB per instance); by index each term keeps one live key
         seed = with_mutable_block(principal_seed([[0, 8], [-8, 0]], (1, 1)), [[0, 5], [-5, 0]])
-        plan = _order_plan(seed, i, j, 8, 64)
+        plan = _order_plan(_require_pair(seed, i, j), 8, 64)
         assert plan.twist
         cert = higher_verify(seed, i, j, 8, 64)
         assert (cert.ok, cert.residue, cert.terms) == (True, "0", 39204)
@@ -742,7 +835,10 @@ class TestSuites:
 
 class TestOneStepDerivedOnce:
     @pytest.mark.parametrize("name, variables", [("exam1.json", 2), ("exam3.json", 3)])
-    def test_full_suite_builds_each_variable_once(self, monkeypatch, name, variables):
+    def test_passing_full_suite_builds_no_variable(self, monkeypatch, name, variables):
+        # the suite reads every plan from its pair's integers: no one-step
+        # variable, no torus product and no decoding; `one_step` still
+        # builds each variable once, on first use
         original = seeds.mutated_variable
         calls = []
 
@@ -755,8 +851,14 @@ class TestOneStepDerivedOnce:
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "qcluster" and vars(module).get("mutated_variable") is original:
                 monkeypatch.setattr(module, "mutated_variable", counting)
-        seed = load_seed(Path(__file__).resolve().parent.parent / "fixtures" / name)
-        assert all(c.ok for c in full_suite(seed))
+        with monkeypatch.context() as patch:
+            patch.setattr(TorusElem, "__mul__", lambda *a: calls.append("mul"))
+            for module in (qtorus, relations):
+                patch.setattr(module, "_unpack", lambda *a: calls.append("unpack"))
+            seed = load_seed(Path(__file__).resolve().parent.parent / "fixtures" / name)
+            assert all(c.ok for c in full_suite(seed))
+        assert calls == []
+        assert seed.one_step == seed.one_step
         assert len(calls) == variables
 
     def test_variables_unchanged_by_the_suite(self):

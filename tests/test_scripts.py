@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ["scripts/run_bundled_examples.py"],
         ["scripts/explore_higher_orders.py"],
         ["scripts/random_relation_sweep.py", "--count", "3"],
+        ["scripts/random_relation_sweep.py", "--count", "3", "--kind", "lambda11"],
     ],
 )
 def test_script_exits_zero(argv):
