@@ -4,8 +4,9 @@ Subcommand parameters mirror the index conventions of the underlying
 formulas one-to-one (k for the mutation direction, i/j for a pair of
 mutable indices, l/m for the higher-order relation).  Exit status: 0 when
 every requested check passes, 1 when a verification fails, 2 for
-malformed input.  Reports are byte-deterministic unless --timings is
-given.
+malformed input, 141 (128 + SIGPIPE, as shells report) when the reader
+closes standard output before the report is written.  Reports are
+byte-deterministic unless --timings is given.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -37,6 +39,7 @@ from .seeds import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
+EXIT_CLOSED_STDOUT = 141
 
 
 @functools.cache
@@ -226,7 +229,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.format = getattr(args, "format", "text")
     args.timings = getattr(args, "timings", False)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so a closed pipe is met here, not at exit
+        return status
+    except BrokenPipeError:
+        # Pointed at devnull, the flush at exit cannot print "Exception ignored".
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -3,14 +3,14 @@
 Each identity family expands both sides exactly and compares them;
 vanishing families compare against zero.  Every family works on the
 q-binomial table's packed entries as they are stored, at one slot width
-per check bounded by the entries' own slots, and compares packed ints, so
-none of them decodes anything.  A q-integer [n] is the entry [n, 1], and
-an entry at base q^d is the same entry at d times the slot stride.  The
-product expansions are polynomials in a commuting indeterminate x,
-expanded as lists of packed coefficients of x^0 .. x^n.  A family's sweep
-is data: one range per parameter, each a function of the parameters
-before it, which `_grid` walks, so one sweep enumerates and reports every
-instance of every family the same way.
+per check bounded by ceilings folded from the entries' own bits, and
+compares packed ints, so none of them decodes anything.  A q-integer [n]
+is the entry [n, 1], and an entry at base q^d is the same entry at d
+times the slot stride.  The product expansions are polynomials in a
+commuting indeterminate x, expanded as lists of packed coefficients of
+x^0 .. x^n.  A family's sweep is data: one range per parameter, each a
+function of the parameters before it, which `_grid` walks, so one sweep
+enumerates and reports every instance of every family the same way.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from math import comb
 from typing import Callable, Sequence
 
-from .qarith import _q_binom_entry, _require_int, _respread, _slot_width, _slots
+from .qarith import _q_binom_entry, _require_int, _respread, _slot_width
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,13 @@ class IdentityReport:
 # The bound: a coefficient of the sum is at most sum_r mult_r * height_r,
 # where height_r is the largest coefficient of term r (||a||_1 * max b for
 # a product a*b) and mult_r is how often term r is added (once, or for a
-# double sum once per prefix it lies in).  Each height and l1 is read from
-# the slots of the entry actually returned, never from C(n, r), so a wrong
-# entry cannot alias to a false PASS.  For true q-binomials the heights of
-# [top, r] sum to at most sum_r C(top, r) = 2^top, so a single sum keeps
-# W = 64 for every top <= 62.
+# double sum once per prefix it lies in).  Each largest coefficient is
+# replaced by a ceiling, 2^B - 1 for B the bit length of the widest slot
+# (_ceiling), and each ||a||_1 by a's slot count times its ceiling; neither
+# is below what it replaces, so W can only widen, never narrow.  Every bit of
+# every slot of the entries actually returned reaches the ceiling, never
+# C(n, r), so a wrong entry cannot alias to a false PASS.  W = 64 for every
+# top <= 62 is pinned by TestPackedSums.test_64_bit_slots_through_row_62.
 #
 # A vanishing sum is then decided by comparing its packed int with 0, which
 # is exact for coefficients of either sign within the bound (see
@@ -78,6 +80,22 @@ def _entry(n: int, r: int) -> tuple[int, int, int]:
     return packed, width, -(-packed.bit_length() // width)
 
 
+def _ceiling(*entries: tuple[int, int, int]) -> int:
+    """2^B - 1, B the bit length of the widest slot of any entry.  The
+    entries of each width are ORed and folded in halves, low slots OR high
+    slots, to one slot, so every bit of every slot reaches it."""
+    ors: dict[int, int] = {}
+    for packed, width, _ in entries:
+        ors[width] = ors.get(width, 0) | packed
+    folded = 0
+    for width, packed in ors.items():
+        while packed >> width:
+            half = width * -(-packed.bit_length() // (2 * width))
+            packed = packed & ~(-1 << half) | packed >> half
+        folded |= packed
+    return (1 << folded.bit_length()) - 1
+
+
 def _alternating_sum(top: int, shift: int, slope: int | None = None) -> int:
     """sum_{r=0}^{top} (-1)^r q^(r(r-1)/2 - shift*r) [top, r], packed, times
     a power of q that makes every term a polynomial: 0 exactly when the
@@ -88,9 +106,7 @@ def _alternating_sum(top: int, shift: int, slope: int | None = None) -> int:
     """
     steps = top + 1 if slope is None else top
     entries = [_entry(top, t) for t in range(steps)]
-    width = _slot_width(sum(
-        (1 if slope is None else steps - t) * max(_slots(*entry), default=0) for t, entry in enumerate(entries)
-    ))
+    width = _slot_width((steps if slope is None else steps * (steps + 1) // 2) * _ceiling(*entries))
     low = min(r * (r - 1) // 2 - shift * r for r in range(steps))
     outer = 0 if slope is None else min(0, slope * (steps - 1))
     inner = total = 0
@@ -141,8 +157,7 @@ def _vandermonde(n: int, d: int, k: int) -> tuple[int, int]:
     products = [(r, _entry(d, r), _entry(n - d, k - r)) for r in range(k + 1)]
     products = [(r, a, b) for r, a, b in products if a[0] and b[0]]
     width = _slot_width(
-        max(_slots(lhs, lhs_width, lhs_count), default=0)
-        + sum(sum(_slots(*a)) * max(_slots(*b)) for _, a, b in products)
+        _ceiling((lhs, lhs_width, lhs_count)) + sum(a[2] * _ceiling(a) * _ceiling(b) for _, a, b in products)
     )
     rhs = 0
     for r, (a, a_width, a_count), (b, b_width, b_count) in products:
@@ -162,7 +177,7 @@ def _pascal(n: int, r: int, d: int) -> tuple[int, int]:
     beyond r = n+1 all three entries are zero and n+1-r is negative.
     """
     entries = [_entry(n + 1, r), _entry(n, r), _entry(n, r - 1)]
-    width = _slot_width(sum(max(_slots(*entry), default=0) for entry in entries))
+    width = _slot_width(3 * _ceiling(*entries))
     stride = d * width
     lhs, upper, lower = (_respread(packed, entry_width, stride, count) for packed, entry_width, count in entries)
     low = max(0, r - n - 1)
@@ -201,10 +216,10 @@ def _base_change(n: int, r: int, d: int) -> tuple[int, int]:
 
     [m] at base q^e is the entry [m, 1] moved to stride eW.  Each side is a
     product of a = [n, 1] and b = [r, 1], at different strides, so every
-    coefficient is at most ||a||_1 * max b, read from the entries' slots.
+    coefficient is at most ||a||_1 * max b, bounded from the entries' bits.
     """
     (a, a_width, a_count), (b, b_width, b_count) = _entry(n, 1), _entry(r, 1)
-    width = _slot_width(sum(_slots(a, a_width, a_count)) * max(_slots(b, b_width, b_count), default=0))
+    width = _slot_width(a_count * _ceiling((a, a_width, a_count)) * _ceiling((b, b_width, b_count)))
     lhs = _respread(a, a_width, r * d * width, a_count) * _respread(b, b_width, d * width, b_count)
     rhs = _respread(a, a_width, d * width, a_count) * _respread(b, b_width, d * n * width, b_count)
     return lhs, rhs

@@ -360,6 +360,21 @@ class TestIdentities:
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_TEXT_SHA256
 
+    def test_closed_stdout_exits_141(self):
+        # The JSON sweep (about 78 KB) overfills a 64 KiB pipe plus the
+        # reader's buffer, so the writer always meets the closed pipe.
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qcluster", "identities", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert json.loads(first) == {"family": "BASE_CHANGE", "params": [1, 1, 1], "ok": True}
+        assert proc.returncode == cli.EXIT_CLOSED_STDOUT == 141
+        assert err == b""
+
 
 class TestSuite:
     def test_exam1(self, capsys):

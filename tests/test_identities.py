@@ -3,6 +3,8 @@ from itertools import islice
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcluster import identities, qarith
 from qcluster.identities import FAMILIES, check_identity, sweep_reports
@@ -329,6 +331,33 @@ class TestPackedSums:
         assert rhs == at_two_to_the(q_binom(70, 1, 2) * q_binom(3, 1, 140), widths[-1])
         assert widths == [128] * 5 + [64, 64]
 
+    def test_64_bit_slots_through_row_62(self, widths):
+        # The ceilings are powers of two less one, so this range is not
+        # derived from sum_r C(top, r) = 2^top; it is pinned here.
+        for top in range(1, 63):
+            for shift in (0, top // 2):
+                identities._alternating_sum(top, shift)
+            for slope in (-3, 2):
+                identities._alternating_sum(top, 1, slope)
+        assert widths == [64] * 62 * 4
+
+    def test_odd_last_slot_reaches_the_ceiling(self, monkeypatch, widths):
+        # Entry [4, 2] has 5 slots; bit 63 of the last one makes the bound
+        # 5 * (2^64 - 1), so VANISHING(4) is added in 128-bit slots and
+        # FAILs.  A fold that dropped the odd slot would keep 64 bits.
+        honest = qarith._q_binom_entry
+
+        def broken(n, r):
+            packed, width = honest(n, r)
+            if (n, r) == (4, 2):
+                assert width == 64 and packed.bit_length() <= 64 * 5
+                packed |= 1 << 64 * 4 + 63
+            return packed, width
+
+        monkeypatch.setattr(identities, "_q_binom_entry", broken)
+        assert not check_identity("VANISHING", (4,)).verdict
+        assert widths == [128]
+
     def test_large_coefficient_cannot_alias(self, monkeypatch, widths):
         # Entry (4, 1) with its constant slot raised to 2^64 - 1, the largest
         # a 64-bit slot holds.  The height is read from that slot, so the
@@ -416,3 +445,27 @@ class TestPackedSums:
             if started:
                 tracemalloc.stop()
         assert peak < 2**20
+
+
+@st.composite
+def packed_entries(draw):
+    """Entries (packed, width, count) of mixed widths, and all their slots."""
+    entries, slots = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        width = draw(st.sampled_from([64, 128, 192]))
+        values = draw(st.lists(
+            st.integers(0, width).flatmap(lambda bits: st.integers(0, (1 << bits) - 1)), max_size=40,
+        ))
+        packed = sum(value << width * j for j, value in enumerate(values))
+        entries.append((packed, width, -(-packed.bit_length() // width)))
+        slots += values
+    return entries, slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_entries())
+def test_ceiling_is_the_widest_slot_filled_with_ones(case):
+    entries, slots = case
+    ceiling = identities._ceiling(*entries)
+    assert ceiling == 2 ** max((slot.bit_length() for slot in slots), default=0) - 1
+    assert all(slot <= ceiling for slot in slots)

@@ -52,7 +52,8 @@ def test_intra_package_imports():
 
 def test_identities_reads_packed_entries_only():
     # Every identity family decides on the q-binomial table's packed
-    # entries, so the oracle imports no decoded form from qarith.
+    # entries and bounds its slot width from their bits, so the oracle
+    # imports no decoded form and no slot decoder from qarith.
     path = PACKAGE / "identities.py"
     imported = {
         alias.name
@@ -60,4 +61,4 @@ def test_identities_reads_packed_entries_only():
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "qarith"
         for alias in node.names
     }
-    assert imported and not imported & {"QLaurent", "q_binom", "q_int"}
+    assert imported and not imported & {"QLaurent", "q_binom", "q_int", "_slots"}
