@@ -7,16 +7,17 @@ length m) with QLaurent coefficients, multiplied by the twist rule
 
 Exponent vectors are plain int tuples.  Elements are immutable, pinned to
 the SkewForm they were built over, and refuse cross-form arithmetic.
-`iterated_q_commutator` runs the q-commutator steps by an outer
-X^f0 + X^f1 in one pass on pairings alone (`_commutator_lines`): a middle
-term X^e walks the line X^(e + (k-t) f0 + t f1) and is seen only through
-its pairings with f0 and f1, and the kernel returns keys (s, t) that its
-caller decodes at exponents it knows.  Each coefficient is one signed
-int, its value at q^(1/2) = 2^W, with W chosen from the middle's l1 norm
-and the number of steps so that every coefficient stays below 2^(W-1) in
-absolute value.  Then an int is 0 exactly when its polynomial is, so a
-step drops vanished terms without decoding them.  `TorusElem.bar` gives
-the mirrored step.
+`_commutator_lines` runs the q-commutator steps by an outer X^f0 + X^f1,
+the shape of every one-step variable, in one pass on pairings alone: a
+middle term X^e walks the line X^(e + (k-t) f0 + t f1) and is seen only
+through its pairings with f0 and f1.  Its callers are the plans of
+`relations`, built from a pair's integers; the kernel returns keys (s, t)
+that a plan decodes (`_unpack`) at the exponents of its basis.  Each
+coefficient is one signed int, its value at q^(1/2) = 2^W, with W chosen
+by the plan so that every coefficient stays below 2^(W-1) in absolute
+value.  Then an int is 0 exactly when its polynomial is, so a step drops
+vanished terms without decoding them.  `TorusElem.bar` gives the mirrored
+step.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
-from .qarith import QLaurent, _require_int, _slot_width, _slots, parse_qlaurent
+from .qarith import QLaurent, _require_int, _slots, parse_qlaurent
 
 ExpVec = Tuple[int, ...]
 
@@ -248,13 +249,6 @@ class TorusElem:
     __repr__ = __str__
 
 
-def _pack(coeff: QLaurent, width: int) -> tuple[int, int]:
-    """(lo, P) with lo the lowest half-exponent of `coeff` and P its packed
-    value sum_h c_h 2^(width (h - lo)), a signed int."""
-    lo = min(coeff._terms)
-    return lo, sum(value << width * (half - lo) for half, value in coeff._terms.items())
-
-
 def _unpack(lo: int, packed: int, width: int) -> QLaurent:
     """The nonzero polynomial that (lo, packed) encodes, every coefficient
     below 2^(width-1) in absolute value.  Biased by 2^(width-1), each slot
@@ -264,31 +258,6 @@ def _unpack(lo: int, packed: int, width: int) -> QLaurent:
     bias = 1 << (width - 1)
     biased = packed + int.from_bytes(bias.to_bytes(width // 8, "little") * count, "little")
     return QLaurent._raw({lo + j: v - bias for j, v in enumerate(_slots(biased, width, count)) if v != bias})
-
-
-def iterated_q_commutator(outer: TorusElem, middle: TorusElem, halves: Iterable[int]) -> TorusElem:
-    """Starting from M = middle, M <- A*M - q^(h/2) * (M*A) for each h in
-    `halves`, with A = `outer` = X^f0 + X^f1, the shape of every one-step
-    variable y_i, by `_commutator_lines` on M packed (`_pack`) at its width
-    and paired by `SkewForm.pairing`.  Keys naming one exponent (possible
-    for a general middle) are summed at decode, and a zero sum is dropped.
-    Twists must be ints (TypeError otherwise, bool included); an outer of
-    any other shape raises ArithmeticError."""
-    outer._check_form(middle)
-    halves = tuple(halves)
-    for half in halves:
-        _require_int("q-commutator twist", half)
-    if len(outer._terms) != 2 or any(a != 1 for a in outer._terms.values()):
-        raise ArithmeticError("q-commutator outer must be X^f0 + X^f1: two terms, each with coefficient 1")
-    norm_m = sum(abs(v) for c in middle._terms.values() for v in c._terms.values())
-    width, steps, pairing = _slot_width(4 ** len(halves) * norm_m), len(halves), outer.form.pairing
-    (f0, f1), exponents = outer._terms, list(middle._terms)
-    lines = [(pairing(e, f0), pairing(e, f1), *_pack(middle._terms[e], width)) for e in exponents]
-    data: dict[ExpVec, tuple[int, int]] = {}
-    for s, t, lo, packed in _commutator_lines(pairing(f0, f1), lines, halves, width):
-        expo = tuple(a + (steps - t) * x + t * y for a, x, y in zip(exponents[s], f0, f1))
-        data[expo] = _merge(data[expo], (lo, packed), width) if expo in data else (lo, packed)
-    return TorusElem._raw(outer.form, {e: _unpack(lo, packed, width) for e, (lo, packed) in data.items() if packed})
 
 
 def _merge(held: tuple[int, int], new: tuple[int, int], width: int) -> tuple[int, int]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .qarith import QLaurent, _q_binom_entry, _require_int, _respread, _slot_width
-from .qtorus import TorusElem, _commutator_lines, _unpack, iterated_q_commutator, vec_add
+from .qtorus import TorusElem, _commutator_lines, _unpack, vec_add
 from .seeds import QuantumSeed, pos_part
 
 
@@ -34,7 +34,7 @@ class VerificationCertificate:
     summands c_r A^(L-r) M A^r, which the kernel never builds (`_plan`);
     serre-opposite bars serre(j, i)'s plan and has its `terms`.  The
     commutator check reports the term count of y_i y_j - q^(s/2) y_j y_i,
-    one kernel step at twist s = 2*lambda(g(y_i), g(y_j)), and the
+    the order plan (1, 0) at twist s = 2*lambda(g(y_i), g(y_j)), and the
     power-product check the summed term counts of its three expansions.
     `seconds` is wall time.
 
@@ -231,14 +231,13 @@ def commutator_witness(seed: QuantumSeed, i: int, j: int) -> TorusElem:
 
 
 def commutator_check(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:
-    """Compare y_i y_j - q^(s/2) y_j y_i, one kernel step at twist s,
-    against `commutator_witness`; a nonzero s is reported as ("twist", s)."""
+    """Compare y_i y_j - q^(s/2) y_j y_i, the order plan (1, 0), built with
+    no y_k, against `commutator_witness`; a nonzero s is reported as ("twist", s)."""
     started = time.perf_counter()
-    twist, ys = -2 * _require_pair(seed, i, j)[5], seed.one_step
-    commutator = iterated_q_commutator(ys[i - 1], ys[j - 1], (twist,))
+    plan = _order_plan(_require_pair(seed, i, j), 1, 0, exploratory=True)
+    commutator = _expand(plan)
     residue = commutator - commutator_witness(seed, i, j)
-    terms = commutator.term_count()
-    return _certify("commutator", (("i", i), ("j", j)), residue, terms, started, twist=twist)
+    return _certify("commutator", (("i", i), ("j", j)), residue, commutator.term_count(), started, twist=plan.twist)
 
 
 def power_product_check(seed: QuantumSeed, i: int, t: int, side: str = "left") -> VerificationCertificate:

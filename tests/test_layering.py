@@ -62,3 +62,23 @@ def test_identities_reads_packed_entries_only():
         for alias in node.names
     }
     assert imported and not imported & {"QLaurent", "q_binom", "q_int", "_slots"}
+
+
+def test_one_kernel_caller_family():
+    # The relation plans are the kernel's only callers and `_expand` its
+    # only decoder in the package; the general-middle q-commutator adapter
+    # and its packer are test oracles (tests/torus_words.py).
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
+    defined = {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not defined & {"iterated_q_commutator", "_pack"}
+
+    def imported(module):
+        return {alias.name for node in ast.walk(trees[module]) if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+    assert not imported("relations") & {"iterated_q_commutator", "_pack"}
+    assert "_slot_width" not in imported("qtorus")

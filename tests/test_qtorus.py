@@ -10,13 +10,12 @@ from qcluster.qarith import QLaurent
 from qcluster.qtorus import (
     SkewForm,
     TorusElem,
-    iterated_q_commutator,
     parse_torus_elem,
     render_torus_elem,
     vec_add,
 )
 from qcluster.seeds import load_seed
-from torus_words import ordered_product
+from torus_words import iterated_q_commutator, ordered_product
 
 # the skew form of the rank-2 principal example, used as a workhorse
 LAM4 = SkewForm([

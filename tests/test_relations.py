@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qcluster import qtorus, relations, seeds
 from qcluster.qarith import QLaurent, _slot_width, q_binom
-from qcluster.qtorus import SkewForm, TorusElem, _pack, iterated_q_commutator, vec_add
+from qcluster.qtorus import SkewForm, TorusElem, vec_add
 from qcluster.relations import (
     _expand,
     _lemma_plan,
@@ -35,7 +35,7 @@ from qcluster.seeds import (
     with_mutable_block,
 )
 from seed_kinds import compatible_principal_seed
-from torus_words import ordered_product
+from torus_words import _pack, iterated_q_commutator, ordered_product
 
 COMMUTATOR_COEFF = QLaurent({3: 1, -1: -1})  # q^(3/2) - q^(-1/2)
 
@@ -532,6 +532,7 @@ class TestCommutator:
                         assert commutator == commutator_witness(seed, i, j)
                         cert = commutator_check(seed, i, j)
                         assert cert.ok
+                        assert cert.terms == commutator.term_count()
                         assert dict(cert.params).get("twist", 0) == twist
                         assert cert.params[-1][0] != "twist" or twist
 
@@ -539,11 +540,8 @@ class TestCommutator:
     def test_a_moved_twist_fails_every_pair(self, monkeypatch, moved):
         # at twist s_ij +/- 2 the X^(g(y_i) + g(y_j)) term no longer
         # cancels, so the commutator differs from the witness on every
-        # ordered pair, and a check whose kernel twist is moved fails
-        kernel = relations.iterated_q_commutator
-        monkeypatch.setattr(
-            relations, "iterated_q_commutator", lambda outer, middle, halves: kernel(outer, middle, [h + moved for h in halves])
-        )
+        # ordered pair, and a check whose plan's twist is moved fails
+        _move_twists(monkeypatch, moved)
         rng = random.Random(19)
         for make in (random_principal_seed, compatible_principal_seed):
             for _ in range(4):
@@ -833,24 +831,30 @@ class TestSuites:
         assert "s]" in timed
 
 
+def _count_variables(monkeypatch):
+    """The calls of seeds.mutated_variable from here on, in order."""
+    original = seeds.mutated_variable
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    # Rebind every module-level reference, so that a module holding
+    # its own import of the function is counted too.
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "qcluster" and vars(module).get("mutated_variable") is original:
+            monkeypatch.setattr(module, "mutated_variable", counting)
+    return calls
+
+
 class TestOneStepDerivedOnce:
     @pytest.mark.parametrize("name, variables", [("exam1.json", 2), ("exam3.json", 3)])
     def test_passing_full_suite_builds_no_variable(self, monkeypatch, name, variables):
         # the suite reads every plan from its pair's integers: no one-step
         # variable, no torus product and no decoding; `one_step` still
         # builds each variable once, on first use
-        original = seeds.mutated_variable
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        # Rebind every module-level reference, so that a module holding
-        # its own import of the function is counted too.
-        for module_name, module in list(sys.modules.items()):
-            if module_name.split(".")[0] == "qcluster" and vars(module).get("mutated_variable") is original:
-                monkeypatch.setattr(module, "mutated_variable", counting)
+        calls = _count_variables(monkeypatch)
         with monkeypatch.context() as patch:
             patch.setattr(TorusElem, "__mul__", lambda *a: calls.append("mul"))
             for module in (qtorus, relations):
@@ -860,6 +864,20 @@ class TestOneStepDerivedOnce:
         assert calls == []
         assert seed.one_step == seed.one_step
         assert len(calls) == variables
+
+    def test_commutator_check_builds_no_variable(self, monkeypatch):
+        # every ordered pair's check is the order plan (1, 0), built from
+        # the pair's integers, on fresh seeds of both kinds
+        calls = _count_variables(monkeypatch)
+        rng = random.Random(47)
+        for make in (random_principal_seed, compatible_principal_seed):
+            for _ in range(4):
+                seed = make(rng, rng.choice([2, 3, 4]))
+                for i in range(1, seed.n + 1):
+                    for j in range(1, seed.n + 1):
+                        if i != j:
+                            assert commutator_check(seed, i, j).ok
+        assert calls == []
 
     def test_variables_unchanged_by_the_suite(self):
         rng = random.Random(23)

@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ["scripts/explore_higher_orders.py"],
         ["scripts/random_relation_sweep.py", "--count", "3"],
         ["scripts/random_relation_sweep.py", "--count", "3", "--kind", "lambda11"],
+        ["scripts/pair_integer_box.py"],
     ],
 )
 def test_script_exits_zero(argv):

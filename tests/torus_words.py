@@ -1,12 +1,16 @@
-"""Generator words in the based quantum torus, built as one twisted monomial.
+"""Test oracles in the based quantum torus: generator words, built as one
+twisted monomial, and q-commutator steps on an arbitrary middle.
 
 The relation checks build their closed forms from exponent vectors and
 SkewForm.pairing; the tests state expected values as words in the
-generators x_i = X^(e_i) instead, and build them here.
+generators x_i = X^(e_i) instead, and build them here.  The relation
+plans feed the kernel `qtorus._commutator_lines` a middle whose keys never
+collide; `iterated_q_commutator` feeds it any middle, summing keys that
+name one exponent, so the kernel is checked beyond the plans' shapes.
 """
 
-from qcluster.qarith import QLaurent, _require_int
-from qcluster.qtorus import SkewForm, TorusElem
+from qcluster.qarith import QLaurent, _require_int, _slot_width
+from qcluster.qtorus import SkewForm, TorusElem, _commutator_lines, _merge, _unpack
 
 
 def ordered_product(form: SkewForm, letters) -> TorusElem:
@@ -31,3 +35,35 @@ def ordered_product(form: SkewForm, letters) -> TorusElem:
         half += power * sum(e * row[index - 1] for e, row in zip(expo, rows) if e)
         expo[index - 1] += power
     return TorusElem.monomial(form, expo, QLaurent.q_power(half))
+
+
+def _pack(coeff: QLaurent, width: int) -> tuple[int, int]:
+    """(lo, P) with lo the lowest half-exponent of `coeff` and P its packed
+    value sum_h c_h 2^(width (h - lo)), a signed int."""
+    lo = min(coeff._terms)
+    return lo, sum(value << width * (half - lo) for half, value in coeff._terms.items())
+
+
+def iterated_q_commutator(outer: TorusElem, middle: TorusElem, halves) -> TorusElem:
+    """Starting from M = middle, M <- A*M - q^(h/2) * (M*A) for each h in
+    `halves`, with A = `outer` = X^f0 + X^f1, the shape of every one-step
+    variable y_i, by `_commutator_lines` on M packed (`_pack`) at its width
+    and paired by `SkewForm.pairing`.  Keys naming one exponent (possible
+    for a general middle) are summed at decode, and a zero sum is dropped.
+    Twists must be ints (TypeError otherwise, bool included); an outer of
+    any other shape raises ArithmeticError."""
+    outer._check_form(middle)
+    halves = tuple(halves)
+    for half in halves:
+        _require_int("q-commutator twist", half)
+    if len(outer._terms) != 2 or any(a != 1 for a in outer._terms.values()):
+        raise ArithmeticError("q-commutator outer must be X^f0 + X^f1: two terms, each with coefficient 1")
+    norm_m = sum(abs(v) for c in middle._terms.values() for v in c._terms.values())
+    width, steps, pairing = _slot_width(4 ** len(halves) * norm_m), len(halves), outer.form.pairing
+    (f0, f1), exponents = outer._terms, list(middle._terms)
+    lines = [(pairing(e, f0), pairing(e, f1), *_pack(middle._terms[e], width)) for e in exponents]
+    data = {}
+    for s, t, lo, packed in _commutator_lines(pairing(f0, f1), lines, halves, width):
+        expo = tuple(a + (steps - t) * x + t * y for a, x, y in zip(exponents[s], f0, f1))
+        data[expo] = _merge(data[expo], (lo, packed), width) if expo in data else (lo, packed)
+    return TorusElem._raw(outer.form, {e: _unpack(lo, packed, width) for e, (lo, packed) in data.items() if packed})
