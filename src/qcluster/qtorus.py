@@ -50,9 +50,9 @@ class SkewForm:
     def __init__(self, rows: Iterable[Sequence[int]]):
         mat = tuple(_int_tuple(row, "skew form entries") for row in rows)
         dim = len(mat)
-        for row in mat:
+        for i, row in enumerate(mat, 1):
             if len(row) != dim:
-                raise ValueError("skew form matrix must be square")
+                raise ValueError(f"skew form matrix must be square, got row {i} of length {len(row)} in {dim} rows")
         for i in range(dim):
             if mat[i][i] != 0:
                 raise ValueError(f"skew form has nonzero diagonal entry at {i + 1}")

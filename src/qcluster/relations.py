@@ -222,7 +222,12 @@ def commutator_witness(seed: QuantumSeed, i: int, j: int) -> TorusElem:
     and 0 when b_ij = 0.  The X^(a+c) term cancels by the choice of s, and
     the X^(a+c+b_i+b_j) term because d_i b_ij = -d_j b_ji.
     """
-    form, d_i, _, b_ij, _, pi, a, b_i, c, b_j = _require_pair(seed, i, j)
+    return _witness(_require_pair(seed, i, j))
+
+
+def _witness(pair: tuple) -> TorusElem:
+    """`commutator_witness` of the validated `pair` (`_require_pair`)."""
+    form, d_i, _, b_ij, _, pi, a, b_i, c, b_j = pair
     if b_ij == 0:
         return TorusElem.zero(form)
     size, sign = d_i * abs(b_ij), 1 if b_ij < 0 else -1
@@ -234,9 +239,10 @@ def commutator_check(seed: QuantumSeed, i: int, j: int) -> VerificationCertifica
     """Compare y_i y_j - q^(s/2) y_j y_i, the order plan (1, 0), built with
     no y_k, against `commutator_witness`; a nonzero s is reported as ("twist", s)."""
     started = time.perf_counter()
-    plan = _order_plan(_require_pair(seed, i, j), 1, 0, exploratory=True)
+    pair = _require_pair(seed, i, j)
+    plan = _order_plan(pair, 1, 0, exploratory=True)
     commutator = _expand(plan)
-    residue = commutator - commutator_witness(seed, i, j)
+    residue = commutator - _witness(pair)
     return _certify("commutator", (("i", i), ("j", j)), residue, commutator.term_count(), started, twist=plan.twist)
 
 

@@ -6,6 +6,9 @@ positive diagonal D, and variable labels.  Seeds are immutable; mutation
 returns a fresh seed over a fresh form, so torus elements stay pinned to
 the form they were built over.
 
+Each invariant is checked once, by the constructor that owns it; the
+order is in `seed_from_dict`, which checks only the JSON shape.
+
 Indices in the public API are 1-based, matching the usual notation
 (mutation direction k in [1, n], generators x_1 .. x_m).
 """
@@ -29,8 +32,10 @@ class SeedFormatError(ValueError):
     """A seed file or seed datum violates one of the seed invariants."""
 
 
-def _freeze_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(row) for row in rows)
+def _field_int(value, field: str) -> None:
+    # JSON booleans are Python ints; a seed must spell out integers.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SeedFormatError(f"field {field!r} must hold integers, got {value!r}")
 
 
 def pos_part(value: int) -> int:
@@ -47,18 +52,18 @@ class ExchangeMatrix:
     m: int
 
     def __post_init__(self):
-        _json_int(self.n, "n")
-        _json_int(self.m, "m")
+        _field_int(self.n, "n")
+        _field_int(self.m, "m")
         # Rows passed as lists would leave the matrix unhashable and unequal
         # to the same matrix given as tuples.
-        object.__setattr__(self, "btilde", _freeze_matrix(self.btilde))
+        object.__setattr__(self, "btilde", tuple(map(tuple, self.btilde)))
         if self.n < 1 or self.m < self.n:
             raise SeedFormatError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
         if len(self.btilde) != self.m or any(len(row) != self.n for row in self.btilde):
             raise SeedFormatError(f"btilde must be {self.m}x{self.n}")
         for row in self.btilde:
             for value in row:
-                _json_int(value, "btilde")
+                _field_int(value, "btilde")
 
     def entry(self, i: int, j: int) -> int:
         """b_{ij} with 1-based indices, i in [1, m], j in [1, n]."""
@@ -103,18 +108,19 @@ class QuantumSeed:
         n, m = self.exchange.n, self.exchange.m
         if self.form.dim != m:
             raise SeedFormatError(
-                f"lambda is {self.form.dim}x{self.form.dim} but btilde has m={m} rows"
+                f"lambda must be {m}x{m} to match btilde's m={m} rows, got {self.form.dim}x{self.form.dim}"
             )
-        for value in self.d:
-            _json_int(value, "d")
-        if len(self.d) != n or any(v <= 0 for v in self.d):
-            raise SeedFormatError("d must be a length-n vector of positive integers")
         if not is_skew_symmetrizer(self.d, self.exchange.principal_part()):
+            # The one decision on d; what follows only names the fault.
+            for value in self.d:
+                _field_int(value, "d")
+            if len(self.d) != n or any(v <= 0 for v in self.d):
+                raise SeedFormatError("d must be a length-n vector of positive integers")
             raise SeedFormatError("d does not skew-symmetrize the principal part")
         if not self.labels:
             object.__setattr__(self, "labels", tuple(f"x{i}" for i in range(1, m + 1)))
         elif len(self.labels) != m:
-            raise SeedFormatError(f"labels must have length m={m}")
+            raise SeedFormatError(f"labels must be {m} strings, got {list(self.labels)!r}")
         elif not all(isinstance(label, str) for label in self.labels):
             raise SeedFormatError(f"labels must be strings, got {list(self.labels)!r}")
         validate_compatibility(self)
@@ -174,28 +180,27 @@ def principal_seed(b: Sequence[Sequence[int]], d: Sequence[int]) -> QuantumSeed:
     Lambda = [[0, -D], [D, -DB]] and Btilde = [B; I_n] with m = 2n, a
     compatible pair by construction.  Every entry of b and d must be an
     int (bool excluded), as in a seed file; SeedFormatError otherwise.
+    `ExchangeMatrix` checks b and `QuantumSeed` checks d; a d that Lambda
+    cannot be built from is refused here.
     """
-    b = tuple(tuple(_json_int(v, "b") for v in row) for row in b)
     n = len(b)
-    d = tuple(_json_int(v, "d") for v in d)
-    if any(len(row) != n for row in b):
-        raise SeedFormatError("exchange matrix must be square")
-    if not is_skew_symmetrizer(d, b):
-        raise SeedFormatError("d does not skew-symmetrize the exchange matrix")
+    exchange = ExchangeMatrix([*b, *([int(r == c) for c in range(n)] for r in range(n))], n=n, m=2 * n)
+    b, d = exchange.principal_part(), tuple(d)
     lam = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        lam[i][n + i] = -d[i]
-        lam[n + i][i] = d[i]
-        for j in range(n):
-            lam[n + i][n + j] = -d[i] * b[i][j]
-    btilde = [list(row) for row in b]
-    for i in range(n):
-        btilde.append([1 if j == i else 0 for j in range(n)])
-    return QuantumSeed(
-        form=SkewForm(lam),
-        exchange=ExchangeMatrix(_freeze_matrix(btilde), n=n, m=2 * n),
-        d=d,
-    )
+    try:
+        # zip stops at the shorter, and -DB is filled from its upper triangle,
+        # which is -DB itself when d skew-symmetrizes b: the form is skew for
+        # any d, and QuantumSeed decides d, its length included.
+        for i, d_i in zip(range(n), d):
+            lam[i][n + i] = -d_i
+            lam[n + i][i] = d_i
+            for j in range(i + 1, n):
+                lam[n + i][n + j] = -d_i * b[i][j]
+                lam[n + j][n + i] = d_i * b[i][j]
+        form = SkewForm(lam)
+    except TypeError as exc:
+        raise SeedFormatError("field 'd' must hold integers") from exc
+    return QuantumSeed(form=form, exchange=exchange, d=d)
 
 
 def with_mutable_block(seed: QuantumSeed, lam11: Sequence[Sequence[int]]) -> QuantumSeed:
@@ -246,7 +251,7 @@ def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
     new_labels[kk] = seed.labels[kk] + "'"
     return QuantumSeed(
         form=SkewForm(new_lam),
-        exchange=ExchangeMatrix(_freeze_matrix(new_b), n=n, m=m),
+        exchange=ExchangeMatrix(new_b, n=n, m=m),
         d=seed.d,
         labels=tuple(new_labels),
     )
@@ -299,66 +304,47 @@ def random_principal_seed(rng: random.Random, n: int, max_entry: int = 3, max_d:
 
 
 def seed_to_dict(seed: QuantumSeed) -> dict:
-    payload = {
+    return {
         "n": seed.n,
         "m": seed.m,
         "lambda": [list(row) for row in seed.form.rows()],
         "btilde": [list(row) for row in seed.exchange.btilde],
         "d": list(seed.d),
+        "labels": list(seed.labels),
     }
-    payload["labels"] = list(seed.labels)
-    return payload
-
-
-def _json_int(value, field: str) -> int:
-    # JSON booleans are Python ints; a seed file must spell out integers.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SeedFormatError(f"field {field!r} must hold integers, got {value!r}")
-    return value
-
-
-def _json_ints(values, field: str) -> tuple[int, ...]:
-    if not isinstance(values, list):
-        raise SeedFormatError(f"field {field!r} must be a list of integers")
-    return tuple(_json_int(v, field) for v in values)
-
-
-def _json_matrix(rows, field: str) -> Matrix:
-    if not isinstance(rows, list):
-        raise SeedFormatError(f"field {field!r} must be a list of integer rows")
-    return tuple(_json_ints(row, field) for row in rows)
 
 
 def seed_from_dict(payload: dict) -> QuantumSeed:
     """Build and fully validate a seed from parsed JSON data.
 
-    Fails with the first violated invariant: field shapes, skew-symmetry
-    of lambda, positivity of d, skew-symmetrizability, compatibility.
+    Only the JSON shape is checked here: the required keys, and a list (of
+    lists, for lambda and btilde) wherever one belongs.  The constructors
+    check each value once and raise the first violation, in this order:
+    `ExchangeMatrix` (n, m, btilde's shape and ints), `SkewForm` (lambda's
+    ints, square shape and skew-symmetry, re-raised naming lambda), then
+    `QuantumSeed` (lambda's size against m; d's ints, length, positivity
+    and skew-symmetrizing; labels; compatibility).
     """
     for key in ("n", "m", "lambda", "btilde", "d"):
         if key not in payload:
             raise SeedFormatError(f"seed file is missing required field {key!r}")
-    n, m = _json_int(payload["n"], "n"), _json_int(payload["m"], "m")
-    lam_rows = _json_matrix(payload["lambda"], "lambda")
-    btilde = _json_matrix(payload["btilde"], "btilde")
-    d = _json_ints(payload["d"], "d")
-    if len(lam_rows) != m or any(len(row) != m for row in lam_rows):
-        raise SeedFormatError(f"lambda must be {m}x{m}")
-    try:
-        form = SkewForm(lam_rows)
-    except ValueError as exc:
-        raise SeedFormatError(str(exc)) from exc
+    for field in ("lambda", "btilde"):
+        rows = payload[field]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise SeedFormatError(f"field {field!r} must be a list of integer rows")
+    if not isinstance(payload["d"], list):
+        raise SeedFormatError("field 'd' must be a list of integers")
+    exchange = ExchangeMatrix(payload["btilde"], n=payload["n"], m=payload["m"])
     labels = payload.get("labels", [])
-    if not isinstance(labels, list) or (
-        labels and (len(labels) != m or not all(isinstance(v, str) for v in labels))
-    ):
-        raise SeedFormatError(f"labels must be {m} strings in a JSON list")
-    return QuantumSeed(
-        form=form,
-        exchange=ExchangeMatrix(btilde, n=n, m=m),
-        d=d,
-        labels=tuple(labels),
-    )
+    if not isinstance(labels, list):
+        raise SeedFormatError(f"labels must be {exchange.m} strings in a JSON list")
+    try:
+        form = SkewForm(payload["lambda"])
+    except TypeError as exc:
+        raise SeedFormatError("field 'lambda' must hold integers") from exc
+    except ValueError as exc:
+        raise SeedFormatError(f"field 'lambda': {exc}") from exc
+    return QuantumSeed(form=form, exchange=exchange, d=payload["d"], labels=labels)
 
 
 def loads_seed(text: str) -> QuantumSeed:

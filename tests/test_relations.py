@@ -514,6 +514,22 @@ class TestCommutator:
         assert commutator_check(seed, 1, 2).ok
         assert commutator_witness(seed, 1, 2).is_zero()
 
+    def test_pair_validated_once_per_check(self, monkeypatch, ex1, ex3):
+        # the witness once validated the pair again, rebuilding both
+        # exponent columns
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = relations._require_pair
+        monkeypatch.setattr(relations, "_require_pair", counting)
+        pairs = [(seed, i, j) for seed in (ex1, ex3) for i in range(1, seed.n + 1) for j in range(1, seed.n + 1) if i != j]
+        for seed, i, j in pairs:
+            assert commutator_check(seed, i, j).ok
+        assert len(calls) == len(pairs) == 8
+
     def test_single_term_property_random(self):
         # y_i y_j - q^(s/2) y_j y_i, s = s_ij, which is 0 on a plain
         # principal seed and reported as the check's twist

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import itertools
 import json
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qcluster import cli, seeds
 from qcluster.qarith import QLaurent
 from qcluster.qtorus import SkewForm, TorusElem
 from qcluster.seeds import (
@@ -351,6 +357,105 @@ class TestSeedFiles:
     def test_too_deeply_nested(self, text):
         with pytest.raises(SeedFormatError, match="seed file nests too deeply to be a seed object"):
             loads_seed(text)
+
+
+# Values no seed field holds: JSON null, booleans, floats, numeric and other
+# strings, nested lists and objects, a huge int and negative ints.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.integers(-5, 5).map(str),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+    st.sampled_from([10**30, -(10**30), -1, -7]),
+)
+
+
+@st.composite
+def malformed_payloads(draw):
+    """seed_to_dict of a random principal seed (either kind, rank 2-4) with a
+    field dropped, or a field, row or entry replaced, or a row cut or grown."""
+    make = random_principal_seed if draw(st.booleans()) else compatible_principal_seed
+    payload = seed_to_dict(make(random.Random(draw(st.integers(0, 10**6))), draw(st.integers(2, 4))))
+    field = draw(st.sampled_from(sorted(payload)))
+    value = payload[field]
+    how = draw(st.sampled_from(["drop", "field", "row", "entry", "short", "long"]))
+    if how == "drop":
+        del payload[field]
+    elif how == "field" or not isinstance(value, list) or not value:
+        payload[field] = draw(JUNK)
+    else:
+        r = draw(st.integers(0, len(value) - 1))
+        row = value[r]
+        if how == "row" or not isinstance(row, list):
+            value[r] = draw(JUNK)
+        elif how == "entry":
+            row[draw(st.integers(0, len(row) - 1))] = draw(JUNK)
+        elif how == "short":
+            value[r] = row[:-1]
+        else:
+            value[r] = row + [draw(st.integers(-2, 2))]
+    return payload
+
+
+class TestMalformedSeeds:
+    @given(malformed_payloads())
+    @settings(max_examples=600, deadline=None)
+    def test_only_seed_format_error(self, tmp_path_factory, payload):
+        # the loader names every fault as SeedFormatError, and the CLI
+        # turns it into exit 2 with one error line
+        try:
+            seed_from_dict(payload)
+            refused = False
+        except SeedFormatError:
+            refused = True
+        path = tmp_path_factory.mktemp("seed") / "seed.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main(["validate", "--seed", str(path)])
+        if refused:
+            assert status == 2 and out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+        else:
+            assert status == 0 and err.getvalue() == ""
+
+
+def _count_symmetrizer_checks(monkeypatch):
+    """The calls of seeds.is_skew_symmetrizer from here on."""
+    original = seeds.is_skew_symmetrizer
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    # Rebind every module-level reference, so that a module holding its
+    # own import of the check is counted too.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qcluster" and vars(module).get("is_skew_symmetrizer") is original:
+            monkeypatch.setattr(module, "is_skew_symmetrizer", counting)
+    return calls
+
+
+class TestSkewSymmetrizerCheckedOnce:
+    # principal_seed once decided skew-symmetrizability itself before
+    # QuantumSeed decided it again
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda seed: principal_seed(EX3_B, EX3_D),
+            lambda seed: load_seed("fixtures/exam3.json"),
+            lambda seed: mutate(seed, 1),
+        ],
+        ids=["principal_seed", "load_seed", "mutate"],
+    )
+    def test_one_check_per_built_seed(self, monkeypatch, ex1, build):
+        calls = _count_symmetrizer_checks(monkeypatch)
+        build(ex1)
+        assert len(calls) == 1
 
 
 class TestExchangeMatrix:
