@@ -5,7 +5,8 @@ formulas one-to-one (k for the mutation direction, i/j for a pair of
 mutable indices, l/m for the higher-order relation).  Exit status: 0 when
 every requested check passes, 1 when a verification fails, 2 for
 malformed input, 141 (128 + SIGPIPE, as shells report) when the reader
-closes standard output before the report is written.  Reports are
+closes standard output before the report is written, and 70 (EX_SOFTWARE)
+with one "error: internal error:" line for any other exception.  Reports are
 byte-deterministic unless --timings is given.
 """
 
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_CLOSED_STDOUT = 141
+EXIT_INTERNAL = 70
 
 
 @functools.cache
@@ -104,11 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_certificates(certs: Sequence[VerificationCertificate], args) -> int:
-    for cert in certs:
-        if args.format == "json":
-            print(cert.summary_json(timings=args.timings))
-        else:
-            print(cert.render(timings=args.timings))
+    line = VerificationCertificate.summary_json if args.format == "json" else VerificationCertificate.render
+    sys.stdout.write("".join([f"{line(cert, args.timings)}\n" for cert in certs]))
     return EXIT_OK if all(c.ok for c in certs) else EXIT_FAIL
 
 
@@ -203,10 +202,7 @@ def _cmd_suite(args) -> int:
     seed = load_seed(args.seed)
     # Run the suite first, so a seed it refuses prints nothing.
     certs = full_suite(seed)
-    if args.format == "json":
-        print(json.dumps({"check": "validate", "ok": True}))
-    else:
-        print("validate: PASS")
+    print('{"check": "validate", "ok": true}' if args.format == "json" else "validate: PASS")
     return _emit_certificates(certs, args)
 
 
@@ -239,6 +235,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as exc:  # a fault of the program, never "a relation failed"
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -385,6 +385,12 @@ def _q_binom_entry(n: int, r: int) -> tuple[int, int]:
     return packed, width
 
 
+def _q_binom_at(n: int, r: int, width: int) -> int:
+    """[n choose r], 0 < r < n, packed at q = 2^width from the table; the
+    caller keeps C(n, r) < 2^width, a multiple of 64.  Nothing is decoded."""
+    return _Q_BINOM_TABLE.get((width, n, r)) or _fill_q_binom_table(n, r, width)
+
+
 def q_binom(n: int, r: int, d: int = 1) -> QLaurent:
     """The Gaussian binomial coefficient [n choose r] at base q^d.
 

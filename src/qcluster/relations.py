@@ -13,12 +13,12 @@ statistics.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
-from .qarith import QLaurent, _q_binom_entry, _require_int, _respread, _slot_width
+from .qarith import QLaurent, _q_binom_at, _require_int, _slot_width
 from .qtorus import TorusElem, _commutator_lines, _unpack, vec_add
 from .seeds import QuantumSeed, pos_part
 
@@ -69,16 +69,16 @@ class VerificationCertificate:
         return line
 
     def summary_json(self, timings: bool = False) -> str:
-        record: dict[str, object] = {"check": self.check}
-        record.update({name: value for name, value in self.params})
-        if self.exploratory:
-            record["exploratory"] = True
-        record["ok"] = self.ok
-        record["residue"] = self.residue
-        record["terms"] = self.terms
-        if timings:
-            record["seconds"] = round(self.seconds, 6)
-        return json.dumps(record)
+        """json.dumps of {check, *params, exploratory if true, ok, residue, terms, seconds if timings}."""
+        params = "".join([f", {_quote(name)}: {value if type(value) is int else _scalar(value)}" for name, value in self.params])
+        tail = (', "seconds": ' + repr(round(self.seconds, 6))) if timings else ""
+        flag = ', "exploratory": true' if self.exploratory else ""
+        return f'{{"check": {_quote(self.check)}{params}{flag}, "ok": {"true" if self.ok else "false"}, "residue": {_quote(self.residue)}, "terms": {self.terms}{tail}}}'
+
+
+def _scalar(value: object) -> str:
+    """A bool, int (of any int subclass) or str param as json.dumps writes it."""
+    return ("true" if value else "false") if type(value) is bool else int.__repr__(value) if isinstance(value, int) else _quote(value)
 
 
 @dataclass(slots=True)
@@ -115,8 +115,8 @@ def _require_pair(seed: QuantumSeed, i: int, j: int, exponents: dict | None = No
     return seed.form, seed.d[i - 1], seed.d[j - 1], b_j[i - 1], b_i[j - 1], seed.form.pairing(g_j, g_i), g_i, b_i, g_j, b_j
 
 
-def _certify(check: str, params: Sequence[tuple[str, object]], residue: TorusElem, terms: int, started: float, exploratory: bool = False, twist: int = 0) -> VerificationCertificate:
-    """The certificate of `residue`, a nonzero twist last in its params; "0" is not rendered."""
+def _certify(check: str, params: Sequence[tuple[str, object]], residue: TorusElem | None, terms: int, started: float, exploratory: bool = False, twist: int = 0) -> VerificationCertificate:
+    """The certificate of `residue` (None: it vanished), a nonzero twist last in its params; "0" is not rendered."""
     params = tuple(params) + ((("twist", twist),) if twist else ())
     return VerificationCertificate(check, params, not residue, str(residue) if residue else "0", terms, time.perf_counter() - started, exploratory)
 
@@ -161,22 +161,23 @@ def _plan(c: int, middle: Sequence[tuple[int, int, int, int]], width: int, steps
     return _Plan(c, tuple(middle), halves, width, len(middle) * (steps + 1) ** 2, shift, basis)
 
 
-def _expand(plan: _Plan) -> TorusElem:
-    """The element `plan` sums, each key (s, t) decoded once at its basis
-    exponent l*g_j + s*b_j + L*g_i + t*b_i: nothing when every key vanished."""
+def _expand(plan: _Plan, keys: list | None = None) -> TorusElem:
+    """The element `plan` sums, each key (s, t) of the kernel (or `keys`, its
+    result) decoded once at its basis exponent l*g_j + s*b_j + L*g_i + t*b_i."""
     form, l, g_j, b_j, g_i, b_i = plan.basis
     steps, width = len(plan.halves), plan.width
     return TorusElem._raw(form, {
         tuple(l * a + s * u + steps * x + t * y for a, u, x, y in zip(g_j, b_j, g_i, b_i)): _unpack(lo, packed, width)
-        for s, t, lo, packed in _commutator_lines(plan.c, plan.middle, plan.halves, width)
+        for s, t, lo, packed in (_commutator_lines(plan.c, plan.middle, plan.halves, width) if keys is None else keys)
     })
 
 
 def _run(check: str, params: Sequence[tuple[str, object]], plan: _Plan, exploratory: bool = False) -> VerificationCertificate:
-    """Expand `plan` and certify it, its twist last in `params`; `seconds`
-    is the time of the expansion."""
+    """Expand `plan` and certify it, its twist last in `params`, decoding
+    nothing when every key vanished; `seconds` is the time of the expansion."""
     started = time.perf_counter()
-    return _certify(check, params, _expand(plan), plan.terms, started, exploratory, plan.twist)
+    keys = _commutator_lines(plan.c, plan.middle, plan.halves, plan.width)
+    return _certify(check, params, _expand(plan, keys) if keys else None, plan.terms, started, exploratory, plan.twist)
 
 
 # -- one-step variables ------------------------------------------------------
@@ -204,10 +205,10 @@ def _power_terms(d: int, t: int, width: int) -> list[tuple[int, int]]:
 
         y_k^t = sum_s q^(-d s(t-s)/2) [t, s]_(q^d) X^(t*g(y_k) + s*b_k),
 
-    the q-binomial theorem, as y_k's terms pair to d by compatibility.  Slot
-    r of [t, s] moves to stride 2*d*width, exactly when 2^t < 2^(width-1),
-    since [t, s] at q = 1 is C(t, s) < 2^t."""
-    inner = [(-d * s * (t - s), _respread(*_q_binom_entry(t, s), 2 * d * width, s * (t - s) + 1)) for s in range(1, t)]
+    the q-binomial theorem, as y_k's terms pair to d by compatibility.  Each
+    [t, s] is read from the table at stride 2*d*width, where it is packed at
+    q = 2^(2*d*width) as its slots allow: C(t, s) < 2^t < 2^(width-1)."""
+    inner = [(-d * s * (t - s), _q_binom_at(t, s, 2 * d * width)) for s in range(1, t)]
     return [(0, 1), *inner, (0, 1)]
 
 

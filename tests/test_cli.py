@@ -423,6 +423,26 @@ class TestSuite:
         assert out.splitlines() == golden
 
 
+class TestInternalErrors:
+    # Only a fault of the program gets past the input checks, so anything
+    # but ValueError and OSError is an internal error: exit 70, one stderr
+    # line, no traceback, and never 1, which says a relation failed.
+    @pytest.mark.parametrize("error", [ArithmeticError, TypeError, MemoryError, RecursionError])
+    @pytest.mark.parametrize("target, argv", [
+        ("full_suite", ("suite", "--seed", EXAM1)),
+        ("check_identity", ("identities", "--family", "VANDERMONDE", "--params", "5,2,3")),
+    ])
+    def test_internal_error_exits_70(self, capsys, monkeypatch, error, target, argv):
+        def broken(*args):
+            raise error("broken on purpose")
+
+        monkeypatch.setattr(cli, target, broken)
+        status, out, err = run(capsys, *argv)
+        assert status == cli.EXIT_INTERNAL == 70
+        assert out == ""
+        assert err == f"error: internal error: {error.__name__}: broken on purpose\n"
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -82,3 +82,17 @@ def test_one_kernel_caller_family():
 
     assert not imported("relations") & {"iterated_q_commutator", "_pack"}
     assert "_slot_width" not in imported("qtorus")
+
+
+def test_relations_writes_its_json_and_reads_strided_entries():
+    # Certificates write their own JSON line, quoting strings with the
+    # json encoder's escaper alone, and y_j^l's q-binomials are read from
+    # the table at the plan's stride, never moved there.
+    path = PACKAGE / "relations.py"
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not imported & {"json", "dumps", "_respread", "_q_binom_entry"}

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import sys
 from dataclasses import replace
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcluster import qtorus, relations, seeds
-from qcluster.qarith import QLaurent, _slot_width, q_binom
+from qcluster import qarith, qtorus, relations, seeds
+from qcluster.qarith import QLaurent, _q_binom_entry, _respread, _slot_width, q_binom
 from qcluster.qtorus import SkewForm, TorusElem, vec_add
 from qcluster.relations import (
+    VerificationCertificate,
     _expand,
     _lemma_plan,
     _order_plan,
+    _power_terms,
     _require_pair,
     commutator_check,
     commutator_witness,
@@ -301,9 +304,11 @@ class TestPlanTerms:
 
     def test_passing_suite_multiplies_and_decodes_nothing(self, monkeypatch):
         # every operand of a suite plan comes from the seed and the
-        # q-binomial table, and a vanishing result is returned undecoded
+        # q-binomial table, and a vanishing result is certified "0" with
+        # no key decoded and no torus element built
         calls = []
         monkeypatch.setattr(TorusElem, "__mul__", lambda *a: calls.append("mul"))
+        monkeypatch.setattr(TorusElem, "_raw", classmethod(lambda *a: calls.append("raw")))
         for module in (qtorus, relations):
             monkeypatch.setattr(module, "_unpack", lambda *a: calls.append("unpack"))
         rng = random.Random(41)
@@ -312,6 +317,28 @@ class TestPlanTerms:
                 certs = full_suite(make(rng, rng.choice([2, 3])))
                 assert all(cert.ok for cert in certs)
         assert calls == []
+
+
+def _respread_power_terms(d, t, width):
+    """_power_terms as it was built before the table kept strided rows:
+    each [t, s] read at its own slot width and moved to stride 2*d*width."""
+    inner = [(-d * s * (t - s), _respread(*_q_binom_entry(t, s), 2 * d * width, s * (t - s) + 1)) for s in range(1, t)]
+    return [(0, 1), *inner, (0, 1)]
+
+
+class TestPowerTermsStride:
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_stride_read_equals_the_respread(self, monkeypatch, fresh):
+        # An entry filled at slot width w' is the polynomial packed at
+        # q = 2^w', so reading [t, s] at the stride equals moving it there,
+        # whether the strided rows are filled on an empty table or beside
+        # the rows the oracle filled at 64 bits.
+        if fresh:
+            monkeypatch.setattr(qarith, "_Q_BINOM_TABLE", {})
+        for width in (64, 128, 192):
+            for d in range(1, 5):
+                for t in range(1, 13):
+                    assert _power_terms(d, t, width) == _respread_power_terms(d, t, width), (d, t, width)
 
 
 def _product_form(seed, i, j, l, m_exp):
@@ -845,6 +872,52 @@ class TestSuites:
         assert '"check": "serre"' in record and '"ok": true' in record
         timed = cert.render(timings=True)
         assert "s]" in timed
+
+
+# Reserved record keys; a certificate's params never reuse them, and the
+# dict-built oracle could not hold a param under one of them beside it.
+_RECORD_KEYS = {"check", "exploratory", "ok", "residue", "terms", "seconds"}
+_JSON_TEXT = st.text(alphabet=st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\U0001f600'), st.characters()))
+_PARAM_VALUES = st.one_of(st.integers(), st.sampled_from([-10**30, 10**30]), st.booleans(), _JSON_TEXT)
+
+
+def _dict_record_json(cert, timings):
+    """summary_json as it was written, through a dict and json.dumps."""
+    record = {"check": cert.check}
+    record.update({name: value for name, value in cert.params})
+    if cert.exploratory:
+        record["exploratory"] = True
+    record["ok"] = cert.ok
+    record["residue"] = cert.residue
+    record["terms"] = cert.terms
+    if timings:
+        record["seconds"] = round(cert.seconds, 6)
+    return json.dumps(record)
+
+
+class TestSummaryJson:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        check=_JSON_TEXT,
+        params=st.lists(st.tuples(_JSON_TEXT.filter(lambda name: name not in _RECORD_KEYS), _PARAM_VALUES), max_size=6, unique_by=lambda p: p[0]),
+        ok=st.booleans(),
+        residue=_JSON_TEXT,
+        terms=st.integers(min_value=0, max_value=10**30),
+        seconds=st.floats(allow_nan=False, allow_infinity=False),
+        exploratory=st.booleans(),
+        timings=st.booleans(),
+    )
+    def test_bytes_are_json_dumps(self, check, params, ok, residue, terms, seconds, exploratory, timings):
+        cert = VerificationCertificate(check, tuple(params), ok, residue, terms, seconds, exploratory)
+        assert cert.summary_json(timings) == _dict_record_json(cert, timings)
+
+    def test_suite_records_are_json_dumps(self):
+        # every record of the suites on the fixtures, twisted ones included
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        for name in ("exam1.json", "exam3.json", "lambda11.json"):
+            for cert in full_suite(load_seed(fixtures / name)):
+                for timings in (False, True):
+                    assert cert.summary_json(timings) == _dict_record_json(cert, timings)
 
 
 def _count_variables(monkeypatch):
