@@ -6,7 +6,10 @@ mutable indices, l/m for the higher-order relation).  Exit status: 0 when
 every requested check passes, 1 when a verification fails, 2 for
 malformed input, 141 (128 + SIGPIPE, as shells report) when the reader
 closes standard output before the report is written, and 70 (EX_SOFTWARE)
-with one "error: internal error:" line for any other exception.  Reports are
+with one "error: internal error:" line for any other exception.  Each
+subcommand returns its report lines and its verdict, and `main` alone
+writes them, so a run that exits 2 or 70 writes nothing to standard
+output, while one that exits 1 still writes every record.  Reports are
 byte-deterministic unless --timings is given.
 """
 
@@ -43,6 +46,9 @@ EXIT_BAD_INPUT = 2
 EXIT_CLOSED_STDOUT = 141
 EXIT_INTERNAL = 70
 
+# A subcommand's report lines, which main writes, and whether every check passed.
+Report = tuple[list[str], bool]
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,26 +69,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def seed_cmd(name: str, help_text: str) -> argparse.ArgumentParser:
+    def command(name: str, run, help_text: str, seed: bool = True) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text, parents=[common])
-        cmd.add_argument("--seed", required=True, help="seed file (JSON)")
+        cmd.set_defaults(run=run)
+        if seed:
+            cmd.add_argument("--seed", required=True, help="seed file (JSON)")
         return cmd
 
-    seed_cmd("validate", "check every seed-file invariant")
+    command("validate", _cmd_validate, "check every seed-file invariant")
 
-    cmd = seed_cmd("mutate", "mutate the seed in one direction and print the result")
+    cmd = command("mutate", _cmd_mutate, "mutate the seed in one direction and print the result")
     cmd.add_argument("--k", type=int, required=True, help="mutation direction in [1, n]")
     cmd.add_argument("--out", help="write the mutated seed to this file")
 
-    seed_cmd("vars", "print the one-step variables y_1 .. y_n")
+    command("vars", _cmd_vars, "print the one-step variables y_1 .. y_n")
 
-    cmd = seed_cmd("verify-serre", "verify the fundamental relation for one pair")
+    cmd = command("verify-serre", _cmd_verify_serre, "verify the fundamental relation for one pair")
     cmd.add_argument("--i", type=int, required=True)
     cmd.add_argument("--j", type=int, required=True)
     cmd.add_argument("--opposite", action="store_true",
                      help="also verify the reversed-side relation (needs b_ij <= 0)")
 
-    cmd = seed_cmd("verify-higher", "verify a higher-order relation")
+    cmd = command("verify-higher", _cmd_verify_higher, "verify a higher-order relation")
     cmd.add_argument("--i", type=int, required=True)
     cmd.add_argument("--j", type=int, required=True)
     cmd.add_argument("--l", type=int, required=True, help="order (power of y_j)")
@@ -90,90 +98,72 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--exploratory", action="store_true",
                      help="expand an out-of-range instance and report its remainder")
 
-    cmd = seed_cmd("verify-lemmas", "verify the vanishing-sum lemmas for one pair")
+    cmd = command("verify-lemmas", _cmd_verify_lemmas, "verify the vanishing-sum lemmas for one pair")
     cmd.add_argument("--i", type=int, required=True)
     cmd.add_argument("--j", type=int, required=True)
     cmd.add_argument("--variant", choices=("L32", "L41"), default="L32")
     cmd.add_argument("--m", type=int, default=None, help="outer exponent (L41)")
     cmd.add_argument("--t", type=int, default=None, help="inner shift (L41)")
 
-    cmd = sub.add_parser("identities", help="run q-identity checks", parents=[common])
+    cmd = command("identities", _cmd_identities, "run q-identity checks", seed=False)
     cmd.add_argument("--family", help="one family tag (default: sweep them all)")
     cmd.add_argument("--params", help="comma-separated integer parameters")
 
-    seed_cmd("suite", "validate plus the full relation suite")
+    command("suite", _cmd_suite, "validate plus the full relation suite")
     return parser
 
 
-def _emit_certificates(certs: Sequence[VerificationCertificate], args) -> int:
+def _certificates(certs: Sequence[VerificationCertificate], args) -> Report:
     line = VerificationCertificate.summary_json if args.format == "json" else VerificationCertificate.render
-    sys.stdout.write("".join([f"{line(cert, args.timings)}\n" for cert in certs]))
-    return EXIT_OK if all(c.ok for c in certs) else EXIT_FAIL
+    return [line(cert, args.timings) for cert in certs], all(c.ok for c in certs)
 
 
-def _print_matrix(title: str, rows) -> None:
-    print(f"{title}:")
-    width = max(len(str(v)) for row in rows for v in row)
-    for row in rows:
-        print("  " + " ".join(str(v).rjust(width) for v in row))
-
-
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> Report:
     # load_seed rejects every seed that breaks an invariant (exit 2).
     seed = load_seed(args.seed)
     if args.format == "json":
-        print(json.dumps({"check": "validate", "ok": True, "n": seed.n, "m": seed.m}))
-    else:
-        print(f"valid seed: n={seed.n}, m={seed.m}, d={list(seed.d)}")
-    return EXIT_OK
+        return [json.dumps({"check": "validate", "ok": True, "n": seed.n, "m": seed.m})], True
+    return [f"valid seed: n={seed.n}, m={seed.m}, d={list(seed.d)}"], True
 
 
-def _cmd_mutate(args) -> int:
-    seed = load_seed(args.seed)
-    mutated = mutate(seed, args.k)
-    # Write the file first, so a run that cannot write it prints nothing.
+def _cmd_mutate(args) -> Report:
+    mutated = mutate(load_seed(args.seed), args.k)
     if args.out:
         dump_seed(mutated, args.out)
     if args.format == "json":
-        print(json.dumps(seed_to_dict(mutated)))
-    else:
-        _print_matrix("Lambda'", mutated.form.rows())
-        _print_matrix("Btilde'", mutated.exchange.btilde)
-    return EXIT_OK
+        return [json.dumps(seed_to_dict(mutated))], True
+    lines = []
+    for title, rows in (("Lambda'", mutated.form.rows()), ("Btilde'", mutated.exchange.btilde)):
+        width = max(len(str(v)) for row in rows for v in row)
+        lines += [f"{title}:"] + ["  " + " ".join(str(v).rjust(width) for v in row) for row in rows]
+    return lines, True
 
 
-def _cmd_vars(args) -> int:
-    seed = load_seed(args.seed)
-    variables = one_step_variables(seed)
-    for k, value in enumerate(variables, start=1):
-        text = render_torus_elem(value)
-        if args.format == "json":
-            print(json.dumps({"k": k, "y": text}))
-        else:
-            print(f"y{k} = {text}")
-    return EXIT_OK
+def _cmd_vars(args) -> Report:
+    texts = [render_torus_elem(y) for y in one_step_variables(load_seed(args.seed))]
+    if args.format == "json":
+        return [json.dumps({"k": k, "y": text}) for k, text in enumerate(texts, start=1)], True
+    return [f"y{k} = {text}" for k, text in enumerate(texts, start=1)], True
 
 
-def _cmd_verify_serre(args) -> int:
+def _cmd_verify_serre(args) -> Report:
     seed = load_seed(args.seed)
     # the reversed side refuses b_ij > 0 before serre(i, j) is expanded
     opposite = [serre_verify_opposite(seed, args.i, args.j)] if args.opposite else []
-    return _emit_certificates([serre_verify(seed, args.i, args.j)] + opposite, args)
+    return _certificates([serre_verify(seed, args.i, args.j)] + opposite, args)
 
 
-def _cmd_verify_higher(args) -> int:
+def _cmd_verify_higher(args) -> Report:
     seed = load_seed(args.seed)
-    cert = higher_verify(seed, args.i, args.j, args.l, args.m, exploratory=args.exploratory)
-    return _emit_certificates([cert], args)
+    return _certificates([higher_verify(seed, args.i, args.j, args.l, args.m, exploratory=args.exploratory)], args)
 
 
-def _cmd_verify_lemmas(args) -> int:
+def _cmd_verify_lemmas(args) -> Report:
     seed = load_seed(args.seed)
-    cert = lemma_sum_check(seed, args.i, args.j, variant=args.variant, m_exp=args.m, t_shift=args.t)
-    return _emit_certificates([cert], args)
+    return _certificates([lemma_sum_check(seed, args.i, args.j, variant=args.variant, m_exp=args.m, t_shift=args.t)], args)
 
 
-def _cmd_identities(args) -> int:
+def _cmd_identities(args) -> Report:
     if args.family is not None and args.params is not None:
         try:
             params = tuple(int(v) for v in args.params.split(",")) if args.params else ()
@@ -186,36 +176,16 @@ def _cmd_identities(args) -> int:
         raise ValueError("--params needs --family: parameters belong to one family")
     else:
         reports = sweep_reports([args.family] if args.family is not None else None)
-    for report in reports:
-        if args.format == "json":
-            print(json.dumps({
-                "family": report.family,
-                "params": list(report.params),
-                "ok": report.verdict,
-            }))
-        else:
-            print(report.render())
-    return EXIT_OK if all(r.verdict for r in reports) else EXIT_FAIL
+    if args.format == "json":
+        lines = [json.dumps({"family": r.family, "params": list(r.params), "ok": r.verdict}) for r in reports]
+    else:
+        lines = [r.render() for r in reports]
+    return lines, all(r.verdict for r in reports)
 
 
-def _cmd_suite(args) -> int:
-    seed = load_seed(args.seed)
-    # Run the suite first, so a seed it refuses prints nothing.
-    certs = full_suite(seed)
-    print('{"check": "validate", "ok": true}' if args.format == "json" else "validate: PASS")
-    return _emit_certificates(certs, args)
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "mutate": _cmd_mutate,
-    "vars": _cmd_vars,
-    "verify-serre": _cmd_verify_serre,
-    "verify-higher": _cmd_verify_higher,
-    "verify-lemmas": _cmd_verify_lemmas,
-    "identities": _cmd_identities,
-    "suite": _cmd_suite,
-}
+def _cmd_suite(args) -> Report:
+    lines, ok = _certificates(full_suite(load_seed(args.seed)), args)
+    return ['{"check": "validate", "ok": true}' if args.format == "json" else "validate: PASS"] + lines, ok
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -225,9 +195,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.format = getattr(args, "format", "text")
     args.timings = getattr(args, "timings", False)
     try:
-        status = _COMMANDS[args.command](args)
+        # The one write to stdout, after the command has returned: a run
+        # that raises writes nothing.  The lines are streamed, not joined,
+        # so a reader that closes the pipe early is met during the write.
+        lines, ok = args.run(args)
+        sys.stdout.writelines([f"{line}\n" for line in lines])
         sys.stdout.flush()  # so a closed pipe is met here, not at exit
-        return status
+        return EXIT_OK if ok else EXIT_FAIL
     except BrokenPipeError:
         # Pointed at devnull, the flush at exit cannot print "Exception ignored".
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

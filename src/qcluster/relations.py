@@ -99,10 +99,10 @@ class _Plan:
 # -- small helpers -----------------------------------------------------------
 
 
-def _require_pair(seed: QuantumSeed, i: int, j: int, exponents: dict | None = None) -> tuple:
+def _require_pair(seed: QuantumSeed, i: int, j: int) -> tuple:
     """(form, d_i, d_j, b_ij, b_ji, pi, g_i, b_i, g_j, b_j), pi = lambda(g_j, g_i),
     of a valid pair of distinct mutable indices of a principal seed, the one
-    validation of every pair check; (g_k, b_k) as `_exponents` or `exponents`."""
+    validation of every pair check; (g_k, b_k) from `seed.one_step_exponents`."""
     _principal(seed)
     _require_int("index i", i)
     _require_int("index j", j)
@@ -111,7 +111,7 @@ def _require_pair(seed: QuantumSeed, i: int, j: int, exponents: dict | None = No
         raise ValueError(f"indices (i, j) = ({i}, {j}) out of range [1, {n}]")
     if i == j:
         raise ValueError("need two distinct mutable indices")
-    (g_i, b_i), (g_j, b_j) = (exponents[i], exponents[j]) if exponents else (_exponents(seed, i), _exponents(seed, j))
+    (g_i, b_i), (g_j, b_j) = seed.one_step_exponents[i - 1], seed.one_step_exponents[j - 1]
     return seed.form, seed.d[i - 1], seed.d[j - 1], b_j[i - 1], b_i[j - 1], seed.form.pairing(g_j, g_i), g_i, b_i, g_j, b_j
 
 
@@ -119,13 +119,6 @@ def _certify(check: str, params: Sequence[tuple[str, object]], residue: TorusEle
     """The certificate of `residue` (None: it vanished), a nonzero twist last in its params; "0" is not rendered."""
     params = tuple(params) + ((("twist", twist),) if twist else ())
     return VerificationCertificate(check, params, not residue, str(residue) if residue else "0", terms, time.perf_counter() - started, exploratory)
-
-
-def _exponents(seed: QuantumSeed, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(g(y_k), b_k), read from column b_k: y_k = X^g(y_k) + X^(g(y_k) + b_k),
-    g(y_k) = -e_k + [-b_k]_+, which has no x_(n+k)."""
-    column = seed.exchange.column(k)
-    return tuple(pos_part(-b) - (r == k - 1) for r, b in enumerate(column)), column
 
 
 def _plan(c: int, middle: Sequence[tuple[int, int, int, int]], width: int, steps: int, first: int, basis: tuple) -> _Plan:
@@ -273,7 +266,7 @@ def power_product_check(seed: QuantumSeed, i: int, t: int, side: str = "left") -
     y_i_t = ys[i - 1] ** t
     x_i_t = TorusElem.monomial(form, power)
     brute = y_i_t * x_i_t if side == "left" else x_i_t * y_i_t
-    width, (g, column), d_i = _slot_width(1 << t), _exponents(seed, i), seed.d[i - 1]
+    width, (g, column), d_i = _slot_width(1 << t), seed.one_step_exponents[i - 1], seed.d[i - 1]
     terms_t = [(tuple(t * a + s * b for a, b in zip(g, column)), lo, packed) for s, (lo, packed) in enumerate(_power_terms(d_i, t, width))]
     expansion = TorusElem(form, [(vec_add(e, power), _unpack(lo + sign * form.pairing(e, power), packed, width)) for e, lo, packed in terms_t])
     low, high = tuple(pos_part(-b) for b in column), tuple(pos_part(b) for b in column)
@@ -456,12 +449,12 @@ def full_suite(seed: QuantumSeed) -> list[VerificationCertificate]:
     included, the reversed side with its twist negated, unless serre(j, i)
     fails; then `serre_verify_opposite` bars it.
     """
-    exponents = {k: _exponents(seed, k) for k in range(1, _principal(seed).n + 1)}
+    indices = range(1, _principal(seed).n + 1)
     serre, higher = {}, []
-    for i in exponents:
-        for j in exponents:
+    for i in indices:
+        for j in indices:
             if i != j:
-                pair, named = _require_pair(seed, i, j, exponents), (("i", i), ("j", j))
+                pair, named = _require_pair(seed, i, j), (("i", i), ("j", j))
                 size = abs(pair[3])
                 serre[i, j] = cert = _run("serre", named, _order_plan(pair, 1, size))
                 if size:

@@ -23,7 +23,7 @@ from operator import mul
 from typing import Sequence
 
 from .qarith import QLaurent, _require_int
-from .qtorus import ExpVec, SkewForm, TorusElem
+from .qtorus import ExpVec, SkewForm, TorusElem, vec_add
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -93,8 +93,9 @@ class QuantumSeed:
     """The triple (labels, Lambda, Btilde) with its skew-symmetrizer D.
 
     Every seed is a compatible pair: construction raises SeedFormatError
-    unless Btilde^T * Lambda = [D 0].  `is_principal` and the one-step
-    variables `one_step` are derived once, on first use.
+    unless Btilde^T * Lambda = [D 0].  `is_principal`, the one-step
+    exponents `one_step_exponents` and the one-step variables `one_step`
+    are derived once, on first use.
     """
 
     form: SkewForm
@@ -147,6 +148,13 @@ class QuantumSeed:
             for i in range(self.n)
             for j in range(self.n)
         )
+
+    @functools.cached_property
+    def one_step_exponents(self) -> tuple[tuple[ExpVec, ExpVec], ...]:
+        """(g(y_k), b_k) for k = 1 .. n, read from column b_k:
+        y_k = X^(g(y_k) + b_k) + X^g(y_k), g(y_k) = -e_k + [-b_k]_+."""
+        columns = map(self.exchange.column, range(1, self.n + 1))
+        return tuple((tuple(pos_part(-b) - (r == k) for r, b in enumerate(column)), column) for k, column in enumerate(columns))
 
     @functools.cached_property
     def one_step(self) -> tuple[TorusElem, ...]:
@@ -264,16 +272,12 @@ def mutated_variable(seed: QuantumSeed, k: int) -> TorusElem:
     column b_k.
     """
     _require_int("variable index k", k)
-    n, m = seed.n, seed.m
-    if not 1 <= k <= n:
-        raise ValueError(f"variable index {k} out of range [1, {n}]")
-    column = seed.exchange.column(k)
-    base = tuple(-1 if t == k - 1 else 0 for t in range(m))
-    plus = tuple(base[t] + pos_part(column[t]) for t in range(m))
-    minus = tuple(base[t] + pos_part(-column[t]) for t in range(m))
+    if not 1 <= k <= seed.n:
+        raise ValueError(f"variable index {k} out of range [1, {seed.n}]")
+    g, column = seed.one_step_exponents[k - 1]
     # Seed entries are ints, so the exponents are canonical.  They differ:
     # compatibility forces pairing(b_k, e_k) = d_k >= 1, so b_k != 0.
-    return TorusElem._raw(seed.form, {plus: QLaurent.one(), minus: QLaurent.one()})
+    return TorusElem._raw(seed.form, {vec_add(g, column): QLaurent.one(), g: QLaurent.one()})
 
 
 def random_principal_seed(rng: random.Random, n: int, max_entry: int = 3, max_d: int = 3, mutable_block: bool = False) -> QuantumSeed:

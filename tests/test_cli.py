@@ -10,6 +10,7 @@ import pytest
 
 from qcluster import cli, relations, seeds
 from qcluster.cli import main
+from qcluster.identities import IdentityReport
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -441,6 +442,29 @@ class TestInternalErrors:
         assert status == cli.EXIT_INTERNAL == 70
         assert out == ""
         assert err == f"error: internal error: {error.__name__}: broken on purpose\n"
+
+
+class TestRaiseMidCommand:
+    # A command returns its lines and main alone writes them, so a command
+    # that raises after building some of its lines writes none of them.
+    @pytest.mark.parametrize("owner, name, argv", [
+        (cli, "render_torus_elem", ("vars", "--seed", EXAM1)),
+        (IdentityReport, "render", ("identities", "--family", "PASCAL")),
+    ], ids=["vars", "identities"])
+    def test_second_render_raises_writes_nothing(self, capsys, monkeypatch, owner, name, argv):
+        original, calls = getattr(owner, name), []
+
+        def second_call_raises(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("broken on purpose")
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, second_call_raises)
+        status, out, err = run(capsys, *argv)
+        assert len(calls) == 2
+        assert status == cli.EXIT_INTERNAL == 70 and out == ""
+        assert err == "error: internal error: RuntimeError: broken on purpose\n"
 
 
 class TestDeterminism:

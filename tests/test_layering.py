@@ -96,3 +96,27 @@ def test_relations_writes_its_json_and_reads_strided_entries():
         for alias in node.names
     }
     assert not imported & {"json", "dumps", "_respread", "_q_binom_entry"}
+
+
+def test_only_cli_main_writes_stdout():
+    # Each subcommand returns its lines and its verdict; main writes the
+    # lines in one call and alone maps the verdict to an exit status, and
+    # every print goes to stderr.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def function(node):
+        while not isinstance(node, (ast.FunctionDef, ast.Module)):
+            node = parent[node]
+        return getattr(node, "name", None)
+
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    writes = [call for call in calls if ast.unparse(call.func).startswith("sys.stdout.write")]
+    assert [function(call) for call in writes] == ["main"]
+    assert {function(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout"} == {"main"}
+    prints = [call for call in calls if ast.unparse(call.func) == "print"]
+    assert prints and all(
+        [ast.unparse(k.value) for k in call.keywords if k.arg == "file"] == ["sys.stderr"] for call in prints
+    )
+    verdicts = {function(node) for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in ("EXIT_OK", "EXIT_FAIL")}
+    assert verdicts == {"main"}

@@ -400,12 +400,44 @@ def malformed_payloads(draw):
     return payload
 
 
+@st.composite
+def malformed_files(draw):
+    """Bytes that no seed loads from: a seed's ASCII text with one byte
+    >= 0x80 put in (never UTF-8), nesting deeper than the JSON decoder
+    follows, or an integer with more digits than the decoder converts."""
+    make = random_principal_seed if draw(st.booleans()) else compatible_principal_seed
+    text = json.dumps(seed_to_dict(make(random.Random(draw(st.integers(0, 10**6))), draw(st.integers(2, 4))))).encode()
+    how = draw(st.sampled_from(["byte", "nesting", "digits"]))
+    if how == "byte":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + text[at:]
+    if how == "nesting":
+        return draw(st.sampled_from([b"[", b'{"n": ', b'{"lambda": ['])) * draw(st.integers(10**4, 10**5))
+    return b'{"n": ' + b"7" * draw(st.integers(5000, 20000)) + b', "m": 4}'
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(list(argv))
+    return status, out.getvalue(), err.getvalue()
+
+
+def assert_refused(path):
+    # exit 2, one error line and nothing on stdout: never 1 (a relation
+    # failed), 70 (a fault of the program) or a traceback
+    for command in ("validate", "suite"):
+        status, out, err = run_cli(command, "--seed", str(path))
+        assert status == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 class TestMalformedSeeds:
     @given(malformed_payloads())
     @settings(max_examples=600, deadline=None)
     def test_only_seed_format_error(self, tmp_path_factory, payload):
         # the loader names every fault as SeedFormatError, and the CLI
-        # turns it into exit 2 with one error line
+        # turns it into exit 2 with one error line, for validate and suite
         try:
             seed_from_dict(payload)
             refused = False
@@ -413,14 +445,20 @@ class TestMalformedSeeds:
             refused = True
         path = tmp_path_factory.mktemp("seed") / "seed.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            status = cli.main(["validate", "--seed", str(path)])
         if refused:
-            assert status == 2 and out.getvalue() == ""
-            assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+            assert_refused(path)
         else:
-            assert status == 0 and err.getvalue() == ""
+            status, _, err = run_cli("validate", "--seed", str(path))
+            assert status == 0 and err == ""
+
+    @given(malformed_files())
+    @settings(max_examples=150, deadline=None)
+    def test_malformed_file_refused(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("seed") / "seed.json"
+        path.write_bytes(data)
+        with pytest.raises(SeedFormatError):
+            seeds.load_seed(path)
+        assert_refused(path)
 
 
 def _count_symmetrizer_checks(monkeypatch):
