@@ -125,25 +125,15 @@ class QLaurent:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms_a, terms_b = self._terms, other._terms
-        if len(terms_b) == 1:
-            terms_a, terms_b = terms_b, terms_a
-        if len(terms_a) == 1:
-            # A monomial c0 q^(h0/2) times anything: a shift and a scale.
-            # c0 * c is nonzero for nonzero c and the shift is injective, so
-            # the map stays canonical without a merge.
-            ((h0, c0),) = terms_a.items()
-            data = {h0 + half: c0 * coeff for half, coeff in terms_b.items()}
-        else:
-            data = {}
-            for ha, ca in terms_a.items():
-                for hb, cb in terms_b.items():
-                    half = ha + hb
-                    merged = data.get(half, 0) + ca * cb
-                    if merged:
-                        data[half] = merged
-                    else:
-                        del data[half]
+        data = {}
+        for ha, ca in self._terms.items():
+            for hb, cb in other._terms.items():
+                half = ha + hb
+                merged = data.get(half, 0) + ca * cb
+                if merged:
+                    data[half] = merged
+                else:
+                    del data[half]
         out = QLaurent.__new__(QLaurent)
         out._terms = data
         return out
@@ -383,12 +373,6 @@ def _q_binom_entry(n: int, r: int) -> tuple[int, int]:
         width = _SLOT_BITS * -(-comb(n, r).bit_length() // _SLOT_BITS)
         packed = _Q_BINOM_TABLE.get((width, n, r)) or _fill_q_binom_table(n, r, width)
     return packed, width
-
-
-def _q_binom_at(n: int, r: int, width: int) -> int:
-    """[n choose r], 0 < r < n, packed at q = 2^width from the table; the
-    caller keeps C(n, r) < 2^width, a multiple of 64.  Nothing is decoded."""
-    return _Q_BINOM_TABLE.get((width, n, r)) or _fill_q_binom_table(n, r, width)
 
 
 def q_binom(n: int, r: int, d: int = 1) -> QLaurent:

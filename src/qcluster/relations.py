@@ -5,10 +5,11 @@ closed form) exactly in the torus and decides the verdict by canonical
 emptiness, never by sampling.  The alternating sums are evaluated as
 iterated q-commutators (the q-adjoint action) on packed ints, so the
 kernel expands no q-binomial coefficient.  An order plan is built from its
-pair's integers alone (`_order_plan`), with y_j^l read packed from the
-q-binomial table, and decoded only where a sum survives.  Certificates
-record the instance, the verdict, the canonical remainder and expansion
-statistics.
+pair's integers alone (`_order_plan`), with y_j^l's q-binomials built
+packed by Pascal's rule at the plan's stride (`_power_terms`), so no check
+writes process-global state, and decoded only where a sum survives.
+Certificates record the instance, the verdict, the canonical remainder and
+expansion statistics.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
-from .qarith import QLaurent, _q_binom_at, _require_int, _slot_width
+from .qarith import QLaurent, _require_int, _slot_width
 from .qtorus import TorusElem, _commutator_lines, _unpack, vec_add
 from .seeds import QuantumSeed, pos_part
 
@@ -192,17 +193,21 @@ def one_step_variables(seed: QuantumSeed) -> tuple[TorusElem, ...]:
 # -- closed forms on based monomials ----------------------------------------
 
 
-def _power_terms(d: int, t: int, width: int) -> list[tuple[int, int]]:
-    """(lo, P) of term s = 0 .. t of y_k^t, t >= 1 and d = d_k, packed at
-    q^(1/2) = 2^width from the q-binomial table, with nothing decoded:
+def _power_terms(d: int, t: int, width: int) -> list[int]:
+    """[t, s]_(q^d) for s = 0 .. t, t >= 1, packed at q^(1/2) = 2^width,
+    the coefficients of y_k^t for d = d_k:
 
         y_k^t = sum_s q^(-d s(t-s)/2) [t, s]_(q^d) X^(t*g(y_k) + s*b_k),
 
-    the q-binomial theorem, as y_k's terms pair to d by compatibility.  Each
-    [t, s] is read from the table at stride 2*d*width, where it is packed at
-    q = 2^(2*d*width) as its slots allow: C(t, s) < 2^t < 2^(width-1)."""
-    inner = [(-d * s * (t - s), _q_binom_at(t, s, 2 * d * width)) for s in range(1, t)]
-    return [(0, 1), *inner, (0, 1)]
+    the q-binomial theorem, as y_k's terms pair to d by compatibility; the
+    caller adds term s's lowest half-exponent -d s(t-s).  The row is built
+    from [1, 1] by Pascal's rule [k, s] = [k-1, s] + Q^(k-s) [k-1, s-1] at
+    Q = q^d = 2^(2*d*width), on packed ints, as packing is a ring map; only
+    decoding needs its slots to hold: C(t, s) < 2^t < 2^(width-1)."""
+    row, stride = [1, 1], 2 * d * width
+    for k in range(2, t + 1):
+        row = [1, *[row[s] + (row[s - 1] << stride * (k - s)) for s in range(1, k)], 1]
+    return row
 
 
 def commutator_witness(seed: QuantumSeed, i: int, j: int) -> TorusElem:
@@ -267,7 +272,7 @@ def power_product_check(seed: QuantumSeed, i: int, t: int, side: str = "left") -
     x_i_t = TorusElem.monomial(form, power)
     brute = y_i_t * x_i_t if side == "left" else x_i_t * y_i_t
     width, (g, column), d_i = _slot_width(1 << t), seed.one_step_exponents[i - 1], seed.d[i - 1]
-    terms_t = [(tuple(t * a + s * b for a, b in zip(g, column)), lo, packed) for s, (lo, packed) in enumerate(_power_terms(d_i, t, width))]
+    terms_t = [(tuple(t * a + s * b for a, b in zip(g, column)), -d_i * s * (t - s), packed) for s, packed in enumerate(_power_terms(d_i, t, width))]
     expansion = TorusElem(form, [(vec_add(e, power), _unpack(lo + sign * form.pairing(e, power), packed, width)) for e, lo, packed in terms_t])
     low, high = tuple(pos_part(-b) for b in column), tuple(pos_part(b) for b in column)
     lean = form.pairing(g, e_i)
@@ -350,10 +355,11 @@ def _order_plan(pair: tuple, l: int, m_exp: int, exploratory: bool = False) -> _
     """sum_r +/- [m+1, r] y_i^(m+1-r) y_j^l y_i^r at base q^(d_i), from the
     integers of `pair` (`_require_pair`), (l, m_exp) checked as
     `higher_verify` says: m+1 steps, the first at q^(-d_i m) when b_ij > 0.
-    y_j^l comes from `_power_terms` at the kernel's width for L = m+1
+    y_j^l's row is built by `_power_terms` at the kernel's width for L = m+1
     steps, W = _slot_width(4^L * 2^l), as ||y_j^l||_1 = 2^l.  Its term s
-    sits at e_s = l*g_j + s*b_j, and compatibility (`_plan`) gives, with
-    pi = lambda(g_j, g_i) and coordinate j of g_i equal to [-b_ji]_+,
+    sits at e_s = l*g_j + s*b_j with lowest half-exponent -d_j s(l-s), and
+    compatibility (`_plan`) gives, with pi = lambda(g_j, g_i) and
+    coordinate j of g_i equal to [-b_ji]_+,
 
         p0(s) = l*pi + s*d_j*[-b_ji]_+,  p1(s) = p0(s) - d_i (l*[-b_ij]_+ + s*b_ij),
 
@@ -378,7 +384,7 @@ def _order_plan(pair: tuple, l: int, m_exp: int, exploratory: bool = False) -> _
         raise ValueError(f"outer exponent m={m_exp} below the bound l*|b_ij| = {l * size}")
     width = _slot_width(4 ** (m_exp + 1) << l)
     p0, p1, slope = l * pi, l * (pi - d_i * pos_part(-b)), d_j * pos_part(-b_ji)
-    middle = [(p0 + s * slope, p1 + s * (slope - d_i * b), lo, packed) for s, (lo, packed) in enumerate(_power_terms(d_j, l, width))]
+    middle = [(p0 + s * slope, p1 + s * (slope - d_i * b), -d_j * s * (l - s), packed) for s, packed in enumerate(_power_terms(d_j, l, width))]
     return _plan(d_i, middle, width, m_exp + 1, -m_exp if b > 0 else 0, (form, l, g_j, b_j, g_i, b_i))
 
 

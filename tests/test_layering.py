@@ -84,10 +84,11 @@ def test_one_kernel_caller_family():
     assert "_slot_width" not in imported("qtorus")
 
 
-def test_relations_writes_its_json_and_reads_strided_entries():
+def test_relations_writes_its_json_and_builds_its_binomials():
     # Certificates write their own JSON line, quoting strings with the
-    # json encoder's escaper alone, and y_j^l's q-binomials are read from
-    # the table at the plan's stride, never moved there.
+    # json encoder's escaper alone, and y_j^l's q-binomials are built by
+    # Pascal's rule at the plan's stride, so relations reads no name of
+    # the q-binomial table and no relation check adds a row to it.
     path = PACKAGE / "relations.py"
     imported = {
         alias.name
@@ -95,7 +96,7 @@ def test_relations_writes_its_json_and_reads_strided_entries():
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
-    assert not imported & {"json", "dumps", "_respread", "_q_binom_entry"}
+    assert not imported & {"json", "dumps", "_respread", "_q_binom_entry", "_Q_BINOM_TABLE", "_fill_q_binom_table", "q_binom"}
 
 
 def test_only_cli_main_writes_stdout():

@@ -320,25 +320,57 @@ class TestPlanTerms:
 
 
 def _respread_power_terms(d, t, width):
-    """_power_terms as it was built before the table kept strided rows:
-    each [t, s] read at its own slot width and moved to stride 2*d*width."""
-    inner = [(-d * s * (t - s), _respread(*_q_binom_entry(t, s), 2 * d * width, s * (t - s) + 1)) for s in range(1, t)]
-    return [(0, 1), *inner, (0, 1)]
+    """_power_terms's row as the table gives it: each [t, s] read at its own
+    slot width and moved to stride 2*d*width."""
+    return [1, *[_respread(*_q_binom_entry(t, s), 2 * d * width, s * (t - s) + 1) for s in range(1, t)], 1]
 
 
-class TestPowerTermsStride:
+class TestPowerTermsPascal:
     @pytest.mark.parametrize("fresh", [True, False])
-    def test_stride_read_equals_the_respread(self, monkeypatch, fresh):
-        # An entry filled at slot width w' is the polynomial packed at
-        # q = 2^w', so reading [t, s] at the stride equals moving it there,
-        # whether the strided rows are filled on an empty table or beside
-        # the rows the oracle filled at 64 bits.
+    def test_pascal_row_equals_the_respread_and_fills_no_row(self, monkeypatch, fresh):
+        # Packing at Q = 2^(2*d*width) is a ring map, so Pascal's rule on
+        # packed ints gives each [t, s] the table holds, moved to the
+        # stride, whether the table is empty or holds the 64-bit rows the
+        # oracle fills; and building the row writes no table entry.  The
+        # snapshot brackets _power_terms alone, as the oracle fills rows.
         if fresh:
             monkeypatch.setattr(qarith, "_Q_BINOM_TABLE", {})
         for width in (64, 128, 192):
             for d in range(1, 5):
                 for t in range(1, 13):
-                    assert _power_terms(d, t, width) == _respread_power_terms(d, t, width), (d, t, width)
+                    before = dict(qarith._Q_BINOM_TABLE)
+                    row = _power_terms(d, t, width)
+                    assert qarith._Q_BINOM_TABLE == before, (d, t, width)
+                    assert row == _respread_power_terms(d, t, width), (d, t, width)
+
+
+def test_relation_checks_leave_the_table_alone(monkeypatch):
+    # Every relation check builds y_j^l's q-binomials itself, so none adds
+    # a row to the process-wide q-binomial table, however large d is.
+    # power_product_check stays off the large-d seed, where t = 5 packs a
+    # row of about 19 MB.
+    monkeypatch.setattr(qarith, "_Q_BINOM_TABLE", {})
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    for seed in [load_seed(fixtures / name) for name in ("exam1.json", "exam3.json", "lambda11.json")]:
+        full_suite(seed)
+        pairs = [(i, j) for i in range(1, seed.n + 1) for j in range(1, seed.n + 1) if i != j]
+        for i, j in pairs:
+            size = abs(seed.b_entry(i, j))
+            for l in range(1, size + 1):
+                higher_verify(seed, i, j, l, l * size)
+            higher_verify(seed, i, j, size + 1, (size + 1) * size, exploratory=True)
+            commutator_check(seed, i, j)
+            if size:
+                lemma_sum_check(seed, i, j, "L32")
+                lemma_sum_check(seed, i, j, "L41", m_exp=size + 1, t_shift=0)
+        for i in range(1, seed.n + 1):
+            for t in range(1, 6):
+                for side in ("left", "right"):
+                    power_product_check(seed, i, t, side)
+    large = principal_seed([[0, 2], [-1, 0]], (10**5, 2 * 10**5))
+    full_suite(large)
+    higher_verify(large, 1, 2, 2, 4)
+    assert qarith._Q_BINOM_TABLE == {}
 
 
 def _product_form(seed, i, j, l, m_exp):
