@@ -3,13 +3,16 @@
 Every check here expands an alternating sum (or a difference against a
 closed form) exactly in the torus and decides the verdict by canonical
 emptiness, never by sampling.  The alternating sums are evaluated as
-iterated q-commutators (the q-adjoint action) on packed ints, so the
-kernel expands no q-binomial coefficient.  An order plan is built from its
-pair's integers alone (`_order_plan`), with y_j^l's q-binomials built
-packed by Pascal's rule at the plan's stride (`_power_terms`), so no check
-writes process-global state, and decoded only where a sum survives.
-Certificates record the instance, the verdict, the canonical remainder and
-expansion statistics.
+iterated q-commutators (the q-adjoint action), so no q-binomial
+coefficient of the sum is expanded.  An order plan holds integers only,
+read from its pair (`_order_plan`).  Each middle term's line is first walked
+on its spans alone (`qtorus._line_dies`); when every line dies there, as
+on every admissible relation, the plan is certified "0" with no packed
+int built.  Only a plan with a live line builds y_j^l's q-binomials,
+packed by Pascal's rule at the plan's stride (`_power_terms`), picks a
+slot width and runs the packed kernel, decoding only the keys that
+survive.  No check writes process-global state.  Certificates record the
+instance, the verdict, the canonical remainder and expansion statistics.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 from .qarith import QLaurent, _require_int, _slot_width
-from .qtorus import TorusElem, _commutator_lines, _unpack, vec_add
+from .qtorus import TorusElem, _commutator_lines, _line_dies, _unpack, vec_add
 from .seeds import QuantumSeed, pos_part
 
 
@@ -84,17 +87,40 @@ def _scalar(value: object) -> str:
 
 @dataclass(slots=True)
 class _Plan:
-    """A validated alternating-sum check, built by `_plan`: the arguments of
-    `qtorus._commutator_lines`, its `terms`, and the basis
-    (form, l, g_j, b_j, g_i, b_i) that `_expand` decodes its keys by."""
+    """A validated alternating-sum check, built by `_plan` from integers:
+    c = lambda(f0, f1), each middle term's `pairings` (p0, p1), the steps'
+    `halves`, the `twist`, the basis (form, l, g_j, b_j, g_i, b_i) that
+    `_expand` decodes keys by, and (d_j, l) of the middle y_j^l, l = 0 for
+    the lemma's unit middle x_i^(step-1).  The packed kernel's `width` and
+    `middle` are read-only properties, built only when read (`_keys`)."""
 
     c: int
-    middle: tuple[tuple[int, int, int, int], ...]
+    pairings: tuple[tuple[int, int], ...]
     halves: tuple[int, ...]
-    width: int
-    terms: int
     twist: int
     basis: tuple
+    d_j: int
+    l: int
+
+    @property
+    def terms(self) -> int:
+        """|supp M| * (L+1)^2, the summed term counts of the summands (`_plan`)."""
+        return len(self.pairings) * (len(self.halves) + 1) ** 2
+
+    @property
+    def width(self) -> int:
+        """W = _slot_width(4^L * 2^l) for L = len(halves) steps, as
+        ||y_j^l||_1 = 2^l (`qtorus._commutator_lines`)."""
+        return _slot_width(4 ** len(self.halves) << self.l)
+
+    @property
+    def middle(self) -> list[tuple[int, int, int, int]]:
+        """The kernel's middle terms (p0, p1, lo, P): term s of y_j^l has
+        lowest half-exponent lo = -d_j s(l-s) and P = [l, s]_(q^d_j) packed
+        at `width` (`_power_terms`)."""
+        d_j, l = self.d_j, self.l
+        row = _power_terms(d_j, l, self.width)
+        return [(p0, p1, -d_j * s * (l - s), packed) for s, ((p0, p1), packed) in enumerate(zip(self.pairings, row))]
 
 
 # -- small helpers -----------------------------------------------------------
@@ -122,10 +148,11 @@ def _certify(check: str, params: Sequence[tuple[str, object]], residue: TorusEle
     return VerificationCertificate(check, params, not residue, str(residue) if residue else "0", terms, time.perf_counter() - started, exploratory)
 
 
-def _plan(c: int, middle: Sequence[tuple[int, int, int, int]], width: int, steps: int, first: int, basis: tuple) -> _Plan:
-    """The iterated q-commutator of `middle`, terms (p0, p1, lo, P) packed
-    at q^(1/2) = 2^width, by A = y_i = X^f0 + X^f1, c = lambda(f0, f1): from
-    M = middle, step k = 0 .. steps-1 sets M to A*M - q^(c(first+k)) (M*A).
+def _plan(c: int, pairings: Sequence[tuple[int, int]], steps: int, first: int, basis: tuple, d_j: int, l: int) -> _Plan:
+    """The iterated q-commutator of the middle M = y_j^l (x_i^(step-1) when
+    l = 0), whose terms pair to `pairings` (p0, p1) with f0 and f1, by
+    A = y_i = X^f0 + X^f1, c = lambda(f0, f1): step k = 0 .. steps-1 sets M
+    to A*M - q^(c(first+k)) (M*A).
     Left and right multiplication by A commute and q is central, so by
     Gauss's binomial formula at Q = q^c, with L = steps, the result is
 
@@ -135,7 +162,10 @@ def _plan(c: int, middle: Sequence[tuple[int, int, int, int]], width: int, steps
     exponent of M's first, coefficient-free term, so coefficient r gains
     q^(r*shift/2).  The steps commute; `halves` takes them by
     |h - shift| = 2c|first+k|, by k on an order plan (first = 0 or -m),
-    where each term of M keeps one live key (`qtorus._commutator_lines`).
+    where each term of M keeps one live key (`qtorus._commutator_lines`),
+    and on an admissible one every line dies on its spans alone
+    (`qtorus._line_dies`).  The plan holds integers only; no row, width or
+    packed int is built here.
 
     Compatibility, Btilde^T Lambda = [D 0], is lambda(b_k, x) = d_k x_k.
     With g_k = g(y_k) = -e_k + [-b_k]_+, f0 = g_i and f1 = g_i + b_i, it
@@ -150,19 +180,35 @@ def _plan(c: int, middle: Sequence[tuple[int, int, int, int]], width: int, steps
     which also keeps the kernel's keys apart (`_expand`); a nonzero
     q-binomial scalar keeps them, as Z[q^(1/2), q^(-1/2)] is a domain.
     """
-    shift = -2 * middle[0][0]
+    shift = -2 * pairings[0][0]
     halves = tuple([2 * c * x + shift for x in sorted(range(first, first + steps), key=abs)])
-    return _Plan(c, tuple(middle), halves, width, len(middle) * (steps + 1) ** 2, shift, basis)
+    return _Plan(c, tuple(pairings), halves, shift, basis, d_j, l)
+
+
+def _has_live_line(plan: _Plan) -> bool:
+    """Whether some middle term's line survives its spans (`qtorus._line_dies`)."""
+    c, halves = plan.c, plan.halves
+    return not all(_line_dies(c, p0, p1, halves) for p0, p1 in plan.pairings)
+
+
+def _keys(plan: _Plan) -> list[tuple[int, int, int, int]]:
+    """The kernel's nonzero keys (s, t, lo, P) of `plan`: none when every
+    line dies on its spans, with no row, width or packed int built, and
+    otherwise `qtorus._commutator_lines` on `plan.middle` at `plan.width`."""
+    return _commutator_lines(plan.c, plan.middle, plan.halves, plan.width) if _has_live_line(plan) else []
 
 
 def _expand(plan: _Plan, keys: list | None = None) -> TorusElem:
-    """The element `plan` sums, each key (s, t) of the kernel (or `keys`, its
-    result) decoded once at its basis exponent l*g_j + s*b_j + L*g_i + t*b_i."""
+    """The element `plan` sums, each key (s, t) of `_keys(plan)` (or `keys`,
+    its result) decoded once at its basis exponent l*g_j + s*b_j + L*g_i + t*b_i."""
     form, l, g_j, b_j, g_i, b_i = plan.basis
+    keys = _keys(plan) if keys is None else keys
+    if not keys:
+        return TorusElem.zero(form)
     steps, width = len(plan.halves), plan.width
     return TorusElem._raw(form, {
         tuple(l * a + s * u + steps * x + t * y for a, u, x, y in zip(g_j, b_j, g_i, b_i)): _unpack(lo, packed, width)
-        for s, t, lo, packed in (_commutator_lines(plan.c, plan.middle, plan.halves, width) if keys is None else keys)
+        for s, t, lo, packed in keys
     })
 
 
@@ -170,7 +216,7 @@ def _run(check: str, params: Sequence[tuple[str, object]], plan: _Plan, explorat
     """Expand `plan` and certify it, its twist last in `params`, decoding
     nothing when every key vanished; `seconds` is the time of the expansion."""
     started = time.perf_counter()
-    keys = _commutator_lines(plan.c, plan.middle, plan.halves, plan.width)
+    keys = _keys(plan)
     return _certify(check, params, _expand(plan, keys) if keys else None, plan.terms, started, exploratory, plan.twist)
 
 
@@ -194,18 +240,18 @@ def one_step_variables(seed: QuantumSeed) -> tuple[TorusElem, ...]:
 
 
 def _power_terms(d: int, t: int, width: int) -> list[int]:
-    """[t, s]_(q^d) for s = 0 .. t, t >= 1, packed at q^(1/2) = 2^width,
+    """[t, s]_(q^d) for s = 0 .. t, t >= 0, packed at q^(1/2) = 2^width,
     the coefficients of y_k^t for d = d_k:
 
         y_k^t = sum_s q^(-d s(t-s)/2) [t, s]_(q^d) X^(t*g(y_k) + s*b_k),
 
     the q-binomial theorem, as y_k's terms pair to d by compatibility; the
     caller adds term s's lowest half-exponent -d s(t-s).  The row is built
-    from [1, 1] by Pascal's rule [k, s] = [k-1, s] + Q^(k-s) [k-1, s-1] at
+    from [1] by Pascal's rule [k, s] = [k-1, s] + Q^(k-s) [k-1, s-1] at
     Q = q^d = 2^(2*d*width), on packed ints, as packing is a ring map; only
     decoding needs its slots to hold: C(t, s) < 2^t < 2^(width-1)."""
-    row, stride = [1, 1], 2 * d * width
-    for k in range(2, t + 1):
+    row, stride = [1], 2 * d * width
+    for k in range(1, t + 1):
         row = [1, *[row[s] + (row[s - 1] << stride * (k - s)) for s in range(1, k)], 1]
     return row
 
@@ -321,12 +367,12 @@ def _lemma_plan(seed: QuantumSeed, i: int, j: int, variant: str, m_exp: int | No
     #   (-1)^t Q^(t(t-1)/2 - t*m) [m, t]_Q   when b_ij > 0,
     # so the sum is m q-commutator steps, the first at Q^(step - m) when
     # b_ij > 0 and at Q^0 otherwise.  The middle x_i^(step-1) is one term,
-    # s = 0, with coefficient 1, so its basis needs no b_j (e_i stands in).
+    # s = 0, with coefficient 1: the row [1] of l = 0 at any base, so the plan
+    # takes (d_j, l) = (0, 0) and its basis needs no b_j (e_i stands in).
     first = step - m_exp if b > 0 else 0
     e_i = tuple(int(t == i - 1) for t in range(seed.m))
     p0 = (step - 1) * form.pairing(e_i, g_i)
-    middle = [(p0, p0 - (step - 1) * d_i, 0, 1)]
-    return params, _plan(d_i, middle, _slot_width(4 ** m_exp), m_exp, first, (form, step - 1, e_i, e_i, g_i, b_i))
+    return params, _plan(d_i, [(p0, p0 - (step - 1) * d_i)], m_exp, first, (form, step - 1, e_i, e_i, g_i, b_i), 0, 0)
 
 
 def lemma_sum_check(
@@ -354,17 +400,18 @@ def lemma_sum_check(
 def _order_plan(pair: tuple, l: int, m_exp: int, exploratory: bool = False) -> _Plan:
     """sum_r +/- [m+1, r] y_i^(m+1-r) y_j^l y_i^r at base q^(d_i), from the
     integers of `pair` (`_require_pair`), (l, m_exp) checked as
-    `higher_verify` says: m+1 steps, the first at q^(-d_i m) when b_ij > 0.
-    y_j^l's row is built by `_power_terms` at the kernel's width for L = m+1
-    steps, W = _slot_width(4^L * 2^l), as ||y_j^l||_1 = 2^l.  Its term s
-    sits at e_s = l*g_j + s*b_j with lowest half-exponent -d_j s(l-s), and
-    compatibility (`_plan`) gives, with pi = lambda(g_j, g_i) and
-    coordinate j of g_i equal to [-b_ji]_+,
+    `higher_verify` says: m+1 steps, the first at q^(-d_i m) when b_ij > 0;
+    the one validation of every order plan.  Term s of y_j^l sits at
+    e_s = l*g_j + s*b_j, and compatibility (`_plan`) gives, with
+    pi = lambda(g_j, g_i) and coordinate j of g_i equal to [-b_ji]_+,
 
         p0(s) = l*pi + s*d_j*[-b_ji]_+,  p1(s) = p0(s) - d_i (l*[-b_ij]_+ + s*b_ij),
 
-    and shift -2*l*pi.  No exponent is built; coordinates n+i and n+j of
-    key (s, t)'s exponent l*g_j + s*b_j + L*g_i + t*b_i read off t and s.
+    and shift -2*l*pi.  The plan keeps these and (d_j, l); y_j^l's row,
+    at W = _slot_width(4^L * 2^l) for L = m+1 steps, is built only for a
+    plan with a live line (`_Plan.middle`).  No exponent is built;
+    coordinates n+i and n+j of key (s, t)'s exponent
+    l*g_j + s*b_j + L*g_i + t*b_i read off t and s.
     """
     _require_int("order l", l)
     _require_int("outer exponent m_exp", m_exp)
@@ -382,10 +429,9 @@ def _order_plan(pair: tuple, l: int, m_exp: int, exploratory: bool = False) -> _
         raise ValueError(f"order l={l} exceeds |b_ij| = {size}")
     elif m_exp < l * size:
         raise ValueError(f"outer exponent m={m_exp} below the bound l*|b_ij| = {l * size}")
-    width = _slot_width(4 ** (m_exp + 1) << l)
     p0, p1, slope = l * pi, l * (pi - d_i * pos_part(-b)), d_j * pos_part(-b_ji)
-    middle = [(p0 + s * slope, p1 + s * (slope - d_i * b), -d_j * s * (l - s), packed) for s, packed in enumerate(_power_terms(d_j, l, width))]
-    return _plan(d_i, middle, width, m_exp + 1, -m_exp if b > 0 else 0, (form, l, g_j, b_j, g_i, b_i))
+    pairings = [(p0 + s * slope, p1 + s * (slope - d_i * b)) for s in range(l + 1)]
+    return _plan(d_i, pairings, m_exp + 1, -m_exp if b > 0 else 0, (form, l, g_j, b_j, g_i, b_i), d_j, l)
 
 
 def serre_verify(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import resource
+import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,10 +15,12 @@ from hypothesis import strategies as st
 
 from qcluster import qarith, qtorus, relations, seeds
 from qcluster.qarith import QLaurent, _q_binom_entry, _respread, _slot_width, q_binom
-from qcluster.qtorus import SkewForm, TorusElem, vec_add
+from qcluster.qtorus import SkewForm, TorusElem, _commutator_lines, _line_dies, vec_add
 from qcluster.relations import (
     VerificationCertificate,
     _expand,
+    _has_live_line,
+    _keys,
     _lemma_plan,
     _order_plan,
     _power_terms,
@@ -30,6 +36,7 @@ from qcluster.relations import (
     serre_verify_opposite,
 )
 from qcluster.seeds import (
+    dump_seed,
     load_seed,
     mutate,
     mutated_variable,
@@ -200,11 +207,14 @@ class TestSandwichKernel:
 
     def test_heavy_instance(self, kernel_widths):
         # 101 steps of y_1 on y_2^10, whose l1 norm is 2^10: coefficients are
-        # bounded by 4^101 * 2^10 = 2^212, which needs W = 256
+        # bounded by 4^101 * 2^10 = 2^212, which needs W = 256.  The passing
+        # run decides every line on its spans and chooses no width; the
+        # plan's on-demand width is still the kernel's bound
         seed = principal_seed([[0, 10], [-10, 0]], (1, 1))
         cert = higher_verify(seed, 1, 2, 10, 100)
         assert (cert.ok, cert.residue, cert.terms) == (True, "0", 114444)
-        assert kernel_widths == [256]
+        assert kernel_widths == []
+        assert _order_plan(_require_pair(seed, 1, 2), 10, 100).width == 256
 
     @pytest.mark.parametrize("m_exp, terms", [(400, 323208), (1000, 2008008)])
     def test_long_line_instances(self, m_exp, terms):
@@ -881,21 +891,24 @@ class TestSuites:
                         assert (serre.ok, serre.residue, serre.terms) == (higher.ok, higher.residue, higher.terms)
                         assert dict(serre.params).get("twist") == dict(higher.params).get("twist")
 
-    def test_one_kernel_pass_per_distinct_plan(self, monkeypatch):
-        passes = []
+    def test_one_decision_per_distinct_plan(self, monkeypatch):
+        decided, passes = [], []
 
-        def counting(*args):
-            passes.append(args)
-            return original(*args)
+        def counting(plan):
+            decided.append(plan)
+            return live_line(plan)
 
-        original = relations._commutator_lines
-        monkeypatch.setattr(relations, "_commutator_lines", counting)
+        live_line = relations._has_live_line
+        monkeypatch.setattr(relations, "_has_live_line", counting)
+        monkeypatch.setattr(relations, "_commutator_lines", lambda *a: passes.append(a))
         seed = load_seed(Path(__file__).resolve().parent.parent / "fixtures" / "exam1.json")
         certs = full_suite(seed)
-        # serre (1, 2), (2, 1) and higher (2, 1, 2, 4); the two l = 1
-        # higher instances reuse their serre expansions, and serre-opposite
-        # (2, 1), bar of a passing serre (1, 2), relabels that certificate
-        assert (len(certs), len(passes)) == (6, 3)
+        # serre (1, 2), (2, 1) and higher (2, 1, 2, 4), each decided once on
+        # its spans with no packed pass; the two l = 1 higher instances reuse
+        # their serre certificates, and serre-opposite (2, 1), bar of a
+        # passing serre (1, 2), relabels that certificate
+        assert (len(certs), len(decided), passes) == (6, 3, [])
+        assert len({(plan.basis[1], plan.halves, plan.pairings) for plan in decided}) == 3
 
     def test_certificate_rendering(self, ex1):
         cert = serre_verify(ex1, 2, 1)
@@ -1180,6 +1193,135 @@ class TestReversedSide:
                 verdicts.add(cert.ok)
         assert not suite
         return verdicts
+
+
+def _span_walk_plans(seed):
+    """`_every_plan`'s plans of `seed`, then per pair the exploratory order
+    plans l = 1 .. |b_ij| + 1 at m from l*|b_ij| - 2 to l*|b_ij| + 2, and
+    the L41 plans one and two past the minimal m, whose keys merge."""
+    plans = [plan for plan, _, _ in _every_plan(seed)]
+    for i in range(1, seed.n + 1):
+        for j in range(1, seed.n + 1):
+            if i == j:
+                continue
+            pair = _require_pair(seed, i, j)
+            size = abs(pair[3])
+            for l in range(1, size + 2):
+                plans.extend(_order_plan(pair, l, m, exploratory=True) for m in range(max(l * size - 2, 0), l * size + 3))
+            for t in range(size):
+                plans.extend(_lemma_plan(seed, i, j, "L41", (t + 1) * size + extra, t)[1] for extra in (1, 2))
+    return plans
+
+
+class TestSpanWalk:
+    # qtorus._line_dies decides a line on its key positions alone, and a
+    # plan all of whose lines die there is certified "0" with no packed
+    # work (relations._keys).
+
+    def test_a_line_that_dies_on_spans_is_empty(self, monkeypatch):
+        # soundness: the packed kernel run on that line alone returns no
+        # key, on both seed kinds at ranks 2-4, on passing, failing,
+        # exploratory and merging plans, and with every twist moved by +/-2,
+        # where most lines live; and a plan's keys are the kernel's on its
+        # whole middle
+        counts = {}
+        for moved in (0, -2, 2):
+            with monkeypatch.context() as patch:
+                _move_twists(patch, moved)
+                rng = random.Random(47)
+                dead = live = 0
+                for make in (random_principal_seed, compatible_principal_seed):
+                    for rank in (2, 3, 3, 4):
+                        for plan in _span_walk_plans(make(rng, rank)):
+                            c, halves, width = plan.c, plan.halves, plan.width
+                            for term in plan.middle:
+                                if _line_dies(c, term[0], term[1], halves):
+                                    assert _commutator_lines(c, [term], halves, width) == [], (moved, plan, term)
+                                    dead += 1
+                                else:
+                                    live += 1
+                            assert _keys(plan) == _commutator_lines(c, plan.middle, halves, width)
+                counts[moved] = dead, live
+        assert counts[0][0] > 1000 and counts[0][1] > 100, counts
+        assert counts[-2][1] > 1000 and counts[2][1] > 1000, counts
+
+    def test_admissible_plans_are_decided_on_spans(self):
+        # completeness: every admissible order plan, up to two past the
+        # minimal m, and L32 and L41 at their minimal m, on both seed kinds
+        rng = random.Random(53)
+        count = 0
+        for make in (random_principal_seed, compatible_principal_seed):
+            for _ in range(6):
+                seed = make(rng, rng.choice([2, 3, 4]))
+                for i in range(1, seed.n + 1):
+                    for j in range(1, seed.n + 1):
+                        if i == j:
+                            continue
+                        pair = _require_pair(seed, i, j)
+                        size = abs(pair[3])
+                        orders = range(1, size + 1) if size else (1, 2)
+                        plans = [_order_plan(pair, l, l * size + extra) for l in orders for extra in range(3)]
+                        if size:
+                            plans.append(_lemma_plan(seed, i, j, "L32", None, None)[1])
+                            plans.extend(_lemma_plan(seed, i, j, "L41", (t + 1) * size, t)[1] for t in range(size))
+                        for plan in plans:
+                            assert not _has_live_line(plan), plan
+                        count += len(plans)
+        assert count > 300
+
+    def test_passing_suite_builds_no_packed_row(self, monkeypatch):
+        # a passing plan builds no y_j^l row, chooses no width and runs no
+        # packed kernel, on the three seed fixtures and at b = l = 20, whose
+        # packed run took seconds
+        def refuse(*args):
+            raise AssertionError("a passing plan did packed work")
+
+        for name in ("_power_terms", "_slot_width", "_commutator_lines"):
+            monkeypatch.setattr(relations, name, refuse)
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        for name in ("exam1", "exam3", "lambda11"):
+            certs = full_suite(load_seed(fixtures / f"{name}.json"))
+            assert certs and all(cert.ok for cert in certs)
+        started = time.perf_counter()
+        cert = higher_verify(principal_seed([[0, 20], [-20, 0]], (1, 1)), 1, 2, 20, 400)
+        assert (cert.ok, cert.residue, cert.terms) == (True, "0", 3393684)
+        assert time.perf_counter() - started < 0.1
+
+
+class TestHugeEntriesUnderAMemoryLimit:
+    # Each instance runs in a child whose address space is limited to 2 GiB;
+    # a packed run of either needs more, and died of MemoryError.
+
+    @staticmethod
+    def _limited(argv):
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        started = time.perf_counter()
+        result = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit)
+        return result, time.perf_counter() - started
+
+    def test_suite_on_a_seed_with_huge_d(self, tmp_path):
+        path = tmp_path / "huge_d.json"
+        dump_seed(principal_seed([[0, 1], [-1, 0]], (10**8, 10**8)), path)
+        result, elapsed = self._limited(["-m", "qcluster", "suite", "--seed", str(path)])
+        lines = result.stdout.splitlines()
+        assert (result.returncode, result.stderr) == (0, "")
+        assert lines[0] == "validate: PASS" and len(lines) == 6
+        assert all(": PASS [terms=" in line for line in lines[1:])
+        assert elapsed < 2
+
+    def test_serre_with_huge_b(self):
+        code = (
+            "from qcluster.relations import serre_verify\n"
+            "from qcluster.seeds import principal_seed\n"
+            "print(serre_verify(principal_seed([[0, 10**4], [-1, 0]], (1, 10**4)), 1, 2).render())\n"
+        )
+        result, elapsed = self._limited(["-c", code])
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "serre(i=1, j=2): PASS [terms=200080008]\n"
+        assert elapsed < 2
 
 
 def _lemma_instances(seed, i, j, past=(0, 1)):
