@@ -11,9 +11,9 @@ The q-commutator steps by an outer X^f0 + X^f1, the shape of every
 one-step variable, run on pairings alone: a middle term X^e walks the
 line X^(e + (k-t) f0 + t f1) and is seen only through its pairings with
 f0 and f1.  The callers are the plans of `relations`, built from a pair's
-integers.  `_line_dies` first walks a line's key positions on spans
-alone, with no coefficient; a plan all of whose lines die there sums to
-0, which decides every admissible order plan.  Only a plan with a live line
+integers.  `_line_dies` first follows a line's one key on spans alone,
+with no coefficient; a plan all of whose lines die there sums to 0,
+which decides every admissible plan.  Only a plan with a live line
 runs `_commutator_lines`, which returns keys (s, t) that the plan decodes
 (`_unpack`) at the exponents of its basis.  There each coefficient is one
 signed int, its value at q^(1/2) = 2^W, with W chosen by the plan so that
@@ -270,27 +270,24 @@ def _merge(held: tuple[int, int], new: tuple[int, int], width: int) -> tuple[int
 
 def _line_dies(c: int, p0: int, p1: int, halves: Sequence[int]) -> bool:
     """Whether the line of a middle term with pairings (p0, p1) is empty
-    after the steps `halves` of `_commutator_lines`, decided on its key
-    positions t alone.  At step k with half h, the key at t has an X^f0
-    child at t unless its span 2(p0 - t*c) + h is 0, counted once if the
-    previous key's X^f1 child already sits at t, and an X^f1 child at t+1
-    unless 2(p1 + (k-t)*c) + h is 0.
+    after the steps `halves` of `_commutator_lines`, decided on spans.  At
+    step k with half h, the key at t has an X^f0 child at t unless its
+    span 2(p0 - t*c) + h is 0, and an X^f1 child at t+1 unless
+    2(p1 + (k-t)*c) + h is 0.  The walk follows the one child that lives,
+    and calls the line dead when neither does, live when both do.
 
     `_commutator_lines` drops a key only for a zero span, by this test, or
-    for a merged sum that is 0, so its positions are a subset of these
-    ones at every step: when no position is left, its line is empty too.
+    for a merged sum that is 0.  One key has no merge, so the kernel then
+    holds that key or nothing, and a line called dead is empty.
     """
-    line, c2, p0, p1 = [0], 2 * c, 2 * p0, 2 * p1
+    t, c2, p0, p1 = 0, 2 * c, 2 * p0, 2 * p1
     for k, half in enumerate(halves):
-        out: list[int] = []
-        for t in line:
-            if p0 - t * c2 + half and not (out and out[-1] == t):
-                out.append(t)
-            if p1 + (k - t) * c2 + half:
-                out.append(t + 1)
-        if not out:
+        if p1 + (k - t) * c2 + half:
+            if p0 - t * c2 + half:
+                return False
+            t += 1
+        elif not p0 - t * c2 + half:
             return True
-        line = out
     return False
 
 
@@ -316,8 +313,8 @@ def _commutator_lines(c: int, middle: Iterable[tuple[int, int, int, int]], halve
     4^L ||M||_1 < 2^(W-1) in absolute value.  Such a polynomial packs to 0
     only if it is 0 (qarith._slot_width), so a zero key is dropped exactly.
 
-    A plan runs this only when some line survives `_line_dies`: a failing,
-    exploratory or merging plan.
+    A plan runs this only when some line survives `_line_dies`: a failing
+    or exploratory plan; no admissible plan reaches it.
     """
     keys: list[tuple[int, int, int, int]] = []
     for s, (p0, p1, lo, packed) in enumerate(middle):

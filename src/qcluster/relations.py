@@ -4,15 +4,16 @@ Every check here expands an alternating sum (or a difference against a
 closed form) exactly in the torus and decides the verdict by canonical
 emptiness, never by sampling.  The alternating sums are evaluated as
 iterated q-commutators (the q-adjoint action), so no q-binomial
-coefficient of the sum is expanded.  An order plan holds integers only,
-read from its pair (`_order_plan`).  Each middle term's line is first walked
-on its spans alone (`qtorus._line_dies`); when every line dies there, as
-on every admissible relation, the plan is certified "0" with no packed
-int built.  Only a plan with a live line builds y_j^l's q-binomials,
-packed by Pascal's rule at the plan's stride (`_power_terms`), picks a
-slot width and runs the packed kernel, decoding only the keys that
-survive.  No check writes process-global state.  Certificates record the
-instance, the verdict, the canonical remainder and expansion statistics.
+coefficient of the sum is expanded.  A plan holds integers only, its
+steps a range run in the order the sign of b_ij fixes (`_plan`).  Each
+middle term's line is first walked on its spans alone
+(`qtorus._line_dies`); when every line dies there, as on every admissible
+plan, the plan is certified "0" with no packed int built.  Only a plan
+with a live line builds y_j^l's q-binomials, packed by Pascal's rule at
+the plan's stride (`_power_terms`), picks a slot width and runs the
+packed kernel, decoding only the keys that survive.  No check writes
+process-global state.  Certificates record the instance, the verdict,
+the canonical remainder and expansion statistics.
 """
 
 from __future__ import annotations
@@ -88,15 +89,16 @@ def _scalar(value: object) -> str:
 @dataclass(slots=True)
 class _Plan:
     """A validated alternating-sum check, built by `_plan` from integers:
-    c = lambda(f0, f1), each middle term's `pairings` (p0, p1), the steps'
-    `halves`, the `twist`, the basis (form, l, g_j, b_j, g_i, b_i) that
-    `_expand` decodes keys by, and (d_j, l) of the middle y_j^l, l = 0 for
-    the lemma's unit middle x_i^(step-1).  The packed kernel's `width` and
-    `middle` are read-only properties, built only when read (`_keys`)."""
+    c = lambda(f0, f1), each middle term's `pairings` (p0, p1), the range
+    of the steps' `halves` in run order, the `twist`, the basis (form, l,
+    g_j, b_j, g_i, b_i) that `_expand` decodes keys by, and (d_j, l) of
+    the middle y_j^l, l = 0 for the lemma's unit middle x_i^(step-1).  The
+    packed kernel's `width` and `middle` are read-only properties, built
+    only when read (`_keys`)."""
 
     c: int
     pairings: tuple[tuple[int, int], ...]
-    halves: tuple[int, ...]
+    halves: range
     twist: int
     basis: tuple
     d_j: int
@@ -148,23 +150,22 @@ def _certify(check: str, params: Sequence[tuple[str, object]], residue: TorusEle
     return VerificationCertificate(check, params, not residue, str(residue) if residue else "0", terms, time.perf_counter() - started, exploratory)
 
 
-def _plan(c: int, pairings: Sequence[tuple[int, int]], steps: int, first: int, basis: tuple, d_j: int, l: int) -> _Plan:
+def _plan(c: int, pairings: Sequence[tuple[int, int]], xs: range, basis: tuple, d_j: int, l: int) -> _Plan:
     """The iterated q-commutator of the middle M = y_j^l (x_i^(step-1) when
     l = 0), whose terms pair to `pairings` (p0, p1) with f0 and f1, by
-    A = y_i = X^f0 + X^f1, c = lambda(f0, f1): step k = 0 .. steps-1 sets M
-    to A*M - q^(c(first+k)) (M*A).
-    Left and right multiplication by A commute and q is central, so by
-    Gauss's binomial formula at Q = q^c, with L = steps, the result is
+    A = y_i = X^f0 + X^f1, c = lambda(f0, f1): step x of `xs`, in its
+    order, sets M to A*M - q^(c*x) (M*A).  Left and right multiplication
+    by A commute and q is central, so the steps commute, and by Gauss's
+    binomial formula at Q = q^c, with L = len(xs), x_0 = min(xs), this is
 
-        sum_r (-1)^r Q^(r(r-1)/2 + r*first) [L, r]_Q * A^(L-r) M A^r.
+        sum_r (-1)^r Q^(r(r-1)/2 + r*x_0) [L, r]_Q * A^(L-r) M A^r.
 
     Every twist gains shift = 2*lambda(f0, e_0) = -2*p0(e_0), e_0 the
     exponent of M's first, coefficient-free term, so coefficient r gains
-    q^(r*shift/2).  The steps commute; `halves` takes them by
-    |h - shift| = 2c|first+k|, by k on an order plan (first = 0 or -m),
-    where each term of M keeps one live key (`qtorus._commutator_lines`),
-    and on an admissible one every line dies on its spans alone
-    (`qtorus._line_dies`).  The plan holds integers only; no row, width or
+    q^(r*shift/2); `halves` is the range 2c*x + shift over `xs`.  The
+    builders run x up when b_ij <= 0 and down when b_ij > 0; so each line
+    of an admissible plan holds one key until it dies on its spans alone
+    (`qtorus._line_dies`).  No field grows with L, and no row, width or
     packed int is built here.
 
     Compatibility, Btilde^T Lambda = [D 0], is lambda(b_k, x) = d_k x_k.
@@ -181,7 +182,7 @@ def _plan(c: int, pairings: Sequence[tuple[int, int]], steps: int, first: int, b
     q-binomial scalar keeps them, as Z[q^(1/2), q^(-1/2)] is a domain.
     """
     shift = -2 * pairings[0][0]
-    halves = tuple([2 * c * x + shift for x in sorted(range(first, first + steps), key=abs)])
+    halves = range(2 * c * xs.start + shift, 2 * c * xs.stop + shift, 2 * c * xs.step)
     return _Plan(c, tuple(pairings), halves, shift, basis, d_j, l)
 
 
@@ -365,14 +366,15 @@ def _lemma_plan(seed: QuantumSeed, i: int, j: int, variant: str, m_exp: int | No
     # b_ij > 0.  At Q = q^(d_i) those partial sums close up:
     #   (-1)^t Q^(t(t+1)/2) [m, t]_Q         when b_ij < 0,
     #   (-1)^t Q^(t(t-1)/2 - t*m) [m, t]_Q   when b_ij > 0,
-    # so the sum is m q-commutator steps, the first at Q^(step - m) when
-    # b_ij > 0 and at Q^0 otherwise.  The middle x_i^(step-1) is one term,
-    # s = 0, with coefficient 1: the row [1] of l = 0 at any base, so the plan
-    # takes (d_j, l) = (0, 0) and its basis needs no b_j (e_i stands in).
-    first = step - m_exp if b > 0 else 0
+    # so the sum is m q-commutator steps at Q^x, x from step-1 down to
+    # step-m when b_ij > 0 and from 0 up to m-1 otherwise.  The middle
+    # x_i^(step-1) is one term, s = 0, with coefficient 1: the row [1] of
+    # l = 0 at any base, so the plan takes (d_j, l) = (0, 0) and its basis
+    # needs no b_j (e_i stands in).
+    xs = range(step - 1, step - 1 - m_exp, -1) if b > 0 else range(m_exp)
     e_i = tuple(int(t == i - 1) for t in range(seed.m))
     p0 = (step - 1) * form.pairing(e_i, g_i)
-    return params, _plan(d_i, [(p0, p0 - (step - 1) * d_i)], m_exp, first, (form, step - 1, e_i, e_i, g_i, b_i), 0, 0)
+    return params, _plan(d_i, [(p0, p0 - (step - 1) * d_i)], xs, (form, step - 1, e_i, e_i, g_i, b_i), 0, 0)
 
 
 def lemma_sum_check(
@@ -400,10 +402,10 @@ def lemma_sum_check(
 def _order_plan(pair: tuple, l: int, m_exp: int, exploratory: bool = False) -> _Plan:
     """sum_r +/- [m+1, r] y_i^(m+1-r) y_j^l y_i^r at base q^(d_i), from the
     integers of `pair` (`_require_pair`), (l, m_exp) checked as
-    `higher_verify` says: m+1 steps, the first at q^(-d_i m) when b_ij > 0;
-    the one validation of every order plan.  Term s of y_j^l sits at
-    e_s = l*g_j + s*b_j, and compatibility (`_plan`) gives, with
-    pi = lambda(g_j, g_i) and coordinate j of g_i equal to [-b_ji]_+,
+    `higher_verify` says: m+1 steps, x from 0 down to -m if b_ij > 0, up
+    to m otherwise; the one validation of every order plan.  Term s of
+    y_j^l sits at e_s = l*g_j + s*b_j; with pi = lambda(g_j, g_i) and
+    coordinate j of g_i equal to [-b_ji]_+, compatibility (`_plan`) gives
 
         p0(s) = l*pi + s*d_j*[-b_ji]_+,  p1(s) = p0(s) - d_i (l*[-b_ij]_+ + s*b_ij),
 
@@ -431,7 +433,7 @@ def _order_plan(pair: tuple, l: int, m_exp: int, exploratory: bool = False) -> _
         raise ValueError(f"outer exponent m={m_exp} below the bound l*|b_ij| = {l * size}")
     p0, p1, slope = l * pi, l * (pi - d_i * pos_part(-b)), d_j * pos_part(-b_ji)
     pairings = [(p0 + s * slope, p1 + s * (slope - d_i * b)) for s in range(l + 1)]
-    return _plan(d_i, pairings, m_exp + 1, -m_exp if b > 0 else 0, (form, l, g_j, b_j, g_i, b_i), d_j, l)
+    return _plan(d_i, pairings, range(0, -m_exp - 1, -1) if b > 0 else range(m_exp + 1), (form, l, g_j, b_j, g_i, b_i), d_j, l)
 
 
 def serre_verify(seed: QuantumSeed, i: int, j: int) -> VerificationCertificate:

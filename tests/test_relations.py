@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -1198,7 +1199,8 @@ class TestReversedSide:
 def _span_walk_plans(seed):
     """`_every_plan`'s plans of `seed`, then per pair the exploratory order
     plans l = 1 .. |b_ij| + 1 at m from l*|b_ij| - 2 to l*|b_ij| + 2, and
-    the L41 plans one and two past the minimal m, whose keys merge."""
+    the L41 plans one and two past the minimal m, which die on spans like
+    every admissible plan."""
     plans = [plan for plan, _, _ in _every_plan(seed)]
     for i in range(1, seed.n + 1):
         for j in range(1, seed.n + 1):
@@ -1214,14 +1216,14 @@ def _span_walk_plans(seed):
 
 
 class TestSpanWalk:
-    # qtorus._line_dies decides a line on its key positions alone, and a
+    # qtorus._line_dies follows a line's one key on spans alone, and a
     # plan all of whose lines die there is certified "0" with no packed
     # work (relations._keys).
 
     def test_a_line_that_dies_on_spans_is_empty(self, monkeypatch):
         # soundness: the packed kernel run on that line alone returns no
-        # key, on both seed kinds at ranks 2-4, on passing, failing,
-        # exploratory and merging plans, and with every twist moved by +/-2,
+        # key, on both seed kinds at ranks 2-4, on passing, failing and
+        # exploratory plans, and with every twist moved by +/-2,
         # where most lines live; and a plan's keys are the kernel's on its
         # whole middle
         counts = {}
@@ -1247,7 +1249,8 @@ class TestSpanWalk:
 
     def test_admissible_plans_are_decided_on_spans(self):
         # completeness: every admissible order plan, up to two past the
-        # minimal m, and L32 and L41 at their minimal m, on both seed kinds
+        # minimal m, L32, and L41 at every t up to three past its minimal
+        # m, on both seed kinds
         rng = random.Random(53)
         count = 0
         for make in (random_principal_seed, compatible_principal_seed):
@@ -1263,7 +1266,7 @@ class TestSpanWalk:
                         plans = [_order_plan(pair, l, l * size + extra) for l in orders for extra in range(3)]
                         if size:
                             plans.append(_lemma_plan(seed, i, j, "L32", None, None)[1])
-                            plans.extend(_lemma_plan(seed, i, j, "L41", (t + 1) * size, t)[1] for t in range(size))
+                            plans.extend(_lemma_plan(seed, i, j, "L41", (t + 1) * size + extra, t)[1] for t in range(size) for extra in range(4))
                         for plan in plans:
                             assert not _has_live_line(plan), plan
                         count += len(plans)
@@ -1271,8 +1274,8 @@ class TestSpanWalk:
 
     def test_passing_suite_builds_no_packed_row(self, monkeypatch):
         # a passing plan builds no y_j^l row, chooses no width and runs no
-        # packed kernel, on the three seed fixtures and at b = l = 20, whose
-        # packed run took seconds
+        # packed kernel, on the three seed fixtures, at b = l = 20 and on
+        # L41 past its minimal m, whose packed runs took seconds
         def refuse(*args):
             raise AssertionError("a passing plan did packed work")
 
@@ -1286,11 +1289,30 @@ class TestSpanWalk:
         cert = higher_verify(principal_seed([[0, 20], [-20, 0]], (1, 1)), 1, 2, 20, 400)
         assert (cert.ok, cert.residue, cert.terms) == (True, "0", 3393684)
         assert time.perf_counter() - started < 0.1
+        for b, m_exp, t, terms in ((40, 160, 0, 25921), (20, 1000, 5, 1002001)):
+            started = time.perf_counter()
+            cert = lemma_sum_check(principal_seed([[0, b], [-b, 0]], (1, 1)), 1, 2, "L41", m_exp, t)
+            assert (cert.ok, cert.residue, cert.terms) == (True, "0", terms)
+            assert time.perf_counter() - started < 0.1
+
+    def test_a_plan_does_not_grow_with_m(self):
+        # the steps are a range, so building and deciding serre(1, 2)'s
+        # plan at b_12 = 10^6 allocates no sequence of its 10^6 + 1 steps
+        seed = principal_seed([[0, 10**6], [-1, 0]], (1, 10**6))
+        pair = _require_pair(seed, 1, 2)
+        tracemalloc.start()
+        try:
+            assert not _has_live_line(_order_plan(pair, 1, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert serre_verify(seed, 1, 2).render() == "serre(i=1, j=2): PASS [terms=2000008000008]"
 
 
 class TestHugeEntriesUnderAMemoryLimit:
     # Each instance runs in a child whose address space is limited to 2 GiB;
-    # a packed run of either needs more, and died of MemoryError.
+    # a packed run of any of them needs more, and died of MemoryError.
 
     @staticmethod
     def _limited(argv):
@@ -1321,6 +1343,15 @@ class TestHugeEntriesUnderAMemoryLimit:
         result, elapsed = self._limited(["-c", code])
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == "serre(i=1, j=2): PASS [terms=200080008]\n"
+        assert elapsed < 2
+
+    def test_lemma_far_past_its_minimal_m(self, tmp_path):
+        path = tmp_path / "b20.json"
+        dump_seed(principal_seed([[0, 20], [-20, 0]], (1, 1)), path)
+        argv = ["-m", "qcluster", "verify-lemmas", "--seed", str(path), "--variant", "L41", "--m", "1000", "--t", "5", "--i", "1", "--j", "2"]
+        result, elapsed = self._limited(argv)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "lemma-sum(i=1, j=2, variant=L41, m=1000, t=5): PASS [terms=1002001]\n"
         assert elapsed < 2
 
 
