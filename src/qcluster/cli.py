@@ -22,7 +22,6 @@ import os
 import sys
 from typing import Sequence
 
-from .identities import check_identity, sweep_reports
 from .qtorus import render_torus_elem
 from .relations import (
     VerificationCertificate,
@@ -164,6 +163,11 @@ def _cmd_verify_lemmas(args) -> Report:
 
 
 def _cmd_identities(args) -> Report:
+    # Imported here, not at the top, so that no other subcommand pays for
+    # loading the oracle; the absolute form is the cheapest to repeat, as
+    # it skips resolving a relative name on every call.
+    import qcluster.identities as identities
+
     if args.family is not None and args.params is not None:
         try:
             params = tuple(int(v) for v in args.params.split(",")) if args.params else ()
@@ -171,11 +175,11 @@ def _cmd_identities(args) -> Report:
             raise ValueError(
                 f"--params must be comma-separated integers, got {args.params!r}"
             ) from None
-        reports = [check_identity(args.family, params)]
+        reports = [identities.check_identity(args.family, params)]
     elif args.params is not None:
         raise ValueError("--params needs --family: parameters belong to one family")
     else:
-        reports = sweep_reports([args.family] if args.family is not None else None)
+        reports = identities.sweep_reports([args.family] if args.family is not None else None)
     if args.format == "json":
         lines = [json.dumps({"family": r.family, "params": list(r.params), "ok": r.verdict}) for r in reports]
     else:

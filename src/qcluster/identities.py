@@ -15,17 +15,15 @@ enumerates and reports every instance of every family the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .qarith import _q_binom_entry, _require_int, _respread, _slot_width
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """One identity check: the family tag, its parameters, and the verdict
-    (pass iff both sides expand to the same canonical form)."""
+class IdentityReport(NamedTuple):
+    """One identity check, a named tuple: the family tag, its parameters,
+    and the verdict (pass iff both sides expand to the same canonical form)."""
 
     family: str
     params: tuple[int, ...]
@@ -228,8 +226,7 @@ def _base_change(n: int, r: int, d: int) -> tuple[int, int]:
 # -- the family registry -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityFamily:
+class IdentityFamily(NamedTuple):
     """One identity family.  `sweep` holds one range per parameter, each a
     function of the parameters before it; `_grid` walks them."""
 
@@ -280,7 +277,7 @@ FAMILIES: dict[str, IdentityFamily] = {
         _PRODUCT_EXPANSION,
         # prod_{r=1}^{n} (y + q^r x) is homogeneous of degree n, so its
         # x^k y^(n-k) coefficient is entry k of the one-variable expansion.
-        replace(_PRODUCT_EXPANSION, name="PRODUCT_EXPANSION_BIVAR"),
+        _PRODUCT_EXPANSION._replace(name="PRODUCT_EXPANSION_BIVAR"),
         IdentityFamily(
             "VANDERMONDE",
             ("n", "d", "k"),

@@ -228,8 +228,8 @@ def render_qlaurent(poly: QLaurent) -> str:
     return "".join(pieces)
 
 
-_TERM_RE = re.compile(
-    r"""^\s*
+# Compiled on first use, through re's pattern cache: no CLI path parses text.
+_TERM_RE = r"""^\s*
         (?:(?P<coeff>\d+)\s*(?P<star>\*)?\s*)?      # optional integer coefficient
         (?:q
             (?:\^
@@ -240,9 +240,7 @@ _TERM_RE = re.compile(
                 )
             )?
         )?
-        \s*$""",
-    re.VERBOSE,
-)
+        \s*$"""
 
 
 def parse_qlaurent(text: str) -> QLaurent:
@@ -263,7 +261,7 @@ def parse_qlaurent(text: str) -> QLaurent:
         raise ValueError(f"malformed polynomial text: {text!r}")
     terms: list[tuple[int, int]] = []
     for sign_token, body in zip(chunks[0::2], chunks[1::2]):
-        match = _TERM_RE.match(body)
+        match = re.match(_TERM_RE, body, re.VERBOSE)
         if not match or not body.strip():
             raise ValueError(f"malformed term {body!r} in {text!r}")
         has_q = "q" in body

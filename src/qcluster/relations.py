@@ -19,18 +19,16 @@ the canonical remainder and expansion statistics.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .qarith import QLaurent, _require_int, _slot_width
 from .qtorus import TorusElem, _commutator_lines, _line_dies, _unpack, vec_add
 from .seeds import QuantumSeed, pos_part
 
 
-@dataclass(frozen=True)
-class VerificationCertificate:
-    """Outcome of one exact relation check.
+class VerificationCertificate(NamedTuple):
+    """Outcome of one exact relation check, a named tuple.
 
     `residue` is the canonical string of the element that must vanish
     ("0" on a pass).  An alternating sum (serre, serre-opposite, higher,
@@ -86,8 +84,7 @@ def _scalar(value: object) -> str:
     return ("true" if value else "false") if type(value) is bool else int.__repr__(value) if isinstance(value, int) else _quote(value)
 
 
-@dataclass(slots=True)
-class _Plan:
+class _Plan(NamedTuple):
     """A validated alternating-sum check, built by `_plan` from integers:
     c = lambda(f0, f1), each middle term's `pairings` (p0, p1), the range
     of the steps' `halves` in run order, the `twist`, the basis (form, l,

@@ -4,7 +4,8 @@ A quantum seed bundles a skew-symmetric form Lambda, an m x n exchange
 matrix Btilde whose principal n x n part is skew-symmetrizable by a
 positive diagonal D, and variable labels.  Seeds are immutable; mutation
 returns a fresh seed over a fresh form, so torus elements stay pinned to
-the form they were built over.
+the form they were built over.  `ExchangeMatrix` and `QuantumSeed` are
+plain classes, not tuples, so no copy is built without their checks.
 
 Each invariant is checked once, by the constructor that owns it; the
 order is in `seed_from_dict`, which checks only the JSON shape.
@@ -17,13 +18,14 @@ from __future__ import annotations
 
 import functools
 import json
-import random
-from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .qarith import QLaurent, _require_int
 from .qtorus import ExpVec, SkewForm, TorusElem, vec_add
+
+if TYPE_CHECKING:
+    import random
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -43,27 +45,55 @@ def pos_part(value: int) -> int:
     return value if value > 0 else 0
 
 
-@dataclass(frozen=True)
-class ExchangeMatrix:
+class _Immutable:
+    """Equality and hash over the class and the values of `_fields`, and a
+    `Name(field=value, ...)` repr.  No attribute can be assigned or
+    deleted: `__init__` stores the validated fields, and
+    `functools.cached_property` its derived values, in the instance dict."""
+
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({inner})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ExchangeMatrix(_Immutable):
     """An m x n matrix of ints (bool excluded) whose columns drive mutation."""
 
-    btilde: Matrix
-    n: int
-    m: int
+    _fields = ("btilde", "n", "m")
 
-    def __post_init__(self):
-        _field_int(self.n, "n")
-        _field_int(self.m, "m")
+    def __init__(self, btilde: Sequence[Sequence[int]], n: int, m: int):
+        _field_int(n, "n")
+        _field_int(m, "m")
         # Rows passed as lists would leave the matrix unhashable and unequal
         # to the same matrix given as tuples.
-        object.__setattr__(self, "btilde", tuple(map(tuple, self.btilde)))
-        if self.n < 1 or self.m < self.n:
-            raise SeedFormatError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
-        if len(self.btilde) != self.m or any(len(row) != self.n for row in self.btilde):
-            raise SeedFormatError(f"btilde must be {self.m}x{self.n}")
-        for row in self.btilde:
+        btilde = tuple(map(tuple, btilde))
+        if n < 1 or m < n:
+            raise SeedFormatError(f"need m >= n >= 1, got m={m}, n={n}")
+        if len(btilde) != m or any(len(row) != n for row in btilde):
+            raise SeedFormatError(f"btilde must be {m}x{n}")
+        for row in btilde:
             for value in row:
                 _field_int(value, "btilde")
+        vars(self).update(btilde=btilde, n=n, m=m)
 
     def entry(self, i: int, j: int) -> int:
         """b_{ij} with 1-based indices, i in [1, m], j in [1, n]."""
@@ -88,42 +118,38 @@ def is_skew_symmetrizer(d: Sequence[int], b: Sequence[Sequence[int]]) -> bool:
     return all(d[i] * b[i][j] == -d[j] * b[j][i] for i in range(n) for j in range(n))
 
 
-@dataclass(frozen=True)
-class QuantumSeed:
+class QuantumSeed(_Immutable):
     """The triple (labels, Lambda, Btilde) with its skew-symmetrizer D.
 
     Every seed is a compatible pair: construction raises SeedFormatError
     unless Btilde^T * Lambda = [D 0].  `is_principal`, the one-step
     exponents `one_step_exponents` and the one-step variables `one_step`
-    are derived once, on first use.
+    are derived once, on first use, and take no part in equality or hash.
     """
 
-    form: SkewForm
-    exchange: ExchangeMatrix
-    d: tuple[int, ...]
-    labels: tuple[str, ...] = ()
+    _fields = ("form", "exchange", "d", "labels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", tuple(self.d))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        n, m = self.exchange.n, self.exchange.m
-        if self.form.dim != m:
+    def __init__(self, form: SkewForm, exchange: ExchangeMatrix, d: Sequence[int], labels: Sequence[str] = ()):
+        d, labels = tuple(d), tuple(labels)
+        n, m = exchange.n, exchange.m
+        if form.dim != m:
             raise SeedFormatError(
-                f"lambda must be {m}x{m} to match btilde's m={m} rows, got {self.form.dim}x{self.form.dim}"
+                f"lambda must be {m}x{m} to match btilde's m={m} rows, got {form.dim}x{form.dim}"
             )
-        if not is_skew_symmetrizer(self.d, self.exchange.principal_part()):
+        if not is_skew_symmetrizer(d, exchange.principal_part()):
             # The one decision on d; what follows only names the fault.
-            for value in self.d:
+            for value in d:
                 _field_int(value, "d")
-            if len(self.d) != n or any(v <= 0 for v in self.d):
+            if len(d) != n or any(v <= 0 for v in d):
                 raise SeedFormatError("d must be a length-n vector of positive integers")
             raise SeedFormatError("d does not skew-symmetrize the principal part")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"x{i}" for i in range(1, m + 1)))
-        elif len(self.labels) != m:
-            raise SeedFormatError(f"labels must be {m} strings, got {list(self.labels)!r}")
-        elif not all(isinstance(label, str) for label in self.labels):
-            raise SeedFormatError(f"labels must be strings, got {list(self.labels)!r}")
+        if not labels:
+            labels = tuple(f"x{i}" for i in range(1, m + 1))
+        elif len(labels) != m:
+            raise SeedFormatError(f"labels must be {m} strings, got {list(labels)!r}")
+        elif not all(isinstance(label, str) for label in labels):
+            raise SeedFormatError(f"labels must be strings, got {list(labels)!r}")
+        vars(self).update(form=form, exchange=exchange, d=d, labels=labels)
         validate_compatibility(self)
 
     @property

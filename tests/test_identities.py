@@ -71,6 +71,20 @@ class TestSingleChecks:
         assert text == "VANDERMONDE(n=5,d=2,k=3) = PASS"
 
 
+class TestReportRecord:
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        report = check_identity("PASCAL", (3, 2, 1))
+        for name in ("family", "params", "verdict"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, None)
+            with pytest.raises(AttributeError):
+                delattr(report, name)
+        assert report.verdict
+
+    def test_repr_names_fields(self):
+        assert repr(check_identity("PASCAL", (3, 2, 1))) == "IdentityReport(family='PASCAL', params=(3, 2, 1), verdict=True)"
+
+
 class TestPreconditions:
     @pytest.mark.parametrize(
         "family,params",

@@ -1,6 +1,9 @@
 """The package's module layering: which qcluster modules each one imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qcluster"
@@ -121,3 +124,38 @@ def test_only_cli_main_writes_stdout():
     )
     verdicts = {function(node) for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in ("EXIT_OK", "EXIT_FAIL")}
     assert verdicts == {"main"}
+
+
+def _child(*argv):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_cli_import_loads_only_what_every_request_runs():
+    # Each qcluster call is a fresh process, so what `import qcluster.cli`
+    # loads is paid by every request.  `relations` stays: every seed
+    # subcommand but validate and mutate runs it.  Modules the interpreter
+    # loaded before the import (site hooks) are not counted.
+    code = (
+        "import sys; before = set(sys.modules); import qcluster.cli; "
+        "loaded = set(sys.modules) - before; "
+        "print(sorted(loaded & {'dataclasses', 'inspect', 'qcluster.identities', 'qcluster.relations'}))"
+    )
+    assert _child("-c", code) == "['qcluster.relations']\n"
+
+
+def test_identities_subcommand_imports_its_oracle():
+    assert _child("-m", "qcluster", "identities", "--family", "PASCAL", "--params", "3,2,1") == "PASCAL(n=3,r=2,d=1) = PASS\n"
+
+
+def test_no_module_imports_dataclasses():
+    # Records are named tuples or small plain classes (seeds._Immutable):
+    # dataclasses loads inspect, a cost every process would pay at start.
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                assert all(alias.name.split(".")[0] != "dataclasses" for alias in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level or (node.module or "").split(".")[0] != "dataclasses", path.name

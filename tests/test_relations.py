@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -966,6 +965,23 @@ class TestSummaryJson:
                     assert cert.summary_json(timings) == _dict_record_json(cert, timings)
 
 
+class TestCertificateRecord:
+    def test_fields_cannot_be_assigned_or_deleted(self, ex1):
+        cert = serre_verify(ex1, 1, 2)
+        for name in ("check", "params", "ok", "residue", "terms", "seconds", "exploratory"):
+            with pytest.raises(AttributeError):
+                setattr(cert, name, None)
+            with pytest.raises(AttributeError):
+                delattr(cert, name)
+        assert cert.ok and cert.residue == "0"
+
+    def test_repr_names_fields(self):
+        cert = VerificationCertificate("serre", (("i", 1), ("j", 2)), True, "0", 18, 0.5)
+        assert repr(cert) == (
+            "VerificationCertificate(check='serre', params=(('i', 1), ('j', 2)), ok=True, residue='0', terms=18, seconds=0.5, exploratory=False)"
+        )
+
+
 def _count_variables(monkeypatch):
     """The calls of seeds.mutated_variable from here on, in order."""
     original = seeds.mutated_variable
@@ -1147,7 +1163,7 @@ def _move_twists(monkeypatch, moved):
 
     def moved_plan(*args):
         built = plan(*args)
-        return replace(built, halves=tuple(h + moved for h in built.halves), twist=built.twist + moved)
+        return built._replace(halves=tuple(h + moved for h in built.halves), twist=built.twist + moved)
 
     monkeypatch.setattr(relations, "_plan", moved_plan)
 

@@ -530,3 +530,37 @@ class TestExchangeMatrix:
         exchange = ExchangeMatrix([list(row) for row in EX1_BTILDE], n=2, m=4)
         assert exchange.btilde == EX1_BTILDE
         assert exchange == ex1.exchange and hash(exchange) == hash(ex1.exchange)
+
+
+class TestImmutableSeeds:
+    # Plain classes, not named tuples: a tuple's _make or _replace would
+    # build a seed that skipped the checks its constructor runs.
+    @pytest.mark.parametrize("record, fields", [
+        ("seed", ("form", "exchange", "d", "labels", "extra")),
+        ("exchange", ("btilde", "n", "m", "extra")),
+    ])
+    def test_fields_cannot_be_assigned_or_deleted(self, ex1, record, fields):
+        target = ex1 if record == "seed" else ex1.exchange
+        before = repr(target)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(target, name, None)
+            with pytest.raises(AttributeError):
+                delattr(target, name)
+        assert repr(target) == before
+
+    def test_derived_values_leave_equality_and_hash(self, ex1):
+        cached = principal_seed(EX1_B, EX1_D)
+        assert cached.one_step_exponents and cached.one_step
+        assert cached == ex1 and hash(cached) == hash(ex1)
+        assert cached != ex1.exchange and ex1.exchange != EX1_BTILDE
+
+    def test_no_tuple_constructors(self):
+        for cls in (ExchangeMatrix, QuantumSeed):
+            assert not hasattr(cls, "_replace") and not hasattr(cls, "_make")
+
+    def test_repr_names_fields(self, ex1):
+        assert repr(ex1.exchange) == f"ExchangeMatrix(btilde={EX1_BTILDE!r}, n=2, m=4)"
+        assert repr(ex1) == (
+            f"QuantumSeed(form={ex1.form!r}, exchange={ex1.exchange!r}, d=(2, 1), labels=('x1', 'x2', 'x3', 'x4'))"
+        )
