@@ -3,21 +3,21 @@
 
 An order plan of a pair (i, j) of a principal seed is a function of five
 integers, (d_i, d_j, b_ij, b_ji, pi) with pi = lambda(g(y_j), g(y_i)),
-and of (l, m).  The seed only supplies the basis that decodes the keys
-that survive the kernel, and distinct keys decode to distinct exponents.
+and of (l, m).  The seed only supplies the basis that places the keys
+that survive the kernel, and distinct keys go to distinct exponents.
 So a plan's sum vanishes exactly when `relations._keys`, the helper every
 check runs, returns no key, and walking a box of those integers decides
 the verdict of every pair of every principal seed, at any rank, whose
 integers lie in it.  `_keys` first walks each line on its spans alone
-(`qtorus._line_dies`) and runs the packed kernel only for a plan with a
-live line.
+(`qtorus._line_dies`) and runs the kernel only for a plan with a live
+line.
 
 The box is every (d_i, d_j, b_ij, b_ji, pi) with d <= 4, |b| <= 6,
 |pi| <= 4 and d_i*b_ij = -d_j*b_ji (compatibility).  For each tuple and
 each order l = 1 .. max(|b_ij|, 1), the plan at m = l*|b_ij| must vanish,
 and when b_ij != 0 the plan at m = l*|b_ij| - 1 must not, which pins that
 the bound is sharp.  Every admissible plan must also be decided on its
-spans alone; one that needs the packed kernel counts as unexpected.  The
+spans alone; one that needs the kernel counts as unexpected.  The
 script also counts, with no verdict attached,
 the exploratory plans l = |b_ij| + 1 that vanish at m = l*|b_ij|, although
 `higher_verify` labels every l > |b_ij| exploratory.
@@ -26,7 +26,7 @@ Lemma plans are left to the seed sweeps: their middle x_i^(step-1) pairs
 with g(y_i) by lambda(e_i, g(y_i)), which is not among the five integers.
 
 Prints the counts and exits 1 on any unexpected verdict or any admissible
-plan that needs the packed kernel, 0 otherwise.
+plan that needs the kernel, 0 otherwise.
 """
 
 import itertools
@@ -71,7 +71,7 @@ def main():
                     admissible += 1
                     if _has_live_line(plan):
                         unexpected += 1
-                        print(f"unexpected: {where} needs the packed kernel")
+                        print(f"unexpected: {where} needs the kernel")
                     else:
                         on_spans += 1
         if size:

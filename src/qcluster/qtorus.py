@@ -14,12 +14,10 @@ f0 and f1.  The callers are the plans of `relations`, built from a pair's
 integers.  `_line_dies` first follows a line's one key on spans alone,
 with no coefficient; a plan all of whose lines die there sums to 0,
 which decides every admissible plan.  Only a plan with a live line
-runs `_commutator_lines`, which returns keys (s, t) that the plan decodes
-(`_unpack`) at the exponents of its basis.  There each coefficient is one
-signed int, its value at q^(1/2) = 2^W, with W chosen by the plan so that
-every coefficient stays below 2^(W-1) in absolute value.  Then an int is
-0 exactly when its polynomial is, so a step drops vanished terms without
-decoding them.  `TorusElem.bar` gives the mirrored step.
+runs `_commutator_lines`, which returns keys (s, t) with their QLaurent
+coefficients for the plan to place at the exponents of its basis; a
+step drops a key whose coefficient is 0.  `TorusElem.bar` gives the
+mirrored step.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from __future__ import annotations
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
-from .qarith import QLaurent, _require_int, _slots, parse_qlaurent
+from .qarith import QLaurent, _require_int, parse_qlaurent
 
 ExpVec = Tuple[int, ...]
 
@@ -251,23 +249,6 @@ class TorusElem:
     __repr__ = __str__
 
 
-def _unpack(lo: int, packed: int, width: int) -> QLaurent:
-    """The nonzero polynomial that (lo, packed) encodes, every coefficient
-    below 2^(width-1) in absolute value.  Biased by 2^(width-1), each slot
-    is a digit in [1, 2^width - 1] that borrows nothing from the next, so
-    one read of the biased int's bytes gives every coefficient."""
-    count = abs(packed).bit_length() // width + 1
-    bias = 1 << (width - 1)
-    biased = packed + int.from_bytes(bias.to_bytes(width // 8, "little") * count, "little")
-    return QLaurent._raw({lo + j: v - bias for j, v in enumerate(_slots(biased, width, count)) if v != bias})
-
-
-def _merge(held: tuple[int, int], new: tuple[int, int], width: int) -> tuple[int, int]:
-    """The sum of two packed coefficients (lo, P), aligned at the lower lo."""
-    (lo, packed), (new_lo, new_packed) = sorted((held, new))
-    return lo, packed + (new_packed << width * (new_lo - lo))
-
-
 def _line_dies(c: int, p0: int, p1: int, halves: Sequence[int]) -> bool:
     """Whether the line of a middle term with pairings (p0, p1) is empty
     after the steps `halves` of `_commutator_lines`, decided on spans.  At
@@ -291,51 +272,42 @@ def _line_dies(c: int, p0: int, p1: int, halves: Sequence[int]) -> bool:
     return False
 
 
-def _commutator_lines(c: int, middle: Iterable[tuple[int, int, int, int]], halves: Sequence[int], width: int) -> list[tuple[int, int, int, int]]:
+def _commutator_lines(c: int, middle: Iterable[tuple[int, int, QLaurent]], halves: Sequence[int]) -> list[tuple[int, int, QLaurent]]:
     """The steps M <- A*M - q^(h/2) * (M*A), h in `halves`, A = X^f0 + X^f1,
     on pairings alone: c = lambda(f0, f1), and middle term s, a X^(e_s),
-    comes as (p0, p1, lo, P), p_u = lambda(e_s, f_u), with a packed at
-    q^(1/2) = 2^W, W = `width`, as P = sum_h a_h 2^(W(h-lo)).  It returns
-    the nonzero keys (s, t, lo, P), the coefficients of
-    X^(e_s + (L-t) f0 + t f1), L = len(halves), for the caller to decode.
+    comes as (p0, p1, a), p_u = lambda(e_s, f_u).  It returns the nonzero
+    keys (s, t, a), the coefficients of X^(e_s + (L-t) f0 + t f1),
+    L = len(halves), for the caller to place.
 
     A term X^f of A and a X^e of M twist by p = lambda(e, f) alone
     (X^f X^e = q^(-p) X^e X^f), so the pair adds a*(q^(-p/2) - q^((p+h)/2))
-    to X^(e+f): a shift and a subtraction of P.  After k steps a term born
-    from X^(e_s) with t factors X^f1 pairs to p0 - t*c with f0 and
-    p1 + (k-t)*c with f1, so each middle term walks its own line, keys
-    ascending in t.  A zero sum is dropped; a child of span 2p + h = 0 adds
-    a*(q^(-p/2) - q^(-p/2)) = 0 and is skipped; a line that empties stops.
-
-    W = _slot_width(4^L * ||M||_1), ||x||_1 the sum of the absolute values
-    of x's coefficients, suffices: ||A||_1 = 2, so a step at most quadruples
-    the l1 norm of all keys together, and every coefficient stays at most
-    4^L ||M||_1 < 2^(W-1) in absolute value.  Such a polynomial packs to 0
-    only if it is 0 (qarith._slot_width), so a zero key is dropped exactly.
+    to X^(e+f).  After k steps a term born from X^(e_s) with t factors
+    X^f1 pairs to p0 - t*c with f0 and p1 + (k-t)*c with f1, so each middle
+    term walks its own line, keys ascending in t.  A zero sum is dropped; a
+    child of span 2p + h = 0 adds a*(q^(-p/2) - q^(-p/2)) = 0 and is
+    skipped; a line that empties stops.
 
     A plan runs this only when some line survives `_line_dies`: a failing
     or exploratory plan; no admissible plan reaches it.
     """
-    keys: list[tuple[int, int, int, int]] = []
-    for s, (p0, p1, lo, packed) in enumerate(middle):
-        line = [(0, lo, packed)]
+    keys: list[tuple[int, int, QLaurent]] = []
+    for s, (p0, p1, a) in enumerate(middle):
+        line = [(0, a)]
         for k, half in enumerate(halves):
-            out: list[tuple[int, int, int]] = []
-            for t, lo, packed in line:
-                # q^(-p/2) - q^((p+h)/2) = q^(-p/2) (1 - q^(span/2)); the X^f0 child
-                # joins key t-1's X^f1 child, made last, and the X^f1 child is new
+            out: list[tuple[int, QLaurent]] = []
+            for t, a in line:
+                # the X^f0 child joins key t-1's X^f1 child, made last, and
+                # the X^f1 child is new
                 p = p0 - t * c
-                span = 2 * p + half
-                if span:
-                    held = (lo - p, packed - (packed << width * span)) if span > 0 else (lo + p + half, (packed << -width * span) - packed)
+                if 2 * p + half:
+                    child = a.shift(-p) - a.shift(p + half)
                     if out and out[-1][0] == t:
-                        held = _merge(out.pop()[1:], held, width)
-                    if held[1]:
-                        out.append((t, *held))
+                        child = out.pop()[1] + child
+                    if child:
+                        out.append((t, child))
                 p = p1 + (k - t) * c
-                span = 2 * p + half
-                if span:
-                    out.append((t + 1, lo - p, packed - (packed << width * span)) if span > 0 else (t + 1, lo + p + half, (packed << -width * span) - packed))
+                if 2 * p + half:
+                    out.append((t + 1, a.shift(-p) - a.shift(p + half)))
             line = out
             if not line:
                 break

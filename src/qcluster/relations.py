@@ -8,12 +8,12 @@ coefficient of the sum is expanded.  A plan holds integers only, its
 steps a range run in the order the sign of b_ij fixes (`_plan`).  Each
 middle term's line is first walked on its spans alone
 (`qtorus._line_dies`); when every line dies there, as on every admissible
-plan, the plan is certified "0" with no packed int built.  Only a plan
-with a live line builds y_j^l's q-binomials, packed by Pascal's rule at
-the plan's stride (`_power_terms`), picks a slot width and runs the
-packed kernel, decoding only the keys that survive.  No check writes
-process-global state.  Certificates record the instance, the verdict,
-the canonical remainder and expansion statistics.
+plan, the plan is certified "0" with no coefficient built.  Only a plan
+with a live line builds y_j^l's q-binomials as QLaurents by Pascal's
+rule (`_power_terms`) and runs the kernel, whose surviving keys keep
+their coefficients.  No check writes process-global state.  Certificates
+record the instance, the verdict, the canonical remainder and expansion
+statistics.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import time
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple, Sequence
 
-from .qarith import QLaurent, _require_int, _slot_width
-from .qtorus import TorusElem, _commutator_lines, _line_dies, _unpack, vec_add
+from .qarith import QLaurent, _require_int
+from .qtorus import TorusElem, _commutator_lines, _line_dies, vec_add
 from .seeds import QuantumSeed, pos_part
 
 
@@ -88,10 +88,10 @@ class _Plan(NamedTuple):
     """A validated alternating-sum check, built by `_plan` from integers:
     c = lambda(f0, f1), each middle term's `pairings` (p0, p1), the range
     of the steps' `halves` in run order, the `twist`, the basis (form, l,
-    g_j, b_j, g_i, b_i) that `_expand` decodes keys by, and (d_j, l) of
+    g_j, b_j, g_i, b_i) that `_expand` places keys by, and (d_j, l) of
     the middle y_j^l, l = 0 for the lemma's unit middle x_i^(step-1).  The
-    packed kernel's `width` and `middle` are read-only properties, built
-    only when read (`_keys`)."""
+    kernel's `middle` is a read-only property, built only when read
+    (`_keys`)."""
 
     c: int
     pairings: tuple[tuple[int, int], ...]
@@ -102,24 +102,23 @@ class _Plan(NamedTuple):
     l: int
 
     @property
+    def steps(self) -> int:
+        """L, the length of `halves`, from the range's own integers: len()
+        of a range longer than sys.maxsize raises OverflowError."""
+        halves = self.halves
+        return (halves.stop - halves.start) // halves.step
+
+    @property
     def terms(self) -> int:
         """|supp M| * (L+1)^2, the summed term counts of the summands (`_plan`)."""
-        return len(self.pairings) * (len(self.halves) + 1) ** 2
+        return len(self.pairings) * (self.steps + 1) ** 2
 
     @property
-    def width(self) -> int:
-        """W = _slot_width(4^L * 2^l) for L = len(halves) steps, as
-        ||y_j^l||_1 = 2^l (`qtorus._commutator_lines`)."""
-        return _slot_width(4 ** len(self.halves) << self.l)
-
-    @property
-    def middle(self) -> list[tuple[int, int, int, int]]:
-        """The kernel's middle terms (p0, p1, lo, P): term s of y_j^l has
-        lowest half-exponent lo = -d_j s(l-s) and P = [l, s]_(q^d_j) packed
-        at `width` (`_power_terms`)."""
+    def middle(self) -> list[tuple[int, int, QLaurent]]:
+        """The kernel's middle terms (p0, p1, a): term s of y_j^l has
+        a = q^(-d_j s(l-s)/2) [l, s]_(q^d_j) (`_power_terms`)."""
         d_j, l = self.d_j, self.l
-        row = _power_terms(d_j, l, self.width)
-        return [(p0, p1, -d_j * s * (l - s), packed) for s, ((p0, p1), packed) in enumerate(zip(self.pairings, row))]
+        return [(p0, p1, a.shift(-d_j * s * (l - s))) for s, ((p0, p1), a) in enumerate(zip(self.pairings, _power_terms(d_j, l)))]
 
 
 # -- small helpers -----------------------------------------------------------
@@ -162,8 +161,8 @@ def _plan(c: int, pairings: Sequence[tuple[int, int]], xs: range, basis: tuple, 
     q^(r*shift/2); `halves` is the range 2c*x + shift over `xs`.  The
     builders run x up when b_ij <= 0 and down when b_ij > 0; so each line
     of an admissible plan holds one key until it dies on its spans alone
-    (`qtorus._line_dies`).  No field grows with L, and no row, width or
-    packed int is built here.
+    (`qtorus._line_dies`).  No field grows with L, and no row or
+    coefficient is built here.
 
     Compatibility, Btilde^T Lambda = [D 0], is lambda(b_k, x) = d_k x_k.
     With g_k = g(y_k) = -e_k + [-b_k]_+, f0 = g_i and f1 = g_i + b_i, it
@@ -189,30 +188,29 @@ def _has_live_line(plan: _Plan) -> bool:
     return not all(_line_dies(c, p0, p1, halves) for p0, p1 in plan.pairings)
 
 
-def _keys(plan: _Plan) -> list[tuple[int, int, int, int]]:
-    """The kernel's nonzero keys (s, t, lo, P) of `plan`: none when every
-    line dies on its spans, with no row, width or packed int built, and
-    otherwise `qtorus._commutator_lines` on `plan.middle` at `plan.width`."""
-    return _commutator_lines(plan.c, plan.middle, plan.halves, plan.width) if _has_live_line(plan) else []
+def _keys(plan: _Plan) -> list[tuple[int, int, QLaurent]]:
+    """The kernel's nonzero keys (s, t, a) of `plan`: none when every line
+    dies on its spans, with no row built, and otherwise
+    `qtorus._commutator_lines` on `plan.middle`."""
+    return _commutator_lines(plan.c, plan.middle, plan.halves) if _has_live_line(plan) else []
 
 
 def _expand(plan: _Plan, keys: list | None = None) -> TorusElem:
-    """The element `plan` sums, each key (s, t) of `_keys(plan)` (or `keys`,
-    its result) decoded once at its basis exponent l*g_j + s*b_j + L*g_i + t*b_i."""
+    """The element `plan` sums, each key (s, t, a) of `_keys(plan)` (or
+    `keys`, its result) placed at its basis exponent
+    l*g_j + s*b_j + L*g_i + t*b_i."""
     form, l, g_j, b_j, g_i, b_i = plan.basis
     keys = _keys(plan) if keys is None else keys
-    if not keys:
-        return TorusElem.zero(form)
-    steps, width = len(plan.halves), plan.width
+    steps = plan.steps
     return TorusElem._raw(form, {
-        tuple(l * a + s * u + steps * x + t * y for a, u, x, y in zip(g_j, b_j, g_i, b_i)): _unpack(lo, packed, width)
-        for s, t, lo, packed in keys
+        tuple(l * a + s * u + steps * x + t * y for a, u, x, y in zip(g_j, b_j, g_i, b_i)): coeff
+        for s, t, coeff in keys
     })
 
 
 def _run(check: str, params: Sequence[tuple[str, object]], plan: _Plan, exploratory: bool = False) -> VerificationCertificate:
-    """Expand `plan` and certify it, its twist last in `params`, decoding
-    nothing when every key vanished; `seconds` is the time of the expansion."""
+    """Expand `plan` and certify it, its twist last in `params`, building
+    no element when every key vanished; `seconds` is the time of the expansion."""
     started = time.perf_counter()
     keys = _keys(plan)
     return _certify(check, params, _expand(plan, keys) if keys else None, plan.terms, started, exploratory, plan.twist)
@@ -237,20 +235,20 @@ def one_step_variables(seed: QuantumSeed) -> tuple[TorusElem, ...]:
 # -- closed forms on based monomials ----------------------------------------
 
 
-def _power_terms(d: int, t: int, width: int) -> list[int]:
-    """[t, s]_(q^d) for s = 0 .. t, t >= 0, packed at q^(1/2) = 2^width,
-    the coefficients of y_k^t for d = d_k:
+def _power_terms(d: int, t: int) -> list[QLaurent]:
+    """[t, s]_(q^d) for s = 0 .. t, t >= 0, the coefficients of y_k^t for
+    d = d_k:
 
         y_k^t = sum_s q^(-d s(t-s)/2) [t, s]_(q^d) X^(t*g(y_k) + s*b_k),
 
     the q-binomial theorem, as y_k's terms pair to d by compatibility; the
-    caller adds term s's lowest half-exponent -d s(t-s).  The row is built
-    from [1] by Pascal's rule [k, s] = [k-1, s] + Q^(k-s) [k-1, s-1] at
-    Q = q^d = 2^(2*d*width), on packed ints, as packing is a ring map; only
-    decoding needs its slots to hold: C(t, s) < 2^t < 2^(width-1)."""
-    row, stride = [1], 2 * d * width
+    caller shifts term s by -d s(t-s).  The row is built from [1] by
+    Pascal's rule [k, s] = [k-1, s] + Q^(k-s) [k-1, s-1] at Q = q^d, so
+    no q-binomial table row is read or written."""
+    one = QLaurent.one()
+    row = [one]
     for k in range(1, t + 1):
-        row = [1, *[row[s] + (row[s - 1] << stride * (k - s)) for s in range(1, k)], 1]
+        row = [one, *[row[s] + row[s - 1].shift(2 * d * (k - s)) for s in range(1, k)], one]
     return row
 
 
@@ -315,9 +313,9 @@ def power_product_check(seed: QuantumSeed, i: int, t: int, side: str = "left") -
     y_i_t = ys[i - 1] ** t
     x_i_t = TorusElem.monomial(form, power)
     brute = y_i_t * x_i_t if side == "left" else x_i_t * y_i_t
-    width, (g, column), d_i = _slot_width(1 << t), seed.one_step_exponents[i - 1], seed.d[i - 1]
-    terms_t = [(tuple(t * a + s * b for a, b in zip(g, column)), -d_i * s * (t - s), packed) for s, packed in enumerate(_power_terms(d_i, t, width))]
-    expansion = TorusElem(form, [(vec_add(e, power), _unpack(lo + sign * form.pairing(e, power), packed, width)) for e, lo, packed in terms_t])
+    (g, column), d_i = seed.one_step_exponents[i - 1], seed.d[i - 1]
+    terms_t = [(tuple(t * a + s * b for a, b in zip(g, column)), coeff.shift(-d_i * s * (t - s))) for s, coeff in enumerate(_power_terms(d_i, t))]
+    expansion = TorusElem(form, [(vec_add(e, power), coeff.shift(sign * form.pairing(e, power))) for e, coeff in terms_t])
     low, high = tuple(pos_part(-b) for b in column), tuple(pos_part(b) for b in column)
     lean = form.pairing(g, e_i)
     product_form = TorusElem.monomial(form, (0,) * seed.m, QLaurent.q_power(sign * t * t * lean))
@@ -406,10 +404,9 @@ def _order_plan(pair: tuple, l: int, m_exp: int, exploratory: bool = False) -> _
 
         p0(s) = l*pi + s*d_j*[-b_ji]_+,  p1(s) = p0(s) - d_i (l*[-b_ij]_+ + s*b_ij),
 
-    and shift -2*l*pi.  The plan keeps these and (d_j, l); y_j^l's row,
-    at W = _slot_width(4^L * 2^l) for L = m+1 steps, is built only for a
-    plan with a live line (`_Plan.middle`).  No exponent is built;
-    coordinates n+i and n+j of key (s, t)'s exponent
+    and shift -2*l*pi.  The plan keeps these and (d_j, l); y_j^l's row
+    is built only for a plan with a live line (`_Plan.middle`).  No
+    exponent is built; coordinates n+i and n+j of key (s, t)'s exponent
     l*g_j + s*b_j + L*g_i + t*b_i read off t and s.
     """
     _require_int("order l", l)

@@ -314,6 +314,19 @@ class TestVerify:
         assert status == 2 and out == ""
         assert "L32 fixes m_exp = |b_ij| and t_shift = 0" in err
 
+    def test_outer_exponent_past_sys_maxsize(self, capsys):
+        # m = 10^19 > sys.maxsize is admissible, and every line dies on its
+        # spans; `terms` counts L = m + 1 steps from the plan's range,
+        # whose len() would overflow
+        m = 10**19
+        status, out, err = run(capsys, "verify-higher", "--seed", EXAM1, "--i", "1", "--j", "2", "--l", "1", "--m", str(m))
+        assert (status, out, err) == (0, f"higher(i=1, j=2, l=1, m={m}): PASS [terms={2 * (m + 2) ** 2}]\n", "")
+        status, out, err = run(
+            capsys, "verify-lemmas", "--seed", EXAM1, "--i", "1", "--j", "2",
+            "--variant", "L41", "--m", str(m), "--t", "0",
+        )
+        assert (status, out, err) == (0, f"lemma-sum(i=1, j=2, variant=L41, m={m}, t=0): PASS [terms={(m + 1) ** 2}]\n", "")
+
 
 class TestIdentities:
     def test_single_instance(self, capsys):

@@ -67,30 +67,50 @@ def test_identities_reads_packed_entries_only():
     assert imported and not imported & {"QLaurent", "q_binom", "q_int", "_slots"}
 
 
-def test_one_kernel_caller_family():
-    # The relation plans are the kernel's only callers and `_expand` its
-    # only decoder in the package; the general-middle q-commutator adapter
-    # and its packer are test oracles (tests/torus_words.py).
-    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
-    defined = {
+def _names_imported(module):
+    path = PACKAGE / f"{module}.py"
+    return {alias.name for node in ast.walk(ast.parse(path.read_text(), str(path))) if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _names_defined():
+    return {
         node.name
-        for tree in trees.values()
-        for node in ast.walk(tree)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
-    assert not defined & {"iterated_q_commutator", "_pack"}
 
-    def imported(module):
-        return {alias.name for node in ast.walk(trees[module]) if isinstance(node, ast.ImportFrom) for alias in node.names}
 
-    assert not imported("relations") & {"iterated_q_commutator", "_pack"}
-    assert "_slot_width" not in imported("qtorus")
+def test_one_kernel_caller_family():
+    # The relation plans are the kernel's only callers in the package; the
+    # general-middle q-commutator adapter is a test oracle
+    # (tests/torus_words.py), and no module keeps its old packer.
+    assert not _names_defined() & {"iterated_q_commutator", "_pack"}
+    assert not _names_imported("relations") & {"iterated_q_commutator", "_pack"}
+    assert "_slot_width" not in _names_imported("qtorus")
+
+
+# The kernel's coefficients are QLaurents, so the relation path packs
+# nothing: relations reads no slot width, qtorus reads no slots, and no
+# module keeps a packed-coefficient decoder or merger.
+
+
+def test_relations_reads_no_slot_width():
+    assert "_slot_width" not in _names_imported("relations")
+
+
+def test_qtorus_reads_no_slots():
+    assert "_slots" not in _names_imported("qtorus")
+
+
+def test_no_module_defines_a_packed_coefficient_decoder():
+    assert not _names_defined() & {"_unpack", "_merge"}
 
 
 def test_relations_writes_its_json_and_builds_its_binomials():
     # Certificates write their own JSON line, quoting strings with the
     # json encoder's escaper alone, and y_j^l's q-binomials are built by
-    # Pascal's rule at the plan's stride, so relations reads no name of
+    # Pascal's rule, so relations reads no name of
     # the q-binomial table and no relation check adds a row to it.
     path = PACKAGE / "relations.py"
     imported = {

@@ -296,8 +296,8 @@ class TestIteratedQCommutator:
         {(1, 0, 0, 0): 1, (0, 1, 0, 0): QLaurent.q_power(1)},
     ], ids=["one-term", "three-terms", "coefficient-2", "coefficient-minus-1", "coefficient-q-half"])
     def test_outer_outside_domain_refused(self, terms):
-        # the steps are defined for any outer, but the kernel's slot width
-        # and every caller assume X^f0 + X^f1, the shape of a one-step variable
+        # the steps are defined for any outer, but the kernel and every
+        # caller assume X^f0 + X^f1, the shape of a one-step variable
         x4 = ordered_product(LAM4, [(4, 1)])
         for halves in ([0], []):
             with pytest.raises(ArithmeticError, match=r"X\^f0 \+ X\^f1"):
@@ -323,10 +323,9 @@ class TestIteratedQCommutator:
         return middle
 
     def test_wide_signed_coefficients_match_products(self):
-        # Middle coefficients +-(2^k + delta) sit on and beside the 64-bit
-        # slot edges, and up to four steps grow them further, so a slot width
-        # chosen from the middle's size alone, without the growth over the
-        # steps, lets slots carry into each other and decodes them wrong.
+        # Middle coefficients +-(2^k + delta) of up to 200 bits, of either
+        # sign, grow over up to four steps, where the two children that meet
+        # on one key merge; every coefficient must come out exact.
         rng = random.Random(25)
         bits = (0, 1, 62, 63, 64, 70, 127, 128, 200)
         exponents = list(itertools.product(range(-2, 3), repeat=3))
@@ -351,17 +350,15 @@ class TestIteratedQCommutator:
             halves = [rng.randint(-6, 6) for _ in range(rng.randint(0, 4))]
             assert iterated_q_commutator(outer, middle, halves) == self._by_products(outer, middle, halves), trial
 
-    def test_exam1_forty_steps_match_products(self, kernel_widths):
+    def test_exam1_forty_steps_match_products(self):
         # 40 untwisted steps of y_1 on y_2 of exam1: a nonzero result whose
-        # coefficients reach 50 bits, packed at W = 128 since the bound is
-        # 4^40 * 2 = 2^81
+        # coefficients reach 50 bits
         seed = load_seed(Path(__file__).resolve().parent.parent / "fixtures" / "exam1.json")
         y1, y2 = seed.one_step
         result = iterated_q_commutator(y1, y2, [0] * 40)
         assert result == self._by_products(y1, y2, [0] * 40)
         assert result.term_count() == 40
         assert max(abs(v).bit_length() for _, c in result.items() for _, v in c.items()) == 50
-        assert kernel_widths == [128]
 
 
 @st.composite

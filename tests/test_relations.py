@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcluster import qarith, qtorus, relations, seeds
-from qcluster.qarith import QLaurent, _q_binom_entry, _respread, _slot_width, q_binom
+from qcluster import qarith, relations, seeds
+from qcluster.qarith import QLaurent, q_binom
 from qcluster.qtorus import SkewForm, TorusElem, _commutator_lines, _line_dies, vec_add
 from qcluster.relations import (
     VerificationCertificate,
@@ -45,7 +45,7 @@ from qcluster.seeds import (
     with_mutable_block,
 )
 from seed_kinds import compatible_principal_seed
-from torus_words import _pack, iterated_q_commutator, ordered_product
+from torus_words import iterated_q_commutator, ordered_product
 
 COMMUTATOR_COEFF = QLaurent({3: 1, -1: -1})  # q^(3/2) - q^(-1/2)
 
@@ -205,16 +205,16 @@ class TestSandwichKernel:
             with pytest.raises(ArithmeticError, match=r"X\^f0 \+ X\^f1"):
                 iterated_q_commutator(outer, middle, _halves(1, 2, 0))
 
-    def test_heavy_instance(self, kernel_widths):
-        # 101 steps of y_1 on y_2^10, whose l1 norm is 2^10: coefficients are
-        # bounded by 4^101 * 2^10 = 2^212, which needs W = 256.  The passing
-        # run decides every line on its spans and chooses no width; the
-        # plan's on-demand width is still the kernel's bound
+    def test_heavy_instance(self, monkeypatch):
+        # 101 steps of y_1 on y_2^10: the passing run decides every line on
+        # its spans, so it builds no row of y_2^10 and runs no kernel
+        calls = []
+        for name in ("_power_terms", "_commutator_lines"):
+            monkeypatch.setattr(relations, name, lambda *a, name=name: calls.append(name))
         seed = principal_seed([[0, 10], [-10, 0]], (1, 1))
         cert = higher_verify(seed, 1, 2, 10, 100)
         assert (cert.ok, cert.residue, cert.terms) == (True, "0", 114444)
-        assert kernel_widths == []
-        assert _order_plan(_require_pair(seed, 1, 2), 10, 100).width == 256
+        assert calls == []
 
     @pytest.mark.parametrize("m_exp, terms", [(400, 323208), (1000, 2008008)])
     def test_long_line_instances(self, m_exp, terms):
@@ -290,19 +290,16 @@ class TestPlanTerms:
                     count += 1
         assert count > 100
 
-    def test_packed_middle_is_the_torus_power(self):
-        # y_j^l from the q-binomial table equals y_j ** l packed at the
-        # plan's width, which is the kernel's bound for that middle, and the
-        # lemma middle x_i^(step-1) is the one packed term (e, 0, 1); each
-        # term's pairings with the outer's exponents, and c, are those of
-        # SkewForm.pairing on the operands rebuilt from the seed; on both
+    def test_middle_is_the_torus_power(self):
+        # y_j^l's terms by Pascal's rule equal those of y_j ** l, and the
+        # lemma middle x_i^(step-1) is the one term with coefficient 1;
+        # each term's pairings with the outer's exponents, and c, are those
+        # of SkewForm.pairing on the operands rebuilt from the seed; on both
         # seed kinds
         rng = random.Random(37)
         for make in (random_principal_seed, compatible_principal_seed):
             for seed in [make(rng, rng.choice([2, 3, 4])) for _ in range(4)]:
                 for plan, outer, middle in _every_plan(seed):
-                    norm = sum(abs(v) for _, c in middle.items() for _, v in c.items())
-                    assert plan.width == _slot_width(4 ** len(plan.halves) * norm)
                     # f1 = f0 + b_i has x_(n+i), f0 no coefficient variable
                     f0, f1 = sorted(outer.support(), key=lambda e: sum(e[seed.n:]))
                     coeffs = dict(middle.items())
@@ -310,17 +307,17 @@ class TestPlanTerms:
                     assert plan.c == seed.form.pairing(f0, f1)
                     for e, term in zip(_outer_exponents(plan)[2], plan.middle):
                         pairings = seed.form.pairing(e, f0), seed.form.pairing(e, f1)
-                        assert term == (*pairings, *_pack(coeffs[e], plan.width))
+                        assert term == (*pairings, coeffs[e])
 
     def test_passing_suite_multiplies_and_decodes_nothing(self, monkeypatch):
-        # every operand of a suite plan comes from the seed and the
-        # q-binomial table, and a vanishing result is certified "0" with
-        # no key decoded and no torus element built
+        # every plan of a passing suite is decided on its spans and
+        # certified "0" with no row of y_j^l, no kernel run and no torus
+        # element built
         calls = []
         monkeypatch.setattr(TorusElem, "__mul__", lambda *a: calls.append("mul"))
         monkeypatch.setattr(TorusElem, "_raw", classmethod(lambda *a: calls.append("raw")))
-        for module in (qtorus, relations):
-            monkeypatch.setattr(module, "_unpack", lambda *a: calls.append("unpack"))
+        for name in ("_power_terms", "_commutator_lines"):
+            monkeypatch.setattr(relations, name, lambda *a, name=name: calls.append(name))
         rng = random.Random(41)
         for make in (random_principal_seed, compatible_principal_seed):
             for _ in range(6):
@@ -329,29 +326,21 @@ class TestPlanTerms:
         assert calls == []
 
 
-def _respread_power_terms(d, t, width):
-    """_power_terms's row as the table gives it: each [t, s] read at its own
-    slot width and moved to stride 2*d*width."""
-    return [1, *[_respread(*_q_binom_entry(t, s), 2 * d * width, s * (t - s) + 1) for s in range(1, t)], 1]
-
-
 class TestPowerTermsPascal:
     @pytest.mark.parametrize("fresh", [True, False])
-    def test_pascal_row_equals_the_respread_and_fills_no_row(self, monkeypatch, fresh):
-        # Packing at Q = 2^(2*d*width) is a ring map, so Pascal's rule on
-        # packed ints gives each [t, s] the table holds, moved to the
-        # stride, whether the table is empty or holds the 64-bit rows the
-        # oracle fills; and building the row writes no table entry.  The
-        # snapshot brackets _power_terms alone, as the oracle fills rows.
+    def test_pascal_row_is_q_binom_and_fills_no_row(self, monkeypatch, fresh):
+        # Pascal's rule at Q = q^d gives each [t, s]_(q^d) that q_binom
+        # reads from the table, whether the table is empty or holds the
+        # rows q_binom fills; and building the row writes no table entry.
+        # The snapshot brackets _power_terms alone, as q_binom fills rows.
         if fresh:
             monkeypatch.setattr(qarith, "_Q_BINOM_TABLE", {})
-        for width in (64, 128, 192):
-            for d in range(1, 5):
-                for t in range(1, 13):
-                    before = dict(qarith._Q_BINOM_TABLE)
-                    row = _power_terms(d, t, width)
-                    assert qarith._Q_BINOM_TABLE == before, (d, t, width)
-                    assert row == _respread_power_terms(d, t, width), (d, t, width)
+        for d in range(1, 5):
+            for t in range(13):
+                before = dict(qarith._Q_BINOM_TABLE)
+                row = _power_terms(d, t)
+                assert qarith._Q_BINOM_TABLE == before, (d, t)
+                assert row == [q_binom(t, s, d) for s in range(t + 1)], (d, t)
 
 
 def test_relation_checks_leave_the_table_alone(monkeypatch):
@@ -904,7 +893,7 @@ class TestSuites:
         seed = load_seed(Path(__file__).resolve().parent.parent / "fixtures" / "exam1.json")
         certs = full_suite(seed)
         # serre (1, 2), (2, 1) and higher (2, 1, 2, 4), each decided once on
-        # its spans with no packed pass; the two l = 1 higher instances reuse
+        # its spans with no kernel pass; the two l = 1 higher instances reuse
         # their serre certificates, and serre-opposite (2, 1), bar of a
         # passing serre (1, 2), relabels that certificate
         assert (len(certs), len(decided), passes) == (6, 3, [])
@@ -1003,13 +992,13 @@ class TestOneStepDerivedOnce:
     @pytest.mark.parametrize("name, variables", [("exam1.json", 2), ("exam3.json", 3)])
     def test_passing_full_suite_builds_no_variable(self, monkeypatch, name, variables):
         # the suite reads every plan from its pair's integers: no one-step
-        # variable, no torus product and no decoding; `one_step` still
-        # builds each variable once, on first use
+        # variable, no torus product, no row of y_j^l and no kernel run;
+        # `one_step` still builds each variable once, on first use
         calls = _count_variables(monkeypatch)
         with monkeypatch.context() as patch:
             patch.setattr(TorusElem, "__mul__", lambda *a: calls.append("mul"))
-            for module in (qtorus, relations):
-                patch.setattr(module, "_unpack", lambda *a: calls.append("unpack"))
+            for spied in ("_power_terms", "_commutator_lines"):
+                patch.setattr(relations, spied, lambda *a, spied=spied: calls.append(spied))
             seed = load_seed(Path(__file__).resolve().parent.parent / "fixtures" / name)
             assert all(c.ok for c in full_suite(seed))
         assert calls == []
@@ -1163,7 +1152,8 @@ def _move_twists(monkeypatch, moved):
 
     def moved_plan(*args):
         built = plan(*args)
-        return built._replace(halves=tuple(h + moved for h in built.halves), twist=built.twist + moved)
+        halves = built.halves
+        return built._replace(halves=range(halves.start + moved, halves.stop + moved, halves.step), twist=built.twist + moved)
 
     monkeypatch.setattr(relations, "_plan", moved_plan)
 
@@ -1233,15 +1223,16 @@ def _span_walk_plans(seed):
 
 class TestSpanWalk:
     # qtorus._line_dies follows a line's one key on spans alone, and a
-    # plan all of whose lines die there is certified "0" with no packed
-    # work (relations._keys).
+    # plan all of whose lines die there is certified "0" with no row built
+    # and no kernel run (relations._keys).
 
     def test_a_line_that_dies_on_spans_is_empty(self, monkeypatch):
-        # soundness: the packed kernel run on that line alone returns no
+        # soundness: the kernel run on that line alone returns no
         # key, on both seed kinds at ranks 2-4, on passing, failing and
         # exploratory plans, and with every twist moved by +/-2,
         # where most lines live; and a plan's keys are the kernel's on its
-        # whole middle
+        # whole middle, one per (s, t) in ascending order and none zero, as
+        # `_expand` places one key per exponent
         counts = {}
         for moved in (0, -2, 2):
             with monkeypatch.context() as patch:
@@ -1251,14 +1242,16 @@ class TestSpanWalk:
                 for make in (random_principal_seed, compatible_principal_seed):
                     for rank in (2, 3, 3, 4):
                         for plan in _span_walk_plans(make(rng, rank)):
-                            c, halves, width = plan.c, plan.halves, plan.width
+                            c, halves = plan.c, plan.halves
                             for term in plan.middle:
                                 if _line_dies(c, term[0], term[1], halves):
-                                    assert _commutator_lines(c, [term], halves, width) == [], (moved, plan, term)
+                                    assert _commutator_lines(c, [term], halves) == [], (moved, plan, term)
                                     dead += 1
                                 else:
                                     live += 1
-                            assert _keys(plan) == _commutator_lines(c, plan.middle, halves, width)
+                            keys = _commutator_lines(c, plan.middle, halves)
+                            assert _keys(plan) == keys
+                            assert [key[:2] for key in keys] == sorted({key[:2] for key in keys}) and all(key[2] for key in keys), plan
                 counts[moved] = dead, live
         assert counts[0][0] > 1000 and counts[0][1] > 100, counts
         assert counts[-2][1] > 1000 and counts[2][1] > 1000, counts
@@ -1289,13 +1282,13 @@ class TestSpanWalk:
         assert count > 300
 
     def test_passing_suite_builds_no_packed_row(self, monkeypatch):
-        # a passing plan builds no y_j^l row, chooses no width and runs no
-        # packed kernel, on the three seed fixtures, at b = l = 20 and on
-        # L41 past its minimal m, whose packed runs took seconds
+        # a passing plan builds no y_j^l row and runs no kernel, on the
+        # three seed fixtures, at b = l = 20 and on L41 past its minimal m,
+        # whose kernel runs took seconds
         def refuse(*args):
-            raise AssertionError("a passing plan did packed work")
+            raise AssertionError("a passing plan built a row or ran the kernel")
 
-        for name in ("_power_terms", "_slot_width", "_commutator_lines"):
+        for name in ("_power_terms", "_commutator_lines"):
             monkeypatch.setattr(relations, name, refuse)
         fixtures = Path(__file__).resolve().parent.parent / "fixtures"
         for name in ("exam1", "exam3", "lambda11"):
@@ -1369,6 +1362,50 @@ class TestHugeEntriesUnderAMemoryLimit:
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == "lemma-sum(i=1, j=2, variant=L41, m=1000, t=5): PASS [terms=1002001]\n"
         assert elapsed < 2
+
+
+class TestFailingInstanceWithHugeD:
+    # The exploratory higher(1, 2, 1, 0) on principal_seed([[0, 1], [-1, 0]],
+    # (d, d)) fails with a two-term residue whose half-exponents are +-d/2.
+    # The kernel holds those two terms; a coefficient with a slot per
+    # half-exponent took 646 MiB at d = 10^7 and ran out of memory at 10^8.
+
+    @staticmethod
+    def _child(d, limit=0):
+        """The instance run in a child that first limits its own address
+        space to `limit` bytes (none at 0): its exit status, stderr, the
+        rendered certificate and the child's own peak RSS in KiB.  Linux
+        keeps a process's peak RSS across exec, so a child started by this
+        test process would report this process's peak; a small launcher
+        starts the child instead."""
+        code = (
+            "import resource, sys\n"
+            "d, limit = map(int, sys.argv[1:])\n"
+            "if limit:\n"
+            "    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "from qcluster.relations import higher_verify\n"
+            "from qcluster.seeds import principal_seed\n"
+            "print(higher_verify(principal_seed([[0, 1], [-1, 0]], (d, d)), 1, 2, 1, 0, exploratory=True).render())\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // (1024 if sys.platform == 'darwin' else 1))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        launcher = "import subprocess, sys; sys.exit(subprocess.run([sys.executable, *sys.argv[1:]]).returncode)"
+        result = subprocess.run([sys.executable, "-c", launcher, "-c", code, str(d), str(limit)], capture_output=True, text=True, env=env, timeout=60)
+        *rendered, peak = result.stdout.splitlines() or [""]
+        return result.returncode, result.stderr, "\n".join(rendered), peak
+
+    @staticmethod
+    def _render(d):
+        return f"higher(i=1, j=2, l=1, m=0) [exploratory]: FAIL [terms=8]\n  remainder: (q^-{d // 2} - q^{d // 2}) * X^[0,0,0,1]"
+
+    def test_d_ten_to_the_seven_peaks_under_50_mib(self):
+        status, err, rendered, peak = self._child(10**7)
+        assert (status, err, rendered) == (0, "", self._render(10**7))
+        assert int(peak) < 50 << 10, peak
+
+    def test_d_ten_to_the_eight_completes_under_2_gib(self):
+        status, err, rendered, _ = self._child(10**8, 2 << 30)
+        assert (status, err, rendered) == (0, "", self._render(10**8))
 
 
 def _lemma_instances(seed, i, j, past=(0, 1)):

@@ -9,8 +9,8 @@ collide; `iterated_q_commutator` feeds it any middle, summing keys that
 name one exponent, so the kernel is checked beyond the plans' shapes.
 """
 
-from qcluster.qarith import QLaurent, _require_int, _slot_width
-from qcluster.qtorus import SkewForm, TorusElem, _commutator_lines, _merge, _unpack
+from qcluster.qarith import QLaurent, _require_int
+from qcluster.qtorus import SkewForm, TorusElem, _commutator_lines
 
 
 def ordered_product(form: SkewForm, letters) -> TorusElem:
@@ -37,19 +37,12 @@ def ordered_product(form: SkewForm, letters) -> TorusElem:
     return TorusElem.monomial(form, expo, QLaurent.q_power(half))
 
 
-def _pack(coeff: QLaurent, width: int) -> tuple[int, int]:
-    """(lo, P) with lo the lowest half-exponent of `coeff` and P its packed
-    value sum_h c_h 2^(width (h - lo)), a signed int."""
-    lo = min(coeff._terms)
-    return lo, sum(value << width * (half - lo) for half, value in coeff._terms.items())
-
-
 def iterated_q_commutator(outer: TorusElem, middle: TorusElem, halves) -> TorusElem:
     """Starting from M = middle, M <- A*M - q^(h/2) * (M*A) for each h in
     `halves`, with A = `outer` = X^f0 + X^f1, the shape of every one-step
-    variable y_i, by `_commutator_lines` on M packed (`_pack`) at its width
-    and paired by `SkewForm.pairing`.  Keys naming one exponent (possible
-    for a general middle) are summed at decode, and a zero sum is dropped.
+    variable y_i, by `_commutator_lines` on M paired by `SkewForm.pairing`.
+    Keys naming one exponent (possible for a general middle) are summed,
+    and a zero sum is dropped.
     Twists must be ints (TypeError otherwise, bool included); an outer of
     any other shape raises ArithmeticError."""
     outer._check_form(middle)
@@ -58,12 +51,11 @@ def iterated_q_commutator(outer: TorusElem, middle: TorusElem, halves) -> TorusE
         _require_int("q-commutator twist", half)
     if len(outer._terms) != 2 or any(a != 1 for a in outer._terms.values()):
         raise ArithmeticError("q-commutator outer must be X^f0 + X^f1: two terms, each with coefficient 1")
-    norm_m = sum(abs(v) for c in middle._terms.values() for v in c._terms.values())
-    width, steps, pairing = _slot_width(4 ** len(halves) * norm_m), len(halves), outer.form.pairing
+    steps, pairing = len(halves), outer.form.pairing
     (f0, f1), exponents = outer._terms, list(middle._terms)
-    lines = [(pairing(e, f0), pairing(e, f1), *_pack(middle._terms[e], width)) for e in exponents]
+    lines = [(pairing(e, f0), pairing(e, f1), middle._terms[e]) for e in exponents]
     data = {}
-    for s, t, lo, packed in _commutator_lines(pairing(f0, f1), lines, halves, width):
+    for s, t, coeff in _commutator_lines(pairing(f0, f1), lines, halves):
         expo = tuple(a + (steps - t) * x + t * y for a, x, y in zip(exponents[s], f0, f1))
-        data[expo] = _merge(data[expo], (lo, packed), width) if expo in data else (lo, packed)
-    return TorusElem._raw(outer.form, {e: _unpack(lo, packed, width) for e, (lo, packed) in data.items() if packed})
+        data[expo] = data[expo] + coeff if expo in data else coeff
+    return TorusElem._raw(outer.form, {e: coeff for e, coeff in data.items() if coeff})
