@@ -9,7 +9,7 @@ So a plan's sum vanishes exactly when `relations._keys`, the helper every
 check runs, returns no key, and walking a box of those integers decides
 the verdict of every pair of every principal seed, at any rank, whose
 integers lie in it.  `_keys` first walks each line on its spans alone
-(`qtorus._line_dies`) and runs the kernel only for a plan with a live
+(`lattice._line_dies`) and runs the kernel only for a plan with a live
 line.
 
 The box is every (d_i, d_j, b_ij, b_ji, pi) with d <= 4, |b| <= 6,

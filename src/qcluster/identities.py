@@ -18,7 +18,8 @@ from __future__ import annotations
 from math import comb
 from typing import Callable, NamedTuple, Sequence
 
-from .qarith import _q_binom_entry, _require_int, _respread, _slot_width
+from .lattice import _require_int
+from .qarith import _q_binom_entry, _respread, _slot_width
 
 
 class IdentityReport(NamedTuple):

@@ -16,6 +16,8 @@ from array import array
 from math import comb
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
+from .lattice import _require_int
+
 TermSource = Union[Mapping[int, int], Iterable[Tuple[int, int]], None]
 
 
@@ -284,12 +286,6 @@ def parse_qlaurent(text: str) -> QLaurent:
 
 
 # -- Gaussian binomials ----------------------------------------------------
-
-
-def _require_int(name: str, value: object) -> None:
-    # bool is an int subclass, but True is no count, as in QLaurent.
-    if type(value) is bool or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def _check_base(d: int) -> None:

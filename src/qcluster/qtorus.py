@@ -5,16 +5,16 @@ length m) with QLaurent coefficients, multiplied by the twist rule
 
     X^e * X^f = q^(pairing(e, f)/2) * X^(e+f).
 
-Exponent vectors are plain int tuples.  Elements are immutable, pinned to
-the SkewForm they were built over, and refuse cross-form arithmetic.
-The q-commutator steps by an outer X^f0 + X^f1, the shape of every
-one-step variable, run on pairings alone: a middle term X^e walks the
-line X^(e + (k-t) f0 + t f1) and is seen only through its pairings with
-f0 and f1.  The callers are the plans of `relations`, built from a pair's
-integers.  `_line_dies` first follows a line's one key on spans alone,
-with no coefficient; a plan all of whose lines die there sums to 0,
-which decides every admissible plan.  Only a plan with a live line
-runs `_commutator_lines`, which returns keys (s, t) with their QLaurent
+Exponent vectors are plain int tuples, and the form is a
+`lattice.SkewForm`, bound here too as `qtorus.SkewForm`.  Elements are
+immutable, pinned to the SkewForm they were built over, and refuse
+cross-form arithmetic.  This is the ring half of the torus: no passing
+relation request loads it, since `lattice._line_dies` decides every
+admissible plan on spans alone.  Only a plan with a live line runs
+`_commutator_lines`, the q-commutator steps by an outer X^f0 + X^f1, the
+shape of every one-step variable, on pairings alone: a middle term X^e
+walks the line X^(e + (k-t) f0 + t f1) and is seen only through its
+pairings with f0 and f1.  It returns keys (s, t) with their QLaurent
 coefficients for the plan to place at the exponents of its basis; a
 step drops a key whose coefficient is 0.  `TorusElem.bar` gives the
 mirrored step.
@@ -22,75 +22,11 @@ mirrored step.
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
-from .qarith import QLaurent, _require_int, parse_qlaurent
-
-ExpVec = Tuple[int, ...]
-
-
-def vec_add(left: Sequence[int], right: Sequence[int]) -> ExpVec:
-    return tuple(map(add, left, right))
-
-def _int_tuple(values: Iterable[object], what: str) -> ExpVec:
-    # bool is an int subclass, but True is neither an exponent nor a form entry.
-    out = tuple(values)
-    for value in out:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{what} must be ints, got {value!r}")
-    return out
-
-
-class SkewForm:
-    """A skew-symmetric integer matrix seen as a bilinear form on Z^m."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: Iterable[Sequence[int]]):
-        mat = tuple(_int_tuple(row, "skew form entries") for row in rows)
-        dim = len(mat)
-        for i, row in enumerate(mat, 1):
-            if len(row) != dim:
-                raise ValueError(f"skew form matrix must be square, got row {i} of length {len(row)} in {dim} rows")
-        for i in range(dim):
-            if mat[i][i] != 0:
-                raise ValueError(f"skew form has nonzero diagonal entry at {i + 1}")
-            for j in range(i + 1, dim):
-                if mat[i][j] != -mat[j][i]:
-                    raise ValueError(
-                        f"skew form is not skew-symmetric at ({i + 1}, {j + 1})"
-                    )
-        self._rows = mat
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self._rows
-
-    def entry(self, i: int, j: int) -> int:
-        """lambda_{ij} with 1-based indices."""
-        return self._rows[i - 1][j - 1]
-
-    def pairing(self, left: Sequence[int], right: Sequence[int]) -> int:
-        """The bilinear value e^T * Lambda * f."""
-        if len(left) != self.dim or len(right) != self.dim:
-            raise ValueError("exponent vector length does not match the form")
-        return sum(a * sum(map(mul, row, right)) for a, row in zip(left, self._rows) if a)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SkewForm):
-            return self._rows is other._rows or self._rows == other._rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __repr__(self) -> str:
-        return f"SkewForm({list(map(list, self._rows))})"
-
+from .lattice import ExpVec, SkewForm, _int_tuple, _require_int, vec_add
+from .qarith import QLaurent, parse_qlaurent
 
 CoeffLike = Union[QLaurent, int]
 
@@ -249,29 +185,6 @@ class TorusElem:
     __repr__ = __str__
 
 
-def _line_dies(c: int, p0: int, p1: int, halves: Sequence[int]) -> bool:
-    """Whether the line of a middle term with pairings (p0, p1) is empty
-    after the steps `halves` of `_commutator_lines`, decided on spans.  At
-    step k with half h, the key at t has an X^f0 child at t unless its
-    span 2(p0 - t*c) + h is 0, and an X^f1 child at t+1 unless
-    2(p1 + (k-t)*c) + h is 0.  The walk follows the one child that lives,
-    and calls the line dead when neither does, live when both do.
-
-    `_commutator_lines` drops a key only for a zero span, by this test, or
-    for a merged sum that is 0.  One key has no merge, so the kernel then
-    holds that key or nothing, and a line called dead is empty.
-    """
-    t, c2, p0, p1 = 0, 2 * c, 2 * p0, 2 * p1
-    for k, half in enumerate(halves):
-        if p1 + (k - t) * c2 + half:
-            if p0 - t * c2 + half:
-                return False
-            t += 1
-        elif not p0 - t * c2 + half:
-            return True
-    return False
-
-
 def _commutator_lines(c: int, middle: Iterable[tuple[int, int, QLaurent]], halves: Sequence[int]) -> list[tuple[int, int, QLaurent]]:
     """The steps M <- A*M - q^(h/2) * (M*A), h in `halves`, A = X^f0 + X^f1,
     on pairings alone: c = lambda(f0, f1), and middle term s, a X^(e_s),
@@ -287,8 +200,8 @@ def _commutator_lines(c: int, middle: Iterable[tuple[int, int, QLaurent]], halve
     child of span 2p + h = 0 adds a*(q^(-p/2) - q^(-p/2)) = 0 and is
     skipped; a line that empties stops.
 
-    A plan runs this only when some line survives `_line_dies`: a failing
-    or exploratory plan; no admissible plan reaches it.
+    A plan runs this only when some line survives `lattice._line_dies`: a
+    failing or exploratory plan; no admissible plan reaches it.
     """
     keys: list[tuple[int, int, QLaurent]] = []
     for s, (p0, p1, a) in enumerate(middle):

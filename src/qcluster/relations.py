@@ -7,24 +7,33 @@ iterated q-commutators (the q-adjoint action), so no q-binomial
 coefficient of the sum is expanded.  A plan holds integers only, its
 steps a range run in the order the sign of b_ij fixes (`_plan`).  Each
 middle term's line is first walked on its spans alone
-(`qtorus._line_dies`); when every line dies there, as on every admissible
-plan, the plan is certified "0" with no coefficient built.  Only a plan
-with a live line builds y_j^l's q-binomials as QLaurents by Pascal's
-rule (`_power_terms`) and runs the kernel, whose surviving keys keep
-their coefficients.  No check writes process-global state.  Certificates
-record the instance, the verdict, the canonical remainder and expansion
-statistics.
+(`lattice._line_dies`); when every line dies there, as on every
+admissible plan, the plan is certified "0" with no coefficient built.
+Only a plan with a live line builds y_j^l's q-binomials as QLaurents by
+Pascal's rule (`_power_terms`) and runs the kernel, whose surviving keys
+keep their coefficients.  No check writes process-global state.
+Certificates record the instance, the verdict, the canonical remainder
+and expansion statistics.
+
+The module imports only the integer layer (`lattice`, `seeds`), so a
+passing request loads no coefficient ring.  The functions that build a
+QLaurent or a TorusElem (`_keys` and `_expand` past a live line,
+`_power_terms`, `_witness` and `power_product_check`) import `qarith`
+and `qtorus` when they run.
 """
 
 from __future__ import annotations
 
 import time
 from json.encoder import encode_basestring_ascii as _quote
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .qarith import QLaurent, _require_int
-from .qtorus import TorusElem, _commutator_lines, _line_dies, vec_add
+from .lattice import _line_dies, _require_int, vec_add
 from .seeds import QuantumSeed, pos_part
+
+if TYPE_CHECKING:
+    from .qarith import QLaurent
+    from .qtorus import TorusElem
 
 
 class VerificationCertificate(NamedTuple):
@@ -161,7 +170,7 @@ def _plan(c: int, pairings: Sequence[tuple[int, int]], xs: range, basis: tuple, 
     q^(r*shift/2); `halves` is the range 2c*x + shift over `xs`.  The
     builders run x up when b_ij <= 0 and down when b_ij > 0; so each line
     of an admissible plan holds one key until it dies on its spans alone
-    (`qtorus._line_dies`).  No field grows with L, and no row or
+    (`lattice._line_dies`).  No field grows with L, and no row or
     coefficient is built here.
 
     Compatibility, Btilde^T Lambda = [D 0], is lambda(b_k, x) = d_k x_k.
@@ -183,22 +192,28 @@ def _plan(c: int, pairings: Sequence[tuple[int, int]], xs: range, basis: tuple, 
 
 
 def _has_live_line(plan: _Plan) -> bool:
-    """Whether some middle term's line survives its spans (`qtorus._line_dies`)."""
+    """Whether some middle term's line survives its spans (`lattice._line_dies`)."""
     c, halves = plan.c, plan.halves
     return not all(_line_dies(c, p0, p1, halves) for p0, p1 in plan.pairings)
 
 
 def _keys(plan: _Plan) -> list[tuple[int, int, QLaurent]]:
     """The kernel's nonzero keys (s, t, a) of `plan`: none when every line
-    dies on its spans, with no row built, and otherwise
+    dies on its spans, with no row built and no ring loaded, and otherwise
     `qtorus._commutator_lines` on `plan.middle`."""
-    return _commutator_lines(plan.c, plan.middle, plan.halves) if _has_live_line(plan) else []
+    if not _has_live_line(plan):
+        return []
+    from .qtorus import _commutator_lines
+
+    return _commutator_lines(plan.c, plan.middle, plan.halves)
 
 
 def _expand(plan: _Plan, keys: list | None = None) -> TorusElem:
     """The element `plan` sums, each key (s, t, a) of `_keys(plan)` (or
     `keys`, its result) placed at its basis exponent
     l*g_j + s*b_j + L*g_i + t*b_i."""
+    from .qtorus import TorusElem
+
     form, l, g_j, b_j, g_i, b_i = plan.basis
     keys = _keys(plan) if keys is None else keys
     steps = plan.steps
@@ -245,6 +260,8 @@ def _power_terms(d: int, t: int) -> list[QLaurent]:
     caller shifts term s by -d s(t-s).  The row is built from [1] by
     Pascal's rule [k, s] = [k-1, s] + Q^(k-s) [k-1, s-1] at Q = q^d, so
     no q-binomial table row is read or written."""
+    from .qarith import QLaurent
+
     one = QLaurent.one()
     row = [one]
     for k in range(1, t + 1):
@@ -268,6 +285,9 @@ def commutator_witness(seed: QuantumSeed, i: int, j: int) -> TorusElem:
 
 def _witness(pair: tuple) -> TorusElem:
     """`commutator_witness` of the validated `pair` (`_require_pair`)."""
+    from .qarith import QLaurent
+    from .qtorus import TorusElem
+
     form, d_i, _, b_ij, _, pi, a, b_i, c, b_j = pair
     if b_ij == 0:
         return TorusElem.zero(form)
@@ -297,6 +317,9 @@ def power_product_check(seed: QuantumSeed, i: int, t: int, side: str = "left") -
     - the telescoping product q^(sign*t^2*lambda(a, e_i)/2) *
       prod_(r=1..t) (X^([-b_i]_+) + q^(sign*d_i(2r-1)/2) X^([b_i]_+)).
     """
+    from .qarith import QLaurent
+    from .qtorus import TorusElem
+
     started = time.perf_counter()
     ys = one_step_variables(seed)
     _require_int("index i", i)
@@ -456,7 +479,9 @@ def serre_verify_opposite(seed: QuantumSeed, i: int, j: int) -> VerificationCert
     mirror = _require_pair(seed, j, i)
     plan = _order_plan(mirror, 1, abs(mirror[3]))
     started = time.perf_counter()
-    return _certify("serre-opposite", (("i", i), ("j", j)), _expand(plan).bar(), plan.terms, started, twist=-plan.twist)
+    keys = _keys(plan)
+    residue = _expand(plan, keys).bar() if keys else None
+    return _certify("serre-opposite", (("i", i), ("j", j)), residue, plan.terms, started, twist=-plan.twist)
 
 
 def higher_verify(

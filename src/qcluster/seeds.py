@@ -10,6 +10,11 @@ plain classes, not tuples, so no copy is built without their checks.
 Each invariant is checked once, by the constructor that owns it; the
 order is in `seed_from_dict`, which checks only the JSON shape.
 
+A seed holds integers only, over a `lattice.SkewForm`, so loading,
+validating and mutating one loads no coefficient ring.  The one-step
+variables are torus elements: `mutated_variable`, and `QuantumSeed.one_step`
+through it, imports `qarith` and `qtorus` when it runs.
+
 Indices in the public API are 1-based, matching the usual notation
 (mutation direction k in [1, n], generators x_1 .. x_m).
 """
@@ -21,11 +26,12 @@ import json
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
-from .qarith import QLaurent, _require_int
-from .qtorus import ExpVec, SkewForm, TorusElem, vec_add
+from .lattice import ExpVec, SkewForm, _require_int, vec_add
 
 if TYPE_CHECKING:
     import random
+
+    from .qtorus import TorusElem
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -300,6 +306,9 @@ def mutated_variable(seed: QuantumSeed, k: int) -> TorusElem:
     _require_int("variable index k", k)
     if not 1 <= k <= seed.n:
         raise ValueError(f"variable index {k} out of range [1, {seed.n}]")
+    from .qarith import QLaurent
+    from .qtorus import TorusElem
+
     g, column = seed.one_step_exponents[k - 1]
     # Seed entries are ints, so the exponents are canonical.  They differ:
     # compatibility forces pairing(b_k, e_k) = d_k >= 1, so b_k != 0.

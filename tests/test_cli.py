@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qcluster import cli, identities, relations, seeds
+from qcluster import cli, identities, qtorus, seeds
 from qcluster.cli import main
 from qcluster.identities import IdentityReport
 
@@ -270,8 +270,8 @@ class TestVerify:
         # b_12 = 1 > 0 on exam1: the reversed side is refused before
         # serre(1, 2) is expanded, so a huge b_12 costs nothing either
         calls = []
-        kernel = relations._commutator_lines
-        monkeypatch.setattr(relations, "_commutator_lines", lambda *a: calls.append(a) or kernel(*a))
+        kernel = qtorus._commutator_lines
+        monkeypatch.setattr(qtorus, "_commutator_lines", lambda *a: calls.append(a) or kernel(*a))
         status, out, err = run(capsys, "verify-serre", "--seed", EXAM1, "--i", "1", "--j", "2", "--opposite")
         assert (status, out, calls) == (2, "", [])
         assert err == "error: reversed-side relation needs b_ij <= 0, got b_ij=1\n"
@@ -463,7 +463,7 @@ class TestRaiseMidCommand:
     # A command returns its lines and main alone writes them, so a command
     # that raises after building some of its lines writes none of them.
     @pytest.mark.parametrize("owner, name, argv", [
-        (cli, "render_torus_elem", ("vars", "--seed", EXAM1)),
+        (qtorus, "render_torus_elem", ("vars", "--seed", EXAM1)),
         (IdentityReport, "render", ("identities", "--family", "PASCAL")),
     ], ids=["vars", "identities"])
     def test_second_render_raises_writes_nothing(self, capsys, monkeypatch, owner, name, argv):

@@ -1,22 +1,26 @@
 """The package's module layering: which qcluster modules each one imports."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qcluster"
 
 # Every module of the package and the package modules it may import.
 LAYERS = {
-    "__init__": {"qarith", "qtorus", "seeds"},
+    "__init__": {"lattice", "qarith", "qtorus", "seeds"},
     "__main__": {"cli"},
-    "qarith": set(),
-    "qtorus": {"qarith"},
-    "seeds": {"qarith", "qtorus"},
-    "relations": {"qarith", "qtorus", "seeds"},
-    "identities": {"qarith"},
+    "lattice": set(),
+    "qarith": {"lattice"},
+    "qtorus": {"lattice", "qarith"},
+    "seeds": {"lattice", "qarith", "qtorus"},
+    "relations": {"lattice", "qarith", "qtorus", "seeds"},
+    "identities": {"lattice", "qarith"},
     "cli": {"identities", "qtorus", "relations", "seeds"},
 }
 
@@ -156,14 +160,122 @@ def _child(*argv):
 def test_cli_import_loads_only_what_every_request_runs():
     # Each qcluster call is a fresh process, so what `import qcluster.cli`
     # loads is paid by every request.  `relations` stays: every seed
-    # subcommand but validate and mutate runs it.  Modules the interpreter
-    # loaded before the import (site hooks) are not counted.
+    # subcommand but validate and mutate runs it.  The rings, qarith and
+    # qtorus, load only for a request that builds an element of one.
+    # Modules the interpreter loaded before the import (site hooks) are
+    # not counted.
     code = (
         "import sys; before = set(sys.modules); import qcluster.cli; "
         "loaded = set(sys.modules) - before; "
-        "print(sorted(loaded & {'dataclasses', 'inspect', 'qcluster.identities', 'qcluster.relations'}))"
+        "print(sorted(loaded & {'dataclasses', 'inspect', 'qcluster.identities', "
+        "'qcluster.qarith', 'qcluster.qtorus', 'qcluster.relations'}))"
     )
     assert _child("-c", code) == "['qcluster.relations']\n"
+
+
+FIXTURES = PACKAGE.parents[1] / "fixtures"
+
+# One request in a fresh interpreter, as a `qcluster` call runs: its
+# report, then the ring modules it loaded and its exit status.
+_REQUEST = (
+    "import sys, qcluster.cli; status = qcluster.cli.main(sys.argv[1:]); "
+    "print(sorted({'qcluster.qarith', 'qcluster.qtorus'} & set(sys.modules)), status)"
+)
+
+# Every admissible plan is decided on its spans, so a passing relation
+# request builds no QLaurent and no TorusElem, and loads neither ring.
+PASSING = [
+    ("suite", "--seed", "exam1"),
+    ("suite", "--seed", "exam3", "--format", "json"),
+    ("suite", "--seed", "lambda11"),
+    ("verify-serre", "--seed", "exam1", "--i", "2", "--j", "1", "--opposite"),
+    ("verify-higher", "--seed", "exam1", "--i", "2", "--j", "1", "--l", "2", "--m", "4"),
+    ("verify-lemmas", "--seed", "exam1", "--i", "2", "--j", "1"),
+    ("verify-lemmas", "--seed", "exam1", "--i", "2", "--j", "1", "--variant", "L41", "--m", "4", "--t", "1"),
+    ("validate", "--seed", "exam3"),
+    ("mutate", "--seed", "exam3", "--k", "2"),
+]
+
+# Requests that print a ring element or run the q-identity oracle: the
+# rings they load, and their report, byte for byte as before the rings
+# were deferred.
+LOADING = [
+    (
+        ("vars", "--seed", "exam1"),
+        ["qcluster.qarith", "qcluster.qtorus"], 0,
+        "y1 = 1 * X^[-1,0,1,0] + 1 * X^[-1,2,0,0]\n"
+        "y2 = 1 * X^[0,-1,0,0] + 1 * X^[1,-1,0,1]\n",
+    ),
+    (
+        ("verify-higher", "--seed", "exam1", "--i", "2", "--j", "1", "--l", "2", "--m", "3", "--exploratory"),
+        ["qcluster.qarith", "qcluster.qtorus"], 1,
+        "higher(i=2, j=1, l=2, m=3) [exploratory]: FAIL [terms=75]\n"
+        "  remainder: (q^-2 - q^-1 - 1 + 2*q^3 - q^6 - q^7 + q^8) * X^[2,0,0,4]\n",
+    ),
+    (
+        ("identities", "--family", "PASCAL", "--params", "3,2,1"),
+        ["qcluster.qarith"], 0,
+        "PASCAL(n=3,r=2,d=1) = PASS\n",
+    ),
+]
+
+
+def _request(flags, argv):
+    """The child's report and the line naming its rings and exit status;
+    the value of --seed names a file of fixtures/."""
+    argv = [str(FIXTURES / f"{arg}.json") if flag == "--seed" else arg for flag, arg in zip(("", *argv), argv)]
+    report, _, tail = _child(*flags, "-c", _REQUEST, *argv).rstrip("\n").rpartition("\n")
+    return report + "\n" if report else "", tail
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("argv", PASSING, ids=[" ".join(arg for arg in argv if arg != "--seed") for argv in PASSING])
+def test_passing_request_loads_no_ring(flags, argv):
+    report, tail = _request(flags, argv)
+    assert report and tail == "[] 0"
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("argv, rings, status, expected", LOADING, ids=[case[0][0] for case in LOADING])
+def test_ring_request_loads_its_ring_and_prints_the_same_bytes(flags, argv, rings, status, expected):
+    assert _request(flags, argv) == (expected, f"{rings} {status}")
+
+
+def test_public_names_load_on_first_access():
+    # The ring's public names load through the package's __getattr__
+    # (PEP 562), in a fresh interpreter: a star import binds all of
+    # __all__, a named import binds the ring's three, dir() lists them
+    # before they load, and an unknown name fails as on any module.
+    code = """if True:
+        import json, sys
+        import qcluster
+        from qcluster import lattice, seeds
+        before = sorted(m for m in ('qcluster.qarith', 'qcluster.qtorus') if m in sys.modules)
+        listed = sorted(set(qcluster.__all__) - set(dir(qcluster)))
+        from qcluster import QLaurent, TorusElem, q_binom
+        star = {}
+        exec('from qcluster import *', star)
+        from qcluster import qarith, qtorus
+        same = [
+            QLaurent is qarith.QLaurent, q_binom is qarith.q_binom, TorusElem is qtorus.TorusElem,
+            star['SkewForm'] is lattice.SkewForm is qtorus.SkewForm, star['mutate'] is seeds.mutate,
+            all(star[name] is getattr(qcluster, name) for name in qcluster.__all__),
+        ]
+        try:
+            qcluster.no_such_name
+        except AttributeError as exc:
+            refused = str(exc)
+        try:
+            from qcluster import no_such_name
+        except ImportError as exc:
+            unimported = exc.name == 'qcluster'
+        print(json.dumps([before, listed, sorted(set(qcluster.__all__) - set(star)), len(qcluster.__all__), same, refused, unimported]))
+    """
+    before, unlisted, unbound, count, same, refused, unimported = json.loads(_child("-c", code))
+    assert (before, unlisted, unbound, count) == ([], [], [], 10)
+    assert all(same), same
+    assert refused == "module 'qcluster' has no attribute 'no_such_name'"
+    assert unimported
 
 
 def test_identities_subcommand_imports_its_oracle():

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcluster import qarith, relations, seeds
+from qcluster import qarith, qtorus, relations, seeds
 from qcluster.qarith import QLaurent, q_binom
-from qcluster.qtorus import SkewForm, TorusElem, _commutator_lines, _line_dies, vec_add
+from qcluster.lattice import _line_dies
+from qcluster.qtorus import SkewForm, TorusElem, _commutator_lines, vec_add
 from qcluster.relations import (
     VerificationCertificate,
     _expand,
@@ -48,6 +49,10 @@ from seed_kinds import compatible_principal_seed
 from torus_words import iterated_q_commutator, ordered_product
 
 COMMUTATOR_COEFF = QLaurent({3: 1, -1: -1})  # q^(3/2) - q^(-1/2)
+
+# Where a spy sees y_j^l's row built and the kernel run: relations builds
+# the row, and imports the kernel from qtorus only for a plan with a live line.
+ROW_AND_KERNEL = ((relations, "_power_terms"), (qtorus, "_commutator_lines"))
 
 
 @pytest.fixture
@@ -209,8 +214,8 @@ class TestSandwichKernel:
         # 101 steps of y_1 on y_2^10: the passing run decides every line on
         # its spans, so it builds no row of y_2^10 and runs no kernel
         calls = []
-        for name in ("_power_terms", "_commutator_lines"):
-            monkeypatch.setattr(relations, name, lambda *a, name=name: calls.append(name))
+        for owner, name in ROW_AND_KERNEL:
+            monkeypatch.setattr(owner, name, lambda *a, name=name: calls.append(name))
         seed = principal_seed([[0, 10], [-10, 0]], (1, 1))
         cert = higher_verify(seed, 1, 2, 10, 100)
         assert (cert.ok, cert.residue, cert.terms) == (True, "0", 114444)
@@ -316,8 +321,8 @@ class TestPlanTerms:
         calls = []
         monkeypatch.setattr(TorusElem, "__mul__", lambda *a: calls.append("mul"))
         monkeypatch.setattr(TorusElem, "_raw", classmethod(lambda *a: calls.append("raw")))
-        for name in ("_power_terms", "_commutator_lines"):
-            monkeypatch.setattr(relations, name, lambda *a, name=name: calls.append(name))
+        for owner, name in ROW_AND_KERNEL:
+            monkeypatch.setattr(owner, name, lambda *a, name=name: calls.append(name))
         rng = random.Random(41)
         for make in (random_principal_seed, compatible_principal_seed):
             for _ in range(6):
@@ -889,7 +894,7 @@ class TestSuites:
 
         live_line = relations._has_live_line
         monkeypatch.setattr(relations, "_has_live_line", counting)
-        monkeypatch.setattr(relations, "_commutator_lines", lambda *a: passes.append(a))
+        monkeypatch.setattr(qtorus, "_commutator_lines", lambda *a: passes.append(a))
         seed = load_seed(Path(__file__).resolve().parent.parent / "fixtures" / "exam1.json")
         certs = full_suite(seed)
         # serre (1, 2), (2, 1) and higher (2, 1, 2, 4), each decided once on
@@ -997,8 +1002,8 @@ class TestOneStepDerivedOnce:
         calls = _count_variables(monkeypatch)
         with monkeypatch.context() as patch:
             patch.setattr(TorusElem, "__mul__", lambda *a: calls.append("mul"))
-            for spied in ("_power_terms", "_commutator_lines"):
-                patch.setattr(relations, spied, lambda *a, spied=spied: calls.append(spied))
+            for owner, spied in ROW_AND_KERNEL:
+                patch.setattr(owner, spied, lambda *a, spied=spied: calls.append(spied))
             seed = load_seed(Path(__file__).resolve().parent.parent / "fixtures" / name)
             assert all(c.ok for c in full_suite(seed))
         assert calls == []
@@ -1222,7 +1227,7 @@ def _span_walk_plans(seed):
 
 
 class TestSpanWalk:
-    # qtorus._line_dies follows a line's one key on spans alone, and a
+    # lattice._line_dies follows a line's one key on spans alone, and a
     # plan all of whose lines die there is certified "0" with no row built
     # and no kernel run (relations._keys).
 
@@ -1288,8 +1293,8 @@ class TestSpanWalk:
         def refuse(*args):
             raise AssertionError("a passing plan built a row or ran the kernel")
 
-        for name in ("_power_terms", "_commutator_lines"):
-            monkeypatch.setattr(relations, name, refuse)
+        for owner, name in ROW_AND_KERNEL:
+            monkeypatch.setattr(owner, name, refuse)
         fixtures = Path(__file__).resolve().parent.parent / "fixtures"
         for name in ("exam1", "exam3", "lambda11"):
             certs = full_suite(load_seed(fixtures / f"{name}.json"))

@@ -9,7 +9,8 @@ collide; `iterated_q_commutator` feeds it any middle, summing keys that
 name one exponent, so the kernel is checked beyond the plans' shapes.
 """
 
-from qcluster.qarith import QLaurent, _require_int
+from qcluster.lattice import _require_int
+from qcluster.qarith import QLaurent
 from qcluster.qtorus import SkewForm, TorusElem, _commutator_lines
 
 
