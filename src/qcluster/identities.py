@@ -5,12 +5,14 @@ vanishing families compare against zero.  Every family works on the
 q-binomial table's packed entries as they are stored, at one slot width
 per check bounded by ceilings folded from the entries' own bits, and
 compares packed ints, so none of them decodes anything.  A q-integer [n]
-is the entry [n, 1], and an entry at base q^d is the same entry at d
-times the slot stride.  The product expansions are polynomials in a
-commuting indeterminate x, expanded as lists of packed coefficients of
-x^0 .. x^n.  A family's sweep is data: one range per parameter, each a
-function of the parameters before it, which `_grid` walks, so one sweep
-enumerates and reports every instance of every family the same way.
+is the entry [n, 1].  A family at base q^d is decided in Q = q^d: that
+substitution is an injective ring map Z[Q] -> Z[q], so an identity holds
+at base q^d exactly when it holds in Q, and d changes no verdict.  The
+product expansions are polynomials in a commuting indeterminate x,
+expanded as lists of packed coefficients of x^0 .. x^n.  A family's
+sweep is data: one range per parameter, each a function of the
+parameters before it, which `_grid` walks, so one sweep enumerates and
+reports every instance of every family the same way.
 """
 
 from __future__ import annotations
@@ -44,13 +46,13 @@ class IdentityReport(NamedTuple):
 # unsigned w-bit slot per coefficient, and never decoded.  Packing is a
 # ring map, so the packed sum of shifted operands (for Vandermonde and
 # BASE_CHANGE, of their products) at one width W is exactly the sum's value
-# at 2^W, times a power of 2^W.  At base q^d a slot j holds the coefficient
-# of q^(dj), so an operand at base q^d is its entry moved to stride dW.
+# at 2^W, times a power of 2^W.  A family at base q^d is expanded in
+# Q = q^d (module docstring), so a slot j holds the coefficient of Q^j.
 # Every entry is read before anything is added, and W is chosen once, by
 # qarith._slot_width, from a bound on the coefficients of the sum; each
-# entry is moved to W or dW (qarith._respread, exact because its slots are
-# at most the bound).  SYMMETRY and REVERSAL only reorder one entry's
-# slots, so they keep its own width.
+# entry is moved to W (qarith._respread, exact because its slots are at
+# most the bound).  SYMMETRY and REVERSAL only reorder one entry's slots,
+# so they keep its own width.
 #
 # The bound: a coefficient of the sum is at most sum_r mult_r * height_r,
 # where height_r is the largest coefficient of term r (||a||_1 * max b for
@@ -148,13 +150,12 @@ def _vandermonde(n: int, d: int, k: int) -> tuple[int, int]:
     """Both sides of [n, k] = sum_r q^((d-r)(k-r)) [d, r] [n-d, k-r], packed
     at one width W.
 
-    A product with a zero factor adds nothing, and is skipped: the bound
-    need not cover the other factor's slots, and in every product left
-    r <= d and r <= k, so each shift is nonnegative.
+    Here d is the split index, not a base.  Both factors are nonzero only
+    for max(0, k - (n-d)) <= r <= min(d, k), so only those products are
+    read and bounded, and each shift is nonnegative.
     """
     lhs, lhs_width, lhs_count = _entry(n, k)
-    products = [(r, _entry(d, r), _entry(n - d, k - r)) for r in range(k + 1)]
-    products = [(r, a, b) for r, a, b in products if a[0] and b[0]]
+    products = [(r, _entry(d, r), _entry(n - d, k - r)) for r in range(max(0, k - (n - d)), min(d, k) + 1)]
     width = _slot_width(
         _ceiling((lhs, lhs_width, lhs_count)) + sum(a[2] * _ceiling(a) * _ceiling(b) for _, a, b in products)
     )
@@ -165,62 +166,60 @@ def _vandermonde(n: int, d: int, k: int) -> tuple[int, int]:
     return _respread(lhs, lhs_width, width, lhs_count), rhs
 
 
-def _pascal(n: int, r: int, d: int) -> tuple[int, int]:
-    """Both sides of [n+1, r] = [n, r] + q^(d(n+1-r)) [n, r-1] at base q^d,
-    packed at q = 2^W, each entry moved to stride dW.
+def _pascal(n: int, r: int) -> tuple[int, int]:
+    """Both sides of [n+1, r] = [n, r] + Q^(n+1-r) [n, r-1], packed at
+    Q = 2^W: PASCAL at base q^d, in Q = q^d.
 
-    The other recurrence, [n+1, r] = q^(dr) [n, r] + [n, r-1], is checked
+    The other recurrence, [n+1, r] = Q^r [n, r] + [n, r-1], is checked
     first: if the two right sides differ, that unequal pair is returned, so
     a broken recurrence fails the check.  Every side is multiplied by
-    q^(d*low), low >= 0 the least power that keeps each shift nonnegative:
+    Q^low, low >= 0 the least power that keeps each shift nonnegative:
     beyond r = n+1 all three entries are zero and n+1-r is negative.
     """
     entries = [_entry(n + 1, r), _entry(n, r), _entry(n, r - 1)]
     width = _slot_width(3 * _ceiling(*entries))
-    stride = d * width
-    lhs, upper, lower = (_respread(packed, entry_width, stride, count) for packed, entry_width, count in entries)
+    lhs, upper, lower = (_respread(packed, entry_width, width, count) for packed, entry_width, count in entries)
     low = max(0, r - n - 1)
-    first = (upper << stride * low) + (lower << stride * (n + 1 - r + low))
-    second = (upper << stride * (r + low)) + (lower << stride * low)
+    first = (upper << width * low) + (lower << width * (n + 1 - r + low))
+    second = (upper << width * (r + low)) + (lower << width * low)
     if first != second:
         return first, second
-    return lhs << stride * low, first
+    return lhs << width * low, first
 
 
-def _symmetry(n: int, r: int, d: int) -> tuple[int, int]:
-    """Both sides of [n, r] = q^(d r(n-r)) bar([n, r]) at base q^d, packed at
-    q = 2^W, W the entry's own slot width, with the entry moved to stride dW.
+def _symmetry(n: int, r: int) -> tuple[int, int]:
+    """Both sides of [n, r] = Q^(r(n-r)) bar([n, r]), packed at Q = 2^W, W
+    the entry's own slot width: SYMMETRY at base q^d, in Q = q^d.
 
     The right side is the entry's slots 0 .. r(n-r) in reverse order.  It
     reflects about the identity's degree r(n-r), not about the entry's
     length, so an entry with a nonzero slot above that degree has a left
     side the right side lacks, and FAILs.  REVERSAL is r = 1, since
-    [n]_(q^d) = [n, 1]_(q^d); at n = 0 the degree is -1 and both sides are 0.
+    [n]_Q = [n, 1]_Q; at n = 0 the degree is -1 and both sides are 0.
     """
-    packed, width, count = _entry(n, r)
+    packed, width, _ = _entry(n, r)
     slots = r * (n - r) + 1
     size = width // 8
     raw = (packed & ~(-1 << width * slots)).to_bytes(size * slots, "little")
     mirrored = bytearray(len(raw))
     for k in range(size):
         mirrored[k::size] = raw[k::size][::-1]
-    rhs = int.from_bytes(mirrored, "little")
-    return _respread(packed, width, d * width, count), _respread(rhs, width, d * width, slots)
+    return packed, int.from_bytes(mirrored, "little")
 
 
-def _base_change(n: int, r: int, d: int) -> tuple[int, int]:
-    """Both sides of [n]_(q^(rd)) [r]_(q^d) = [n]_(q^d) [r]_(q^(dn)), the base
-    change [n]_(q^(rd)) = [nr]_(q^d) / [r]_(q^d) cross-multiplied, packed at
-    q = 2^W.
+def _base_change(n: int, r: int) -> tuple[int, int]:
+    """Both sides of [n]_(Q^r) [r]_Q = [n]_Q [r]_(Q^n), the base change
+    [n]_(Q^r) = [nr]_Q / [r]_Q cross-multiplied, packed at Q = 2^W:
+    BASE_CHANGE at base q^d, in Q = q^d.
 
-    [m] at base q^e is the entry [m, 1] moved to stride eW.  Each side is a
+    [m] at base Q^e is the entry [m, 1] moved to stride eW.  Each side is a
     product of a = [n, 1] and b = [r, 1], at different strides, so every
     coefficient is at most ||a||_1 * max b, bounded from the entries' bits.
     """
     (a, a_width, a_count), (b, b_width, b_count) = _entry(n, 1), _entry(r, 1)
     width = _slot_width(a_count * _ceiling((a, a_width, a_count)) * _ceiling((b, b_width, b_count)))
-    lhs = _respread(a, a_width, r * d * width, a_count) * _respread(b, b_width, d * width, b_count)
-    rhs = _respread(a, a_width, d * width, a_count) * _respread(b, b_width, d * n * width, b_count)
+    lhs = _respread(a, a_width, r * width, a_count) * _respread(b, b_width, width, b_count)
+    rhs = _respread(a, a_width, width, a_count) * _respread(b, b_width, n * width, b_count)
     return lhs, rhs
 
 
@@ -311,7 +310,7 @@ FAMILIES: dict[str, IdentityFamily] = {
             ("n", "r", "d"),
             "n >= 0 and r >= 0 and d >= 1",
             lambda n, r, d: n >= 0 and r >= 0 and d >= 1,
-            _pascal,
+            lambda n, r, d: _pascal(n, r),
             (lambda: range(12), lambda n: range(n + 2), lambda n, r: range(1, 4)),
         ),
         IdentityFamily(
@@ -319,7 +318,7 @@ FAMILIES: dict[str, IdentityFamily] = {
             ("n", "d"),
             "n >= 0 and d >= 1",
             lambda n, d: n >= 0 and d >= 1,
-            lambda n, d: _symmetry(n, 1, d),
+            lambda n, d: _symmetry(n, 1),
             (lambda: range(13), lambda n: range(1, 4)),
         ),
         IdentityFamily(
@@ -327,7 +326,7 @@ FAMILIES: dict[str, IdentityFamily] = {
             ("n", "r", "d"),
             "0 <= r <= n and d >= 1",
             lambda n, r, d: 0 <= r <= n and d >= 1,
-            _symmetry,
+            lambda n, r, d: _symmetry(n, r),
             (lambda: range(11), lambda n: range(n + 1), lambda n, r: range(1, 4)),
         ),
         IdentityFamily(
@@ -335,7 +334,7 @@ FAMILIES: dict[str, IdentityFamily] = {
             ("n", "r", "d"),
             "n >= 1 and r >= 1 and d >= 1",
             lambda n, r, d: n >= 1 and r >= 1 and d >= 1,
-            _base_change,
+            lambda n, r, d: _base_change(n, r),
             (lambda: range(1, 9), lambda n: range(1, 9), lambda n, r: range(1, 4)),
         ),
     )

@@ -1,5 +1,11 @@
+import os
+import resource
+import subprocess
+import sys
+import time
 import tracemalloc
 from itertools import islice
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -7,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcluster import identities, qarith
-from qcluster.identities import FAMILIES, check_identity, sweep_reports
+from qcluster.identities import FAMILIES, IdentityReport, check_identity, sweep_reports
 from qcluster.qarith import QLaurent, q_binom
 from qcluster.qtorus import SkewForm, TorusElem
 
@@ -185,6 +191,13 @@ PERTURBED_INSTANCES = [
     ("SYMMETRY", (5, 2, 1)),
     ("REVERSAL", (5, 2)),
     ("BASE_CHANGE", (3, 2, 1)),
+    # The base families at a base q^d whose d is past sys.maxsize, and a
+    # Vandermonde k far past n, where no product is nonzero.
+    ("PASCAL", (5, 2, 2**63)),
+    ("SYMMETRY", (5, 2, 2**63)),
+    ("REVERSAL", (5, 2**63)),
+    ("BASE_CHANGE", (3, 2, 2**63)),
+    ("VANDERMONDE", (5, 2, 10**12)),
 ]
 
 
@@ -228,6 +241,41 @@ class TestNotVacuous:
         assert check_identity("PASCAL", (3, 9, 2)).verdict
         monkeypatch.setattr(identities, "_q_binom_entry", _perturb_first_call(qarith._q_binom_entry))
         assert not check_identity("PASCAL", (3, 9, 2)).verdict
+
+
+class TestHugeParametersUnderAMemoryLimit:
+    # Each request compares a few terms, so its cost must not grow with a
+    # parameter that leaves the term count unchanged: a base d in a stride
+    # runs out of memory, or shifts past sys.maxsize and raises
+    # OverflowError (exit 70), and so does a Vandermonde walk over every
+    # r <= k.  Every child limits its own address space to 1 GiB, and
+    # runs one at a time.
+    REQUESTS = [
+        ("SYMMETRY", (5, 2, 10**8)),
+        ("PASCAL", (3, 2, 10**11)),
+        ("REVERSAL", (3, 10**10)),
+        ("REVERSAL", (3, 2**63)),
+        ("SYMMETRY", (5, 2, 2**63)),
+        ("PASCAL", (3, 2, 2**63)),
+        ("BASE_CHANGE", (5, 1, 2**63)),
+        ("BASE_CHANGE", (3, 2, sys.maxsize)),
+        ("VANDERMONDE", (3, 2, 10**12)),
+    ]
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+    @pytest.mark.parametrize("family,params", REQUESTS)
+    def test_request_passes_in_under_a_second(self, family, params, flags):
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        argv = [sys.executable, *flags, "-m", "qcluster", "identities", "--family", family, "--params", ",".join(map(str, params))]
+        started = time.perf_counter()
+        result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit)
+        elapsed = time.perf_counter() - started
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == IdentityReport(family, params, True).render() + "\n"
+        assert elapsed < 1, elapsed
 
 
 # The sums as QLaurent terms added one at a time, the way the identities
@@ -331,19 +379,25 @@ class TestPackedSums:
         assert widths == [128] * 5
         # C(70, 35) and C(71, 35) pass 2^64, so these entries are stored in
         # 128-bit slots.  SYMMETRY keeps the entry's width; PASCAL and
-        # BASE_CHANGE pick theirs from the entries' slots, here 64 bits.  At
-        # base q^d each entry lies at stride d*W.
-        lhs, rhs = FAMILIES["SYMMETRY"].expand(70, 35, 2)
+        # BASE_CHANGE pick theirs from the entries' slots, here 64 bits.  An
+        # identity at base q^d is expanded in Q = q^d, so at d = 2 both
+        # sides are the d = 1 sides, and equal the d = 1 reference.
+        symmetry = FAMILIES["SYMMETRY"].expand(70, 35, 2)
         assert len(widths) == 5
-        assert lhs == rhs == at_two_to_the(q_binom(70, 35, 2), 128)
-        assert rhs == at_two_to_the(QLaurent.q_power(4 * 35 * 35) * q_binom(70, 35, 2).bar(), 128)
+        assert symmetry == FAMILIES["SYMMETRY"].expand(70, 35, 1)
+        lhs, rhs = symmetry
+        assert lhs == rhs == at_two_to_the(q_binom(70, 35), 128)
+        assert rhs == at_two_to_the(QLaurent.q_power(2 * 35 * 35) * q_binom(70, 35).bar(), 128)
         lhs, rhs = FAMILIES["PASCAL"].expand(70, 35, 1)
         assert lhs == rhs == at_two_to_the(q_binom(71, 35), widths[-1])
         assert rhs == at_two_to_the(q_binom(70, 35) + QLaurent.q_power(2 * 36) * q_binom(70, 34), widths[-1])
-        lhs, rhs = FAMILIES["BASE_CHANGE"].expand(70, 3, 2)
-        assert lhs == rhs == at_two_to_the(q_binom(70, 1, 6) * q_binom(3, 1, 2), widths[-1])
-        assert rhs == at_two_to_the(q_binom(70, 1, 2) * q_binom(3, 1, 140), widths[-1])
+        base_change = FAMILIES["BASE_CHANGE"].expand(70, 3, 2)
         assert widths == [128] * 5 + [64, 64]
+        assert base_change == FAMILIES["BASE_CHANGE"].expand(70, 3, 1)
+        lhs, rhs = base_change
+        assert lhs == rhs == at_two_to_the(q_binom(70, 1, 3) * q_binom(3, 1), widths[-1])
+        assert rhs == at_two_to_the(q_binom(70, 1) * q_binom(3, 1, 70), widths[-1])
+        assert widths == [128] * 5 + [64] * 3
 
     def test_64_bit_slots_through_row_62(self, widths):
         # The ceilings are powers of two less one, so this range is not
